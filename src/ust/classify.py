@@ -431,16 +431,19 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> PipelineModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    stats = None
-    if doc["gaussian_stats"] is not None:
-        stats = GaussianEncodingStats(
-            tuple(doc["gaussian_stats"]["min"]), tuple(doc["gaussian_stats"]["max"])
+    try:
+        stats = None
+        if doc["gaussian_stats"] is not None:
+            stats = GaussianEncodingStats(
+                tuple(doc["gaussian_stats"]["min"]), tuple(doc["gaussian_stats"]["max"])
+            )
+        params = TreeParams(doc["params"]["max_depth"], doc["params"]["min_samples_leaf"])
+        tree = DecisionTreeModel(
+            _node_from_json(doc["tree"]), params, int(doc["n_features"]), tuple(doc["classes"])
         )
-    params = TreeParams(doc["params"]["max_depth"], doc["params"]["min_samples_leaf"])
-    tree = DecisionTreeModel(
-        _node_from_json(doc["tree"]), params, int(doc["n_features"]), tuple(doc["classes"])
-    )
-    return PipelineModel(doc["encoding"], stats, tree)
+        return PipelineModel(doc["encoding"], stats, tree)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +487,10 @@ def read_feature_csv(path: str | Path) -> UncertainFeatureMatrix:
             if len(row) != 2 * k + 1:
                 raise ValueError(f"{path}:{line_no}: expected {2 * k + 1} fields, got {len(row)}")
             labels.append(row[0])
-            values = [float(x) for x in row[1:]]
+            try:
+                values = [float(x) for x in row[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if any(not np.isfinite(v) for v in values):
                 raise ValueError(f"{path}:{line_no}: non-finite feature value")
             if any(v < 0 for v in values[k:]):

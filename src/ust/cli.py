@@ -38,11 +38,9 @@ from .classify import (
     tree_predict,
     write_feature_csv,
 )
-from .core import UncertainVector
 from .series import (
     NoiseSpec,
     UncertainDataset,
-    UncertainSeries,
     dataset_std,
     derive_split_seeds,
     format_real,
@@ -102,14 +100,7 @@ class PipelineResult:
 
 
 def _strip_uncertainty(d: UncertainDataset) -> UncertainDataset:
-    return UncertainDataset(
-        [
-            UncertainSeries(
-                UncertainVector(inst.values.best, np.zeros(len(inst))), inst.label
-            )
-            for inst in d
-        ]
-    )
+    return UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels)
 
 
 def _encode_for_mode(
@@ -235,12 +226,7 @@ class BenchmarkRow:
     dataset: str
     mode: str
     seed: int
-    k: int | None
-    accuracy: float | None
-    extract_s: float | None
-    transform_s: float | None
-    fit_s: float | None
-    predict_s: float | None
+    result: PipelineResult | None = None
     error: str = ""
 
 
@@ -285,41 +271,24 @@ def _benchmark_task(
     try:
         result = run_pipeline(noisy_train, noisy_test, RunConfig(mode, extraction, tree))
     except Exception as exc:  # noqa: BLE001 - per-task isolation by contract
-        return BenchmarkRow(name, mode, seed, None, None, None, None, None, None, f"{type(exc).__name__}: {exc}")
-    return BenchmarkRow(
-        name,
-        mode,
-        seed,
-        result.shapelet_count,
-        result.accuracy,
-        result.extract_s,
-        result.transform_s,
-        result.fit_s,
-        result.predict_s,
-    )
+        return BenchmarkRow(name, mode, seed, error=f"{type(exc).__name__}: {exc}")
+    return BenchmarkRow(name, mode, seed, result)
 
 
 def _format_row(row: BenchmarkRow, with_timings: bool) -> list[str]:
-    def t(x: float | None) -> str:
-        return "" if (x is None or not with_timings) else f"{x:.3f}"
-
-    return [
-        row.dataset,
-        row.mode,
-        str(row.seed),
-        "" if row.k is None else str(row.k),
-        "" if row.accuracy is None else format_real(row.accuracy),
-        t(row.extract_s),
-        t(row.transform_s),
-        t(row.fit_s),
-        t(row.predict_s),
-        row.error,
-    ]
+    r = row.result
+    if r is None:
+        cells = [""] * 6
+    else:
+        timings = (r.extract_s, r.transform_s, r.fit_s, r.predict_s)
+        cells = [str(r.shapelet_count), format_real(r.accuracy)]
+        cells += [f"{x:.3f}" if with_timings else "" for x in timings]
+    return [row.dataset, row.mode, str(row.seed), *cells, row.error]
 
 
 def _pairwise_summary(rows: list[BenchmarkRow], modes: Sequence[str]) -> list[list[str]]:
     acc: dict[tuple[str, str], float] = {
-        (r.dataset, r.mode): r.accuracy for r in rows if r.accuracy is not None
+        (r.dataset, r.mode): r.result.accuracy for r in rows if r.result is not None
     }
     datasets = sorted({r.dataset for r in rows})
     table = []
@@ -365,10 +334,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         name, mode = task
         data = prepared[name]
         if isinstance(data, Exception):
-            return BenchmarkRow(
-                name, mode, args.seed, None, None, None, None, None, None,
-                f"{type(data).__name__}: {data}",
-            )
+            return BenchmarkRow(name, mode, args.seed, error=f"{type(data).__name__}: {data}")
         return _benchmark_task(name, data[0], data[1], mode, args.seed, extraction, tree)
 
     if args.jobs > 1:

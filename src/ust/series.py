@@ -9,6 +9,10 @@ File format (one dataset = one or two files):
   ``m`` non-negative reals per line, no label column.  Row ``i`` column ``j``
   pairs with values row ``i`` column ``j + 1``.
 
+In memory a dataset is two read-only ``(n, m)`` float64 matrices, ``best``
+and ``uncertainty``, plus one label per row; every stage after loading
+works on those matrices.
+
 Reals are written with 17 significant digits, so a save/load round trip is
 bit-exact for binary64.
 
@@ -20,14 +24,16 @@ generator is pinned for reproducibility, see :func:`inject_noise`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .core import UncertainValue, UncertainVector
+from .core import DimensionMismatchError, UncertainVector
 
 __all__ = [
     "UncertainSeries",
@@ -59,12 +65,16 @@ class UncertainSeries:
 
 
 class UncertainDataset:
-    """Equal-length labeled uncertain series.
+    """Equal-length labeled uncertain series, stored as two matrices.
 
-    All instances must share the same length; every instance carries a label.
+    ``best`` and ``uncertainty`` are read-only, C-contiguous float64 arrays
+    of shape ``(n_instances, series_length)``; row ``i`` of both, with
+    ``labels[i]``, is instance ``i``.  Uncertainties are stored as absolute
+    values, every value is finite, and every instance carries a label.
+    ``d[i]`` and iteration yield :class:`UncertainSeries` built from a row.
     """
 
-    __slots__ = ("instances",)
+    __slots__ = ("best", "uncertainty", "_labels")
 
     def __init__(self, instances: Sequence[UncertainSeries]) -> None:
         instances = list(instances)
@@ -76,45 +86,74 @@ class UncertainDataset:
                 raise ValueError(
                     f"instance {i} has length {len(inst)}, expected {m}: datasets are equal-length"
                 )
-            if inst.label is None:
-                raise ValueError(f"instance {i} has no label: dataset instances must be labeled")
-        self.instances = instances
+        self._freeze(
+            np.stack([inst.values.best for inst in instances]),
+            np.stack([inst.values.uncertainty for inst in instances]),
+            [inst.label for inst in instances],
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, best: ArrayLike, uncertainty: ArrayLike, labels: Sequence[str]
+    ) -> "UncertainDataset":
+        """Build a dataset from ``(n, m)`` matrices and ``n`` labels (all copied)."""
+        d = cls.__new__(cls)
+        d._freeze(best, uncertainty, labels)
+        return d
+
+    def _freeze(self, best: ArrayLike, uncertainty: ArrayLike, labels: Sequence[str]) -> None:
+        b = np.array(best, dtype=np.float64, order="C", copy=True)
+        u = np.array(uncertainty, dtype=np.float64, order="C", copy=True)
+        labels = tuple(labels)
+        if b.ndim != 2 or b.shape != u.shape:
+            raise DimensionMismatchError(f"best {b.shape} and uncertainty {u.shape} must be equal (n, m)")
+        if b.size == 0:
+            raise ValueError("a dataset must contain at least one instance of at least one value")
+        if len(labels) != b.shape[0]:
+            raise ValueError(f"{len(labels)} labels for {b.shape[0]} instances")
+        if None in labels:
+            i = labels.index(None)
+            raise ValueError(f"instance {i} has no label: dataset instances must be labeled")
+        if not np.isfinite(b).all() or not np.isfinite(u).all():
+            raise ValueError("dataset values must be finite")
+        np.abs(u, out=u)
+        b.setflags(write=False)
+        u.setflags(write=False)
+        self.best = b
+        self.uncertainty = u
+        self._labels = labels
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.best.shape[0]
 
     def __getitem__(self, i: int) -> UncertainSeries:
-        return self.instances[i]
+        return UncertainSeries(UncertainVector(self.best[i], self.uncertainty[i]), self._labels[i])
 
     def __iter__(self):
-        return iter(self.instances)
+        return (self[i] for i in range(len(self)))
 
     @property
     def series_length(self) -> int:
-        return len(self.instances[0])
+        return self.best.shape[1]
 
     @property
     def labels(self) -> list[str]:
-        return [inst.label for inst in self.instances]  # type: ignore[misc]
+        return list(self._labels)
 
     @property
     def class_set(self) -> set[str]:
-        return set(self.labels)
-
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (best, uncertainty) matrices of shape (n_instances, m)."""
-        best = np.stack([inst.values.best for inst in self.instances])
-        unc = np.stack([inst.values.uncertainty for inst in self.instances])
-        return best, unc
+        return set(self._labels)
 
     def is_certain(self) -> bool:
-        return all(not inst.values.uncertainty.any() for inst in self.instances)
+        return not self.uncertainty.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UncertainDataset):
             return NotImplemented
-        return len(self) == len(other) and all(
-            a.label == b.label and a.values == b.values for a, b in zip(self, other)
+        return (
+            self._labels == other._labels
+            and np.array_equal(self.best, other.best)
+            and np.array_equal(self.uncertainty, other.uncertainty)
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -150,7 +189,7 @@ def _parse_real(token: str, path: str, line_no: int, col_no: int) -> float:
         raise DatasetFormatError(
             f"{path}:{line_no}: column {col_no}: not a decimal real: {token!r}"
         ) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise DatasetFormatError(
             f"{path}:{line_no}: column {col_no}: value must be finite, got {token!r}"
         )
@@ -207,7 +246,7 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
 
     assert m is not None
     if uncertainty_path is None:
-        uncs = [[0.0] * m for _ in bests]
+        uncs = np.zeros((len(bests), m))
     else:
         upath = str(uncertainty_path)
         urows = _read_rows(uncertainty_path)
@@ -231,12 +270,7 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
                 row.append(value)
             uncs.append(row)
 
-    return UncertainDataset(
-        [
-            UncertainSeries(UncertainVector(b, u), label)
-            for label, b, u in zip(labels, bests, uncs)
-        ]
-    )
+    return UncertainDataset.from_arrays(bests, uncs, labels)
 
 
 def save_dataset(d: UncertainDataset, values_path: str | Path, uncertainty_path: str | Path) -> None:
@@ -246,18 +280,16 @@ def save_dataset(d: UncertainDataset, values_path: str | Path, uncertainty_path:
     bit-exactly.
     """
     with open(values_path, "w", encoding="utf-8", newline="") as fh:
-        for inst in d:
-            fields = [inst.label] + [format_real(x) for x in inst.values.best]
-            fh.write("\t".join(fields) + "\n")
+        for label, row in zip(d.labels, d.best.tolist()):
+            fh.write("\t".join([label] + [format_real(x) for x in row]) + "\n")
     with open(uncertainty_path, "w", encoding="utf-8", newline="") as fh:
-        for inst in d:
-            fh.write("\t".join(format_real(x) for x in inst.values.uncertainty) + "\n")
+        for row in d.uncertainty.tolist():
+            fh.write("\t".join(format_real(x) for x in row) + "\n")
 
 
 def dataset_std(d: UncertainDataset) -> float:
     """Population standard deviation of all best values pooled together."""
-    best, _ = d.stacked()
-    return float(np.std(best))
+    return float(np.std(d.best))
 
 
 def _instance_noise(seed: int, instance_index: int, size: int) -> np.ndarray:
@@ -296,16 +328,12 @@ def inject_noise(d: UncertainDataset, spec: NoiseSpec) -> UncertainDataset:
             RuntimeWarning,
             stacklevel=2,
         )
-        return UncertainDataset(list(d.instances))
+        return d
 
-    out = []
-    for i, inst in enumerate(d):
-        m = len(inst)
-        e = sigma * _instance_noise(spec.seed, i, m)
-        noisy = inst.values.best + e
-        delta = np.abs(noisy - inst.values.best)
-        out.append(UncertainSeries(UncertainVector(noisy, delta), inst.label))
-    return UncertainDataset(out)
+    n, m = d.best.shape
+    noisy = sigma * np.stack([_instance_noise(spec.seed, i, m) for i in range(n)])
+    noisy += d.best
+    return UncertainDataset.from_arrays(noisy, np.abs(noisy - d.best), d.labels)
 
 
 def derive_split_seeds(master_seed: int, dataset_name: str) -> tuple[int, int]:

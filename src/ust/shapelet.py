@@ -363,7 +363,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     source series are pruned.  Output is deterministic and independent of
     any parallel scheduling.
     """
-    best, unc = train.stacked()
+    best, unc = train.best, train.uncertainty
     n, m = best.shape
     labels = train.labels
     classes = _class_order(labels)
@@ -454,7 +454,7 @@ def shapelet_transform(
     """
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
-    best, unc = d.stacked()
+    best, unc = d.best, d.uncertainty
     n, m = best.shape
     k = len(shapelets)
     out_b = np.empty((n, k))
@@ -535,5 +535,8 @@ def save_shapelets(shapelets: Sequence[UncertainShapelet], path: str | Path) -> 
 
 
 def load_shapelets(path: str | Path) -> list[UncertainShapelet]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return shapelets_from_json(fh.read())
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return shapelets_from_json(text)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"{path}: malformed shapelet file: {type(exc).__name__}: {exc}") from None

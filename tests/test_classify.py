@@ -256,6 +256,16 @@ class TestModelSerialization:
         assert set(node) == {"feature", "threshold", "left", "right"}
         assert set(node["left"]) == {"leaf", "distribution"}
 
+    def test_missing_tree_is_malformed(self, tmp_path):
+        e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
+        path = tmp_path / "model.json"
+        save_model(PipelineModel("best", None, tree_fit(e)), path)
+        doc = json.loads(path.read_text())
+        del doc["tree"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"model\.json: malformed model file: KeyError"):
+            load_model(path)
+
 
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):
@@ -286,4 +296,10 @@ class TestFeatureCsv:
         path = tmp_path / "bad.csv"
         path.write_text("label,f1,f2\nA,1,-0.5\n")
         with pytest.raises(ValueError, match="negative uncertainty"):
+            read_feature_csv(path)
+
+    def test_non_numeric_token_names_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label,f1,f2\nA,1,0.5\na,1.0,abc\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: .*'abc'"):
             read_feature_csv(path)

@@ -1,4 +1,5 @@
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +34,16 @@ def synth_rows(rng, n_per_class, m=12):
             s[start : start + 3] += sign * np.array([2.0, 5.0, 2.0])
             rows.append((label, s))
     return rows
+
+
+SHAPELET_DOC = {
+    "source_instance": 0,
+    "start_offset": 0,
+    "length": 2,
+    "quality": 0.5,
+    "threshold": {"best": 1.0, "uncertainty": 0.0},
+    "values": [{"best": 0.0, "uncertainty": 0.0}, {"best": 1.0, "uncertainty": 0.0}],
+}
 
 
 @pytest.fixture()
@@ -159,6 +170,29 @@ class TestStepComposition:
         ])
         assert rc != 0
         assert "length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{key: v for key, v in SHAPELET_DOC.items() if key != "values"}],
+            [dict(SHAPELET_DOC, threshold=1.0)],
+            SHAPELET_DOC,
+        ],
+        ids=["missing-values", "scalar-threshold", "object-not-list"],
+    )
+    def test_transform_rejects_malformed_shapelet_file(self, doc, tiny_dataset, tmp_path, capsys):
+        train_path, _ = tiny_dataset
+        shapelets = tmp_path / "sh.json"
+        shapelets.write_text(json.dumps(doc))
+        rc = main([
+            "transform", "--data", str(train_path),
+            "--shapelets", str(shapelets),
+            "--out", str(tmp_path / "f.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sh.json: malformed shapelet file" in err
 
     def test_classify_st_mode_warns_on_nonzero_uncertainty(self, tiny_dataset, tmp_path, capsys):
         train_path, test_path = tiny_dataset

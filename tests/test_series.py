@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ust import (
     DatasetFormatError,
@@ -18,6 +19,7 @@ from ust import (
     load_dataset,
     save_dataset,
 )
+from ust.series import _instance_noise
 
 
 def write(path, text):
@@ -165,6 +167,72 @@ class TestDatasetInvariants:
             UncertainDataset([a, b])
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dataset_rows(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    best = draw(arrays(np.float64, (n, m), elements=finite))
+    unc = draw(arrays(np.float64, (n, m), elements=finite))
+    labels = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3), min_size=n, max_size=n))
+    return best, unc, labels
+
+
+class TestDatasetArrays:
+    @given(dataset_rows())
+    @settings(max_examples=50)
+    def test_list_constructor_equals_from_arrays(self, rows):
+        best, unc, labels = rows
+        d = UncertainDataset.from_arrays(best, unc, labels)
+        assert d == make_dataset(best.tolist(), labels, unc.tolist())
+        assert d.labels == labels
+        for i in range(len(labels)):
+            assert d[i].label == labels[i]
+            assert d[i].values == UncertainVector(best[i], unc[i])
+
+    @pytest.mark.parametrize(
+        "best, unc, labels, match",
+        [
+            (np.zeros((2, 3)), np.zeros((2, 2)), ["a", "b"], "must be equal"),
+            (np.zeros(3), np.zeros(3), ["a"], "must be equal"),
+            (np.zeros((2, 3)), np.zeros((2, 3)), ["a"], "1 labels for 2 instances"),
+            (np.zeros((2, 3)), np.zeros((2, 3)), ["a", None], "instance 1 has no label"),
+            (np.array([[0.0, np.inf]]), np.zeros((1, 2)), ["a"], "finite"),
+            (np.zeros((1, 2)), np.array([[np.nan, 0.0]]), ["a"], "finite"),
+            (np.zeros((0, 3)), np.zeros((0, 3)), [], "at least one"),
+            (np.zeros((2, 0)), np.zeros((2, 0)), ["a", "b"], "at least one"),
+        ],
+        ids=["shape", "one-dimensional", "label-count", "none-label", "inf", "nan", "no-rows", "no-columns"],
+    )
+    def test_from_arrays_rejects(self, best, unc, labels, match):
+        with pytest.raises(ValueError, match=match):
+            UncertainDataset.from_arrays(best, unc, labels)
+
+    def test_from_arrays_stores_absolute_uncertainty(self):
+        d = UncertainDataset.from_arrays([[1.0, 2.0]], [[-0.5, 0.25]], ["a"])
+        assert d.uncertainty.tolist() == [[0.5, 0.25]]
+
+    def test_arrays_are_frozen_contiguous_copies(self):
+        best = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+        unc = np.zeros((2, 2))
+        labels = ["a", "b"]
+        d = UncertainDataset.from_arrays(best, unc, labels)
+        for arr in (d.best, d.uncertainty):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 9.0
+        best[0, 0] = 9.0
+        unc[0, 0] = 9.0
+        labels[0] = "z"
+        d.labels.append("c")
+        d.labels[0] = "y"
+        assert d.best.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not d.uncertainty.any()
+        assert d.labels == ["a", "b"]
+
+
 class TestDatasetStd:
     def test_constant_dataset(self):
         assert dataset_std(make_dataset([[3.0, 3.0], [3.0, 3.0]], ["a", "b"])) == 0.0
@@ -182,7 +250,7 @@ class TestInjectNoise:
         d = make_dataset([[1.0, 1.0], [1.0, 1.0]], ["a", "b"])
         with pytest.warns(RuntimeWarning, match="standard deviation is 0"):
             out = inject_noise(d, NoiseSpec(seed=3))
-        assert out == d
+        assert out is d
 
     def test_rejects_uncertain_input(self):
         d = make_dataset([[1.0, 2.0]], ["a"], [[0.1, 0.0]])
@@ -212,8 +280,11 @@ class TestInjectNoise:
 
     def test_uncertainty_is_absolute_shift(self):
         d = make_dataset([list(np.linspace(0, 9, 10)), list(np.linspace(9, 0, 10))], ["a", "b"])
+        sigma = dataset_std(d)
         out = inject_noise(d, NoiseSpec(seed=5))
-        for before, after in zip(d, out):
+        for i, (before, after) in enumerate(zip(d, out)):
+            expected = before.values.best + sigma * _instance_noise(5, i, 10)
+            assert after.values.best.tobytes() == expected.tobytes()
             shift = np.abs(after.values.best - before.values.best)
             assert (after.values.uncertainty == shift).all()
 
