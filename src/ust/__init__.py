@@ -54,15 +54,11 @@ from .series import (
 from .shapelet import (
     ConfigurationError,
     ExtractionConfig,
-    SplitEvaluation,
     UncertainShapelet,
-    best_split,
     extract_shapelets,
-    information_gain,
     load_shapelets,
     save_shapelets,
     shapelet_transform,
-    subsequence_distance,
 )
 
 __version__ = "0.1.0"
@@ -88,12 +84,8 @@ __all__ = [
     "inject_noise",
     "derive_split_seeds",
     "UncertainShapelet",
-    "SplitEvaluation",
     "ExtractionConfig",
     "ConfigurationError",
-    "subsequence_distance",
-    "information_gain",
-    "best_split",
     "extract_shapelets",
     "shapelet_transform",
     "save_shapelets",

@@ -19,7 +19,10 @@ what the classical (uncertainty-blind) pipeline uses.
 The classifier is a greedy binary CART over the encoded reals: splits
 maximize base-2 information gain, thresholds are midpoints between
 consecutive sorted unique feature values, ties break on (gain, feature
-index, threshold) first-best.  Everything is deterministic.
+index, threshold) first-best.  Each node stably sorts every feature once and
+scores all cuts with the gain sweep that also ranks shapelet candidates
+(``_split_gains``), so tree gains equal the scalar ``entropy_from_counts``
+expression bit for bit.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# entropy (shared with shapelet quality scoring)
+# entropy and the split-gain sweep (shared with shapelet quality scoring)
 # ---------------------------------------------------------------------------
 
 def entropy_from_counts(counts: Sequence[int], total: int) -> float:
@@ -74,9 +77,73 @@ def entropy_from_counts(counts: Sequence[int], total: int) -> float:
     ent = 0.0
     for c in counts:
         if c > 0:
-            p = c / total
-            ent += -p * math.log2(p)
+            ent += _entropy_term(c, total)
     return ent
+
+
+def _entropy_term(count: int, total: int) -> float:
+    p = count / total
+    return -p * math.log2(p)
+
+
+# ``_split_gains`` ranks cuts by an approximation within about
+# (2K+2)*4*eps*log2(n) of the exact scalar gain (K classes, eps = 2**-53):
+# below 4e-12 for K <= 100 and n <= 2**40.  Every position whose approximate
+# gain is within this far larger margin of its row's approximate maximum is
+# rescored exactly, so the exact maximum and all of its exact ties are among
+# the rescored positions.
+_RESCORE_EPS = 1e-9
+
+
+def _split_gains(
+    sorted_labels: np.ndarray,
+    valid: np.ndarray,
+    class_totals: np.ndarray,
+    h_full: float,
+) -> np.ndarray:
+    """Information gain of cutting each row after each position: (R, n).
+
+    Row ``r`` holds class indices in sorted order; cutting after position
+    ``i`` puts the first ``n1 = i + 1`` on the near side.  Every position that
+    is ``valid`` and can be its row's maximum holds exactly
+    ``(h_full - (n1/n)*entropy_from_counts(near, n1)) - (n2/n)*entropy_from_counts(far, n2)``;
+    all other positions are ``-inf``.
+    """
+    r, n = sorted_labels.shape
+    n_classes = len(class_totals)
+    one_hot = sorted_labels == np.arange(n_classes)[:, None, None]
+    cum = np.cumsum(one_hot, axis=2, dtype=np.int32)  # (K, R, n) near-side counts
+    n1 = np.arange(1, n + 1)
+    n2 = n - n1
+
+    # approximate pass on acc = n*(h_full - gain), which is smallest at the
+    # best cut: size*H(side) = size*log2(size) - sum_k c_k*log2(c_k)
+    xl = np.zeros(n + 1)
+    xl[1:] = n1 * np.log2(n1)
+    acc = xl[n1] + xl[n2]
+    for total, ck in zip(class_totals, cum):
+        acc = acc - xl[ck]
+        acc -= xl[total - ck]
+    acc = np.where(valid, acc, np.inf)
+    keep = valid & (acc <= acc.min(axis=1, keepdims=True) + n * _RESCORE_EPS)
+
+    # exact pass on the survivors, one math.log2 per distinct (count, size)
+    rows, pos = np.nonzero(keep)
+    near = cum[:, rows, pos].astype(np.int64)
+    far = class_totals[:, None] - near
+    keys = np.concatenate([near * (n + 1) + n1[pos], far * (n + 1) + n2[pos]])
+    uniq, inv = np.unique(keys.ravel(), return_inverse=True)
+    terms = np.array(
+        [_entropy_term(*divmod(key, n + 1)) if key > n else 0.0 for key in uniq.tolist()]
+    )[inv].reshape(keys.shape)
+    h1 = np.zeros(len(rows))
+    h2 = np.zeros(len(rows))
+    for k in range(n_classes):
+        h1 = h1 + terms[k]
+        h2 = h2 + terms[n_classes + k]
+    gains = np.full((r, n), -np.inf)
+    gains[rows, pos] = (h_full - (n1[pos] / n) * h1) - (n2[pos] / n) * h2
+    return gains
 
 
 # ---------------------------------------------------------------------------
@@ -228,97 +295,58 @@ class DecisionTreeModel:
     classes: tuple[str, ...]
 
 
-def _majority_label(counts: dict[str, int], classes: Sequence[str]) -> str:
-    # ties resolve to the smallest label in canonical (sorted) order
-    best_label = None
-    best_count = -1
-    for label in classes:
-        c = counts.get(label, 0)
-        if c > best_count:
-            best_label, best_count = label, c
-    assert best_label is not None
-    return best_label
-
-
 def _best_node_split(
     features: np.ndarray,
     label_idx: np.ndarray,
-    n_classes: int,
+    class_counts: np.ndarray,
     min_samples_leaf: int,
-) -> tuple[float, int, float] | None:
-    """Best (gain, feature, threshold) over all midpoint candidates, or None.
+) -> tuple[int, float] | None:
+    """Best (feature, threshold) over all midpoint candidates, or None.
 
-    First-best tie-break: strictly greater gain wins, so earlier features and
-    smaller thresholds are preferred on ties.
+    First-best tie-break: the first maximal gain in (feature, threshold)
+    order wins, so earlier features and smaller thresholds are preferred.
     """
     n = features.shape[0]
-    parent_counts = np.bincount(label_idx, minlength=n_classes)
-    parent_ent = entropy_from_counts(parent_counts.tolist(), n)
-    best: tuple[float, int, float] | None = None
-    for j in range(features.shape[1]):
-        col = features[:, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sl = label_idx[order]
-        cum = np.zeros(n_classes, dtype=np.int64)
-        for i in range(n - 1):
-            cum[sl[i]] += 1
-            if sv[i] == sv[i + 1]:
-                continue
-            n_left = i + 1
-            n_right = n - n_left
-            if n_left < min_samples_leaf or n_right < min_samples_leaf:
-                continue
-            left_counts = cum.tolist()
-            right_counts = (parent_counts - cum).tolist()
-            gain = (
-                parent_ent
-                - (n_left / n) * entropy_from_counts(left_counts, n_left)
-                - (n_right / n) * entropy_from_counts(right_counts, n_right)
-            )
-            if best is None or gain > best[0]:
-                threshold = (float(sv[i]) + float(sv[i + 1])) / 2.0
-                best = (gain, j, threshold)
-    return best
+    cols = np.ascontiguousarray(features.T)
+    order = np.argsort(cols, axis=1, kind="stable")
+    sv = np.take_along_axis(cols, order, axis=1)
+    n_left = np.arange(1, n + 1)
+    valid = np.zeros(sv.shape, dtype=bool)
+    valid[:, :-1] = sv[:, :-1] != sv[:, 1:]
+    valid &= (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+    gains = _split_gains(
+        label_idx[order], valid, class_counts, entropy_from_counts(class_counts.tolist(), n)
+    )
+    feature, i = divmod(int(np.argmax(gains)), n)
+    if gains[feature, i] == -np.inf:
+        return None
+    lo, hi = float(sv[feature, i]), float(sv[feature, i + 1])
+    threshold = (lo + hi) / 2.0
+    if not lo <= threshold < hi:  # rounding between adjacent floats, or overflow
+        threshold = lo
+    return feature, threshold
 
 
 def _grow(
     features: np.ndarray,
     label_idx: np.ndarray,
-    labels: list[str],
     classes: Sequence[str],
     params: TreeParams,
     depth: int,
 ) -> TreeNode:
-    counts = {c: 0 for c in classes}
-    for lab in labels:
-        counts[lab] += 1
-    distribution = {c: counts[c] for c in classes if counts[c] > 0}
-    if len(distribution) == 1 or (params.max_depth is not None and depth >= params.max_depth):
-        return TreeNode(label=_majority_label(counts, classes), distribution=distribution)
-
-    split = _best_node_split(features, label_idx, len(classes), params.min_samples_leaf)
+    counts = np.bincount(label_idx, minlength=len(classes))
+    distribution = {c: int(k) for c, k in zip(classes, counts) if k > 0}
+    split = None
+    if len(distribution) > 1 and (params.max_depth is None or depth < params.max_depth):
+        split = _best_node_split(features, label_idx, counts, params.min_samples_leaf)
     if split is None:
-        return TreeNode(label=_majority_label(counts, classes), distribution=distribution)
+        # ties resolve to the smallest label in canonical (sorted) order
+        return TreeNode(label=classes[int(np.argmax(counts))], distribution=distribution)
 
-    _, feature, threshold = split
+    feature, threshold = split
     mask = features[:, feature] <= threshold
-    left = _grow(
-        features[mask],
-        label_idx[mask],
-        [lab for lab, keep in zip(labels, mask) if keep],
-        classes,
-        params,
-        depth + 1,
-    )
-    right = _grow(
-        features[~mask],
-        label_idx[~mask],
-        [lab for lab, keep in zip(labels, mask) if not keep],
-        classes,
-        params,
-        depth + 1,
-    )
+    left = _grow(features[mask], label_idx[mask], classes, params, depth + 1)
+    right = _grow(features[~mask], label_idx[~mask], classes, params, depth + 1)
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
@@ -335,7 +363,7 @@ def tree_fit(e: EncodedMatrix, params: TreeParams = TreeParams()) -> DecisionTre
     classes = tuple(sorted(set(e.labels)))
     class_to_idx = {c: i for i, c in enumerate(classes)}
     label_idx = np.array([class_to_idx[lab] for lab in e.labels], dtype=np.int64)
-    root = _grow(features, label_idx, list(e.labels), classes, params, 0)
+    root = _grow(features, label_idx, classes, params, 0)
     return DecisionTreeModel(root, params, features.shape[1], classes)
 
 
@@ -430,8 +458,9 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> PipelineModel:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
     try:
+        doc = json.loads(text)
         stats = None
         if doc["gaussian_stats"] is not None:
             stats = GaussianEncodingStats(
@@ -442,7 +471,7 @@ def load_model(path: str | Path) -> PipelineModel:
             _node_from_json(doc["tree"]), params, int(doc["n_features"]), tuple(doc["classes"])
         )
         return PipelineModel(doc["encoding"], stats, tree)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None
 
 

@@ -8,45 +8,32 @@ under the uncertain total order.  Extraction scores every candidate in the
 configured length range, prunes overlapping candidates from the same source
 series, and keeps the top k by quality.
 
-The batch scorer is numerically interchangeable with the scalar operations:
-distance accumulation runs index-ascending exactly as in ``udissim`` and
-entropies come from a table whose entries were computed by the same scalar
-expression as :func:`ust.classify.entropy_from_counts`, so a brute-force
-rescore with the scalar API reproduces extraction output bit for bit.
+The batch scorer reproduces a scalar brute force bit for bit: distance
+accumulation runs index-ascending exactly as in ``udissim``, and split gains
+come from the sweep shared with the decision tree, which ranks every cut
+with a vectorized approximation and then rescores the cuts that can be a
+row's maximum with the scalar expression of
+:func:`ust.classify.entropy_from_counts`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .classify import UncertainFeatureMatrix, entropy_from_counts
-from .core import (
-    DimensionMismatchError,
-    NumericOverflowError,
-    UncertainValue,
-    UncertainVector,
-    u_eq,
-    u_lt,
-    udissim,
-)
-from .series import UncertainDataset, UncertainSeries
+from .classify import UncertainFeatureMatrix, _split_gains, entropy_from_counts
+from .core import DimensionMismatchError, NumericOverflowError, UncertainValue, UncertainVector
+from .series import UncertainDataset
 
 __all__ = [
     "UncertainShapelet",
-    "SplitEvaluation",
     "ExtractionConfig",
     "ConfigurationError",
-    "subsequence_distance",
-    "information_gain",
-    "best_split",
     "extract_shapelets",
     "shapelet_transform",
     "save_shapelets",
@@ -79,21 +66,6 @@ class UncertainShapelet:
 
 
 @dataclass(frozen=True)
-class SplitEvaluation:
-    """One threshold's information gain over a distance list.
-
-    ``margin`` is the gap (on best estimates) between the largest distance
-    sent below the threshold and the smallest sent above it, 0 when either
-    side is empty; it is the first tie-breaker between equal-gain splits.
-    """
-
-    threshold: UncertainValue
-    gain: float
-    partition_sizes: tuple[int, int]
-    margin: float
-
-
-@dataclass(frozen=True)
 class ExtractionConfig:
     """Candidate enumeration and selection knobs.
 
@@ -122,118 +94,6 @@ class ExtractionConfig:
 
 
 # ---------------------------------------------------------------------------
-# scalar reference operations
-# ---------------------------------------------------------------------------
-
-def subsequence_distance(s: UncertainVector, t: UncertainSeries) -> UncertainValue:
-    """Minimum dissimilarity from ``s`` to any equal-length window of ``t``.
-
-    The minimum is taken under the uncertain total order; equal windows
-    resolve to the earliest one (which carries the same value).
-    """
-    values = t.values
-    l, m = len(s), len(values)
-    if l > m:
-        raise DimensionMismatchError(f"subsequence length {l} exceeds series length {m}")
-    best = udissim(s, values[0:l])
-    for j in range(1, m - l + 1):
-        d = udissim(s, values[j : j + l])
-        if u_lt(d, best):
-            best = d
-    return best
-
-
-def _class_order(labels: Sequence[str]) -> list[str]:
-    return sorted(set(labels))
-
-
-def information_gain(
-    distances: Sequence[tuple[UncertainValue, str]], threshold: UncertainValue
-) -> SplitEvaluation:
-    """Entropy gain of splitting the distances at ``threshold``.
-
-    Instances with distance below-or-equal to the threshold (under the
-    uncertain order) form the near side, the rest the far side.
-    """
-    if not distances:
-        raise ValueError("distances must be non-empty")
-    labels = [lab for _, lab in distances]
-    classes = _class_order(labels)
-    index = {c: i for i, c in enumerate(classes)}
-    n = len(distances)
-
-    total = [0] * len(classes)
-    near = [0] * len(classes)
-    n1 = 0
-    max_near_best: float | None = None
-    min_far_best: float | None = None
-    for d, lab in distances:
-        total[index[lab]] += 1
-        if u_lt(d, threshold) or u_eq(d, threshold):
-            near[index[lab]] += 1
-            n1 += 1
-            if max_near_best is None or d.best > max_near_best:
-                max_near_best = d.best
-        elif min_far_best is None or d.best < min_far_best:
-            min_far_best = d.best
-    n2 = n - n1
-    far = [t - c for t, c in zip(total, near)]
-
-    h = entropy_from_counts(total, n)
-    h1 = entropy_from_counts(near, n1)
-    h2 = entropy_from_counts(far, n2)
-    gain = h - (n1 / n) * h1 - (n2 / n) * h2
-    margin = 0.0
-    if max_near_best is not None and min_far_best is not None:
-        margin = min_far_best - max_near_best
-    return SplitEvaluation(threshold, gain, (n1, n2), margin)
-
-
-def best_split(distances: Sequence[tuple[UncertainValue, str]]) -> SplitEvaluation:
-    """Maximal-gain split over the observed distance values.
-
-    Distances are sorted under the uncertain order and every distinct value
-    serves as a threshold candidate (the value itself lands on the near
-    side).  Equal gains prefer the larger margin, then the smaller
-    threshold.
-    """
-    n = len(distances)
-    if n < 2:
-        raise ValueError("best_split needs at least two instances")
-    labels = [lab for _, lab in distances]
-    classes = _class_order(labels)
-    if len(classes) < 2:
-        raise ValueError("best_split needs at least two classes")
-    index = {c: i for i, c in enumerate(classes)}
-
-    order = sorted(range(n), key=lambda i: (distances[i][0].best, distances[i][0].uncertainty))
-    sd = [distances[i][0] for i in order]
-    sl = [index[distances[i][1]] for i in order]
-
-    total = [0] * len(classes)
-    for ci in sl:
-        total[ci] += 1
-    h = entropy_from_counts(total, n)
-
-    near = [0] * len(classes)
-    result: SplitEvaluation | None = None
-    for t in range(n):
-        near[sl[t]] += 1
-        if t < n - 1 and u_eq(sd[t], sd[t + 1]):
-            continue  # only the last index of a duplicate run is a distinct threshold
-        n1 = t + 1
-        n2 = n - n1
-        h1 = entropy_from_counts(near, n1)
-        h2 = entropy_from_counts([tc - nc for tc, nc in zip(total, near)], n2)
-        gain = h - (n1 / n) * h1 - (n2 / n) * h2
-        margin = sd[t + 1].best - sd[t].best if t < n - 1 else 0.0
-        if result is None or gain > result.gain or (gain == result.gain and margin > result.margin):
-            result = SplitEvaluation(sd[t], gain, (n1, n2), margin)
-    assert result is not None
-    return result
-
-
-# ---------------------------------------------------------------------------
 # batch kernels
 # ---------------------------------------------------------------------------
 
@@ -249,9 +109,10 @@ def _sliding_min_dissim(
     """Minimum dissimilarity of each candidate to each series: (C, N) pair.
 
     Accumulates over the window position index in ascending order, exactly
-    like the scalar ``udissim`` fold, so every entry is bit-identical to
-    ``subsequence_distance`` on the same inputs.  Candidates are processed
-    in chunks to bound peak memory.
+    like the scalar ``udissim`` fold, and takes the minimum under the
+    uncertain order over all windows.  Candidates and series are processed
+    in blocks of at most ``_KERNEL_CHUNK_ELEMS`` windows to bound peak
+    memory; each (candidate, series) entry is independent of the blocking.
     """
     c_total, l = cand_best.shape
     n, m = series_best.shape
@@ -260,89 +121,69 @@ def _sliding_min_dissim(
     w = m - l + 1
     out_best = np.empty((c_total, n))
     out_unc = np.empty((c_total, n))
-    chunk = max(1, _KERNEL_CHUNK_ELEMS // max(1, n * w))
+    rows = min(n, max(1, _KERNEL_CHUNK_ELEMS // w))
+    chunk = max(1, _KERNEL_CHUNK_ELEMS // (rows * w))
     for c0 in range(0, c_total, chunk):
         c1 = min(c_total, c0 + chunk)
         sb = cand_best[c0:c1]
         su = cand_unc[c0:c1]
-        acc_b = np.zeros((c1 - c0, n, w))
-        acc_u = np.zeros((c1 - c0, n, w))
-        for i in range(l):
-            d = sb[:, i, None, None] - series_best[None, :, i : i + w]
-            acc_b += d * d
-            np.abs(d, out=d)
-            acc_u += d * (su[:, i, None, None] + series_unc[None, :, i : i + w])
-        acc_u *= 2.0
-        min_b = acc_b.min(axis=2)
-        min_u = np.where(acc_b == min_b[:, :, None], acc_u, np.inf).min(axis=2)
-        if not (np.isfinite(min_b).all() and np.isfinite(min_u).all()):
-            raise NumericOverflowError("dissimilarity overflowed to non-finite values")
-        out_best[c0:c1] = min_b
-        out_unc[c0:c1] = min_u
+        for r0 in range(0, n, rows):
+            r1 = min(n, r0 + rows)
+            tb = series_best[r0:r1]
+            tu = series_unc[r0:r1]
+            acc_b = np.zeros((c1 - c0, r1 - r0, w))
+            acc_u = np.zeros((c1 - c0, r1 - r0, w))
+            for i in range(l):
+                d = sb[:, i, None, None] - tb[None, :, i : i + w]
+                acc_b += d * d
+                np.abs(d, out=d)
+                acc_u += d * (su[:, i, None, None] + tu[None, :, i : i + w])
+            acc_u *= 2.0
+            min_b = acc_b.min(axis=2)
+            min_u = np.where(acc_b == min_b[:, :, None], acc_u, np.inf).min(axis=2)
+            if not (np.isfinite(min_b).all() and np.isfinite(min_u).all()):
+                raise NumericOverflowError("dissimilarity overflowed to non-finite values")
+            out_best[c0:c1, r0:r1] = min_b
+            out_unc[c0:c1, r0:r1] = min_u
     return out_best, out_unc
-
-
-@lru_cache(maxsize=8)
-def _entropy_term_table(n_max: int) -> np.ndarray:
-    """Table of -(c/n)*log2(c/n) terms, filled by the scalar expression.
-
-    Lookups therefore match ``entropy_from_counts`` bit for bit, which keeps
-    the vectorized gain sweep exactly equal to the scalar one.
-    """
-    table = np.zeros((n_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        for c in range(1, n + 1):
-            p = c / n
-            table[c, n] = -p * math.log2(p)
-    table.setflags(write=False)
-    return table
 
 
 def _batch_best_splits(
     dist_best: np.ndarray,
     dist_unc: np.ndarray,
     label_idx: np.ndarray,
-    n_classes: int,
     class_totals: np.ndarray,
     h_full: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best split per candidate row: (gain, margin, thr_best, thr_unc, n_near)."""
-    c_total, n = dist_best.shape
-    table = _entropy_term_table(n)
+    """Best split per candidate row: (gain, margin, thr_best, thr_unc, n_near).
 
-    # complex sort = lexicographic (best, uncertainty), i.e. the uncertain order
+    Thresholds are the distinct observed distances under the uncertain
+    order, each landing on the near side; equal gains prefer the larger
+    margin, then the smaller threshold.
+    """
+    c_total, n = dist_best.shape
+
+    # Sort under the uncertain order, i.e. lexicographic (best, uncertainty);
+    # complex argsort is lexicographic.  Entries equal in both components may
+    # come out in any order: they share every valid cut.
     order = np.argsort(dist_best + 1j * dist_unc, axis=1)
     sb = np.take_along_axis(dist_best, order, axis=1)
     su = np.take_along_axis(dist_unc, order, axis=1)
-    sl = label_idx[order]
 
     valid = np.empty((c_total, n), dtype=bool)
     valid[:, -1] = True
     valid[:, :-1] = (sb[:, :-1] != sb[:, 1:]) | (su[:, :-1] != su[:, 1:])
-
-    n1 = np.arange(1, n + 1)
-    w1 = n1 / n
-    w2 = (n - n1) / n
-    h1 = np.zeros((c_total, n))
-    h2 = np.zeros((c_total, n))
-    for k in range(n_classes):
-        ck = np.cumsum(sl == k, axis=1)
-        h1 = h1 + table[ck, n1]
-        h2 = h2 + table[int(class_totals[k]) - ck, n - n1]
-    gain = (h_full - w1 * h1) - w2 * h2
-    gain = np.where(valid, gain, -np.inf)
+    gain = _split_gains(label_idx[order], valid, class_totals, h_full)
 
     margin = np.zeros((c_total, n))
     margin[:, :-1] = sb[:, 1:] - sb[:, :-1]
 
     gain_max = gain.max(axis=1)
-    at_max = gain == gain_max[:, None]
-    margin_masked = np.where(at_max, margin, -np.inf)
-    margin_max = margin_masked.max(axis=1)
-    pick = (at_max & (margin_masked == margin_max[:, None])).argmax(axis=1)
+    # argmax takes the first of equal margins, i.e. the smallest threshold
+    pick = np.where(gain == gain_max[:, None], margin, -np.inf).argmax(axis=1)
 
     rows = np.arange(c_total)
-    return gain_max, margin_max, sb[rows, pick], su[rows, pick], n1[pick]
+    return gain_max, margin[rows, pick], sb[rows, pick], su[rows, pick], pick + 1
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +207,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     best, unc = train.best, train.uncertainty
     n, m = best.shape
     labels = train.labels
-    classes = _class_order(labels)
+    classes = sorted(set(labels))
     if len(classes) < 2:
         raise ValueError("extraction needs at least two classes in the training set")
     if n < 2:
@@ -397,9 +238,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
         cand_b = sliding_window_view(best, l, axis=1)[:, offs].reshape(-1, l)
         cand_u = sliding_window_view(unc, l, axis=1)[:, offs].reshape(-1, l)
         dist_b, dist_u = _sliding_min_dissim(cand_b, cand_u, best, unc)
-        g, mg, tb, tu, _ = _batch_best_splits(
-            dist_b, dist_u, label_idx, len(classes), class_totals, h_full
-        )
+        g, mg, tb, tu, _ = _batch_best_splits(dist_b, dist_u, label_idx, class_totals, h_full)
         qualities.append(g)
         margins.append(mg)
         thr_bests.append(tb)
@@ -449,7 +288,8 @@ def shapelet_transform(
 ) -> UncertainFeatureMatrix:
     """Distance of every instance to every shapelet, as an uncertain matrix.
 
-    Column ``j`` holds ``subsequence_distance(shapelets[j].values, instance)``;
+    Entry ``(i, j)`` is the minimum uncertain dissimilarity from
+    ``shapelets[j].values`` to any equal-length window of instance ``i``;
     rows follow the instance order and carry the instance labels.
     """
     if not shapelets:
@@ -538,5 +378,5 @@ def load_shapelets(path: str | Path) -> list[UncertainShapelet]:
     text = Path(path).read_text(encoding="utf-8")
     try:
         return shapelets_from_json(text)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed shapelet file: {type(exc).__name__}: {exc}") from None

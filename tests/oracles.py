@@ -125,3 +125,55 @@ def transform(bests, uncs, shapelet_values) -> list[list[tuple[float, float]]]:
         [min_dissim(cb, cu, bests[i], uncs[i]) for cb, cu in shapelet_values]
         for i in range(len(bests))
     ]
+
+
+def grow_tree(rows, labels, max_depth, min_samples_leaf, classes=None, depth=0):
+    """Greedy entropy CART as the nested dicts of a serialized model's "tree".
+
+    Each feature is stably sorted; every cut between two different
+    neighbouring values that leaves ``min_samples_leaf`` rows on both sides
+    is scored, and only a strictly greater gain replaces the best so far.
+    The threshold is the midpoint of the two values, or the lower value when
+    the midpoint does not fall strictly below the upper one.
+    """
+    if classes is None:
+        classes = sorted(set(labels))
+    counts = [labels.count(c) for c in classes]
+    distribution = {c: k for c, k in zip(classes, counts) if k > 0}
+    leaf = {"leaf": classes[counts.index(max(counts))], "distribution": distribution}
+    if len(distribution) == 1 or (max_depth is not None and depth >= max_depth):
+        return leaf
+
+    n = len(rows)
+    h = entropy(counts, n)
+    best = None  # (gain, feature, threshold)
+    for j in range(len(rows[0])):
+        order = sorted(range(n), key=lambda i: rows[i][j])
+        for n_left in range(1, n):
+            lo, hi = rows[order[n_left - 1]][j], rows[order[n_left]][j]
+            if lo == hi or n_left < min_samples_leaf or n - n_left < min_samples_leaf:
+                continue
+            left = [labels[i] for i in order[:n_left]]
+            near = [left.count(c) for c in classes]
+            far = [t - c for t, c in zip(counts, near)]
+            n_right = n - n_left
+            gain = h - (n_left / n) * entropy(near, n_left) - (n_right / n) * entropy(far, n_right)
+            if best is None or gain > best[0]:
+                threshold = (lo + hi) / 2.0
+                if not lo <= threshold < hi:
+                    threshold = lo
+                best = (gain, j, threshold)
+    if best is None:
+        return leaf
+
+    _, j, threshold = best
+    go_left = [rows[i][j] <= threshold for i in range(n)]
+
+    def child(side):
+        keep = [i for i in range(n) if go_left[i] == side]
+        return grow_tree(
+            [rows[i] for i in keep], [labels[i] for i in keep],
+            max_depth, min_samples_leaf, classes, depth + 1,
+        )
+
+    return {"feature": j, "threshold": threshold, "left": child(True), "right": child(False)}

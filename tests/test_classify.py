@@ -1,9 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
+
+import oracles
 
 from ust import (
     DimensionMismatchError,
@@ -181,6 +186,55 @@ class TestTreeFit:
             tree_fit(EncodedMatrix(np.array([[0.0]]), None, "best"))
 
 
+@st.composite
+def cart_cases(draw):
+    """Rows, labels and tree params; grid features force heavy value ties."""
+    n = draw(st.integers(2, 24))
+    n_features = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        value = st.integers(0, 3).map(float)
+    else:
+        value = st.floats(-1e3, 1e3, allow_nan=False)
+    rows = draw(st.lists(st.lists(value, min_size=n_features, max_size=n_features), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[0.5] + row for row in rows]  # an all-equal column admits no cut
+    classes = "ABCD"[: draw(st.integers(2, 4))]
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    return rows, labels, draw(st.sampled_from([None, 0, 2])), draw(st.integers(1, 3))
+
+
+class TestTreeOracle:
+    @given(cart_cases())
+    @example(([[0.0], [1.0], [2.0]], list("ABA"), None, 2))  # min_samples_leaf forbids every cut
+    @example(([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 2.0]], list("ABBC"), None, 1))  # all-equal column
+    @example(([[1.0 + 2**-52], [1.0 + 2**-51]], list("AB"), None, 1))  # midpoint rounds up
+    @settings(max_examples=150, deadline=None)
+    def test_serialized_tree_equals_oracle(self, case):
+        rows, labels, max_depth, min_samples_leaf = case
+        e = EncodedMatrix(np.array(rows), labels, "best")
+        model = tree_fit(e, TreeParams(max_depth, min_samples_leaf))
+        doc = json.loads(model_to_json(PipelineModel("best", None, model)))
+        assert doc["tree"] == oracles.grow_tree(rows, labels, max_depth, min_samples_leaf)
+
+    def test_adjacent_float_cut_separates(self):
+        lo, hi = 1.0 + 2**-52, 1.0 + 2**-51  # (lo + hi) / 2 rounds to hi
+        e = EncodedMatrix(np.array([[lo], [hi]]), list("AB"), "best")
+        model = tree_fit(e)
+        assert model.root.threshold == lo
+        assert tree_predict(model, e) == list("AB")
+
+    def test_fit_memory_has_no_quadratic_table(self):
+        rng = np.random.default_rng(6)
+        e = EncodedMatrix(rng.normal(size=(6000, 2)), [str(i % 2) for i in range(6000)], "best")
+        tracemalloc.start()
+        try:
+            tree_fit(e, TreeParams(max_depth=2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # an (n+1)**2 float64 table alone would be 288 MB
+
+
 class TestTreePredict:
     def test_empty_matrix(self):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
@@ -264,6 +318,22 @@ class TestModelSerialization:
         del doc["tree"]
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"model\.json: malformed model file: KeyError"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace('"feature": 0', '"feature": "x"'),
+            lambda text: text[:-3],
+        ],
+        ids=["string-feature", "invalid-json"],
+    )
+    def test_malformed_value_names_file(self, edit, tmp_path):
+        e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
+        path = tmp_path / "model.json"
+        save_model(PipelineModel("best", None, tree_fit(e)), path)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=r"model\.json: malformed model file: "):
             load_model(path)
 
 

@@ -172,18 +172,20 @@ class TestStepComposition:
         assert "length" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "doc",
+        "text",
         [
-            [{key: v for key, v in SHAPELET_DOC.items() if key != "values"}],
-            [dict(SHAPELET_DOC, threshold=1.0)],
-            SHAPELET_DOC,
+            json.dumps([{key: v for key, v in SHAPELET_DOC.items() if key != "values"}]),
+            json.dumps([dict(SHAPELET_DOC, threshold=1.0)]),
+            json.dumps(SHAPELET_DOC),
+            json.dumps([dict(SHAPELET_DOC, values=[{"best": "abc", "uncertainty": 0.0}] * 2)]),
+            "[{",
         ],
-        ids=["missing-values", "scalar-threshold", "object-not-list"],
+        ids=["missing-values", "scalar-threshold", "object-not-list", "string-best", "invalid-json"],
     )
-    def test_transform_rejects_malformed_shapelet_file(self, doc, tiny_dataset, tmp_path, capsys):
+    def test_transform_rejects_malformed_shapelet_file(self, text, tiny_dataset, tmp_path, capsys):
         train_path, _ = tiny_dataset
         shapelets = tmp_path / "sh.json"
-        shapelets.write_text(json.dumps(doc))
+        shapelets.write_text(text)
         rc = main([
             "transform", "--data", str(train_path),
             "--shapelets", str(shapelets),

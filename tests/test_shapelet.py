@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 import oracles
+import ust.shapelet
 from ust import (
     ConfigurationError,
     DimensionMismatchError,
     ExtractionConfig,
     UncertainDataset,
     UncertainSeries,
-    UncertainValue,
     UncertainVector,
-    best_split,
+    entropy_from_counts,
     extract_shapelets,
-    information_gain,
     load_shapelets,
     save_shapelets,
     shapelet_transform,
-    subsequence_distance,
-    u_eq,
 )
 from ust.shapelet import _batch_best_splits, _sliding_min_dissim
 
@@ -32,10 +29,6 @@ def series(best, label="A", unc=None):
 
 def dataset(rows):
     return UncertainDataset([series(b, lab, u) for b, lab, u in rows])
-
-
-def uv(*pairs):
-    return UncertainVector.from_pairs(pairs)
 
 
 def random_dataset(rng, n, m, integer_grid=False):
@@ -63,93 +56,97 @@ def run_oracle(d, cfg):
     )
 
 
+def window_min(cand_b, cand_u, ser_b, ser_u):
+    """One (candidate, series) entry of the batch distance kernel."""
+    db, du = _sliding_min_dissim(
+        np.array([cand_b], dtype=float),
+        np.array([cand_u], dtype=float),
+        np.array([ser_b], dtype=float),
+        np.array([ser_u], dtype=float),
+    )
+    return db[0, 0], du[0, 0]
+
+
+def row_split(pairs, labels):
+    """One row of the batch split sweep: (gain, margin, (thr_b, thr_u), n_near)."""
+    classes = sorted(set(labels))
+    label_idx = np.array([classes.index(lab) for lab in labels])
+    totals = np.bincount(label_idx, minlength=len(classes))
+    h = entropy_from_counts(totals.tolist(), len(labels))
+    g, mg, tb, tu, n1 = _batch_best_splits(
+        np.array([[b for b, _ in pairs]]), np.array([[u for _, u in pairs]]), label_idx, totals, h
+    )
+    return g[0], mg[0], (tb[0], tu[0]), n1[0]
+
+
 class TestSubsequenceDistance:
+    """The window minimum of ``_sliding_min_dissim`` against ``oracles.min_dissim``."""
+
     def test_self_match(self):
-        t = series([1.0, 2.0, 3.0])
-        assert u_eq(subsequence_distance(t.values, t), UncertainValue(0, 0))
+        assert window_min([1.0, 2.0, 3.0], [0.0] * 3, [1.0, 2.0, 3.0], [0.0] * 3) == (0.0, 0.0)
 
     def test_finds_best_window(self):
-        s = uv((1, 0), (1, 0))
-        t = series([0.0, 1.0, 1.0, 5.0])
-        d = subsequence_distance(s, t)
-        assert u_eq(d, UncertainValue(0, 0))
+        assert window_min([1.0, 1.0], [0.0, 0.0], [0.0, 1.0, 1.0, 5.0], [0.0] * 4) == (0.0, 0.0)
 
     def test_equal_bests_resolve_on_uncertainty(self):
         # two windows at squared distance 1; uncertainties 0.6 vs 0.2
-        s = uv((1, 0))
-        t = series([2.0, 0.0], unc=[0.3, 0.1])
-        d = subsequence_distance(s, t)
+        d = window_min([1.0], [0.0], [2.0, 0.0], [0.3, 0.1])
         oracle = min(
             oracles.dissim([1.0], [0.0], [2.0], [0.3]),
             oracles.dissim([1.0], [0.0], [0.0], [0.1]),
         )
-        assert (d.best, d.uncertainty) == oracle
-        assert d.uncertainty == pytest.approx(0.2)
+        assert d == oracle
+        assert d[1] == pytest.approx(0.2)
 
     def test_subsequence_longer_than_series(self):
         with pytest.raises(DimensionMismatchError):
-            subsequence_distance(uv((1, 0), (2, 0), (3, 0)), series([1.0, 2.0]))
+            window_min([1.0, 2.0, 3.0], [0.0] * 3, [1.0, 2.0], [0.0] * 2)
 
     def test_matches_oracle_on_random_data(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
             l = int(rng.integers(1, 6))
             m = int(rng.integers(l, 12))
-            s = UncertainVector(rng.normal(0, 1, l), rng.uniform(0, 1, l))
-            t = series(rng.normal(0, 1, m).tolist(), unc=rng.uniform(0, 1, m).tolist())
-            d = subsequence_distance(s, t)
-            ob, ou = oracles.min_dissim(
-                s.best.tolist(),
-                s.uncertainty.tolist(),
-                t.values.best.tolist(),
-                t.values.uncertainty.tolist(),
+            args = (
+                rng.normal(0, 1, l).tolist(),
+                rng.uniform(0, 1, l).tolist(),
+                rng.normal(0, 1, m).tolist(),
+                rng.uniform(0, 1, m).tolist(),
             )
-            assert (d.best, d.uncertainty) == (ob, ou)
+            assert window_min(*args) == oracles.min_dissim(*args)
 
 
 class TestInformationGain:
-    def test_perfect_balanced_split(self):
-        distances = [
-            (UncertainValue(1, 0), "A"),
-            (UncertainValue(2, 0), "A"),
-            (UncertainValue(3, 0), "B"),
-            (UncertainValue(4, 0), "B"),
-        ]
-        ev = information_gain(distances, UncertainValue(2, 0))
-        assert ev.gain == 1.0
-        assert ev.partition_sizes == (2, 2)
+    """Gains of the cuts that ``_batch_best_splits`` picks."""
 
-    def test_empty_near_side_gains_nothing(self):
-        distances = [(UncertainValue(1, 0), "A"), (UncertainValue(2, 0), "B")]
-        ev = information_gain(distances, UncertainValue(0.5, 0))
-        assert ev.gain == 0.0
-        assert ev.partition_sizes == (0, 2)
+    def test_perfect_balanced_split(self):
+        gain, _, thr, n1 = row_split([(1, 0), (2, 0), (3, 0), (4, 0)], list("AABB"))
+        assert gain == 1.0
+        assert thr == (2.0, 0.0)
+        assert n1 == 2
 
     def test_threshold_comparison_uses_uncertain_order(self):
-        # d = 2 ± 0.3 is above eps = 2 ± 0.1, but 2 ± 0.1 is not above itself
-        distances = [(UncertainValue(2, 0.3), "A"), (UncertainValue(2, 0.1), "B")]
-        ev = information_gain(distances, UncertainValue(2, 0.1))
-        assert ev.partition_sizes == (1, 1)
-        assert ev.gain == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            information_gain([], UncertainValue(0, 0))
+        # 2 ± 0.1 sorts below 2 ± 0.3, so the cut between them separates A from B
+        gain, _, thr, n1 = row_split([(2, 0.3), (2, 0.1)], list("AB"))
+        assert thr == (2.0, 0.1)
+        assert n1 == 1
+        assert gain == 1.0
 
 
 class TestBestSplit:
+    """Best cut per row of ``_batch_best_splits`` against ``oracles.split_quality``."""
+
     def test_two_singleton_classes(self):
-        distances = [(UncertainValue(1, 0), "A"), (UncertainValue(5, 0), "B")]
-        ev = best_split(distances)
-        assert ev.gain == 1.0
-        assert u_eq(ev.threshold, UncertainValue(1, 0))
-        assert ev.margin == 4.0
+        gain, margin, thr, _ = row_split([(1, 0), (5, 0)], list("AB"))
+        assert gain == 1.0
+        assert thr == (1.0, 0.0)
+        assert margin == 4.0
 
     def test_all_equal_distances(self):
-        distances = [(UncertainValue(2, 0.5), lab) for lab in "AABB"]
-        ev = best_split(distances)
-        assert ev.gain == 0.0
-        assert ev.partition_sizes == (4, 0)
+        gain, margin, thr, n1 = row_split([(2, 0.5)] * 4, list("AABB"))
+        assert gain == 0.0
+        assert margin == 0.0
+        assert n1 == 4
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
@@ -163,18 +160,16 @@ class TestBestSplit:
                 pairs = [(float(rng.integers(0, 3)), float(rng.choice([0, 0.5]))) for _ in range(n)]
             else:
                 pairs = [(float(rng.normal()), float(rng.uniform(0, 1))) for _ in range(n)]
-            ev = best_split([(UncertainValue(b, u), lab) for (b, u), lab in zip(pairs, labels)])
-            gain, margin, thr, n1 = oracles.split_quality(pairs, labels, sorted(set(labels)))
-            assert ev.gain == gain
-            assert ev.margin == margin
-            assert (ev.threshold.best, ev.threshold.uncertainty) == thr
-            assert ev.partition_sizes == (n1, n - n1)
+            assert row_split(pairs, labels) == oracles.split_quality(pairs, labels, sorted(set(labels)))
 
     def test_needs_two_instances_and_classes(self):
         with pytest.raises(ValueError):
-            best_split([(UncertainValue(1, 0), "A")])
+            extract_shapelets(dataset([([1.0, 2.0, 3.0], "A", None)]), ExtractionConfig())
         with pytest.raises(ValueError):
-            best_split([(UncertainValue(1, 0), "A"), (UncertainValue(2, 0), "A")])
+            extract_shapelets(
+                dataset([([1.0, 2.0, 3.0], "A", None), ([2.0, 3.0, 4.0], "A", None)]),
+                ExtractionConfig(),
+            )
 
 
 class TestBatchKernels:
@@ -186,10 +181,24 @@ class TestBatchKernels:
         tu = rng.uniform(0, 1, (3, 9))
         db, du = _sliding_min_dissim(sb, su, tb, tu)
         for c in range(5):
-            s = UncertainVector(sb[c], su[c])
             for n in range(3):
-                d = subsequence_distance(s, series(tb[n].tolist(), unc=tu[n].tolist()))
-                assert (d.best, d.uncertainty) == (db[c, n], du[c, n])
+                expected = oracles.min_dissim(
+                    sb[c].tolist(), su[c].tolist(), tb[n].tolist(), tu[n].tolist()
+                )
+                assert (db[c, n], du[c, n]) == expected
+
+    @pytest.mark.parametrize("budget", [1, 40, 200])
+    def test_sliding_min_blocking_is_bit_identical(self, budget, monkeypatch):
+        rng = np.random.default_rng(budget)
+        sb = rng.normal(0, 1, (6, 4))
+        su = rng.uniform(0, 1, (6, 4))
+        tb = rng.integers(0, 3, (9, 12)).astype(float)
+        tu = rng.choice([0.0, 0.5], (9, 12))
+        expected = _sliding_min_dissim(sb, su, tb, tu)
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+        got = _sliding_min_dissim(sb, su, tb, tu)
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
 
     def test_batch_splits_match_scalar_best_split(self):
         rng = np.random.default_rng(13)
@@ -206,21 +215,12 @@ class TestBatchKernels:
             + [rng.choice([0.0, 0.5], n) for _ in range(8)]
         )
         totals = np.bincount(label_idx, minlength=2)
-        from ust.classify import entropy_from_counts
-
         h = entropy_from_counts(totals.tolist(), n)
-        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, label_idx, 2, totals, h)
+        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, label_idx, totals, h)
         for row in range(dist_b.shape[0]):
-            ev = best_split(
-                [
-                    (UncertainValue(dist_b[row, i], dist_u[row, i]), labels[i])
-                    for i in range(n)
-                ]
-            )
-            assert ev.gain == g[row]
-            assert ev.margin == mg[row]
-            assert (ev.threshold.best, ev.threshold.uncertainty) == (tb[row], tu[row])
-            assert ev.partition_sizes[0] == n1[row]
+            pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
+            gain, margin, thr, near = oracles.split_quality(pairs, labels, ["A", "B"])
+            assert (g[row], mg[row], (tb[row], tu[row]), n1[row]) == (gain, margin, thr, near)
 
 
 def planted_motif_dataset():
@@ -320,9 +320,15 @@ class TestTransform:
         shapelets = extract_shapelets(train, ExtractionConfig(min_len=3, max_len=4, k=1))
         mat = shapelet_transform(train, shapelets)
         assert mat.best.shape == (10, 1)
+        values = shapelets[0].values
         for i in range(10):
-            d = subsequence_distance(shapelets[0].values, train[i])
-            assert (d.best, d.uncertainty) == (mat.best[i, 0], mat.uncertainty[i, 0])
+            expected = oracles.min_dissim(
+                values.best.tolist(),
+                values.uncertainty.tolist(),
+                train.best[i].tolist(),
+                train.uncertainty[i].tolist(),
+            )
+            assert (mat.best[i, 0], mat.uncertainty[i, 0]) == expected
 
     def test_self_distance_zero_on_certain_source(self):
         train = planted_motif_dataset()
