@@ -14,7 +14,6 @@ from .classify import (
     GaussianEncodingStats,
     PipelineModel,
     TreeParams,
-    UncertainFeatureMatrix,
     encode_best,
     encode_flatten,
     encode_gaussian,
@@ -90,7 +89,6 @@ __all__ = [
     "shapelet_transform",
     "save_shapelets",
     "load_shapelets",
-    "UncertainFeatureMatrix",
     "EncodedMatrix",
     "GaussianEncodingStats",
     "TreeParams",

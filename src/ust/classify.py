@@ -1,8 +1,9 @@
 """Feature encodings and a deterministic entropy-based CART classifier.
 
-An uncertain feature matrix (one uncertain distance per instance and
-shapelet) must be turned into plain reals before a standard classifier can
-use it.  Two schemes are provided:
+The shapelet transform returns an :class:`~ust.series.UncertainDataset`
+whose row ``i`` holds the k uncertain distances from instance ``i`` to the
+shapelets.  Those must be turned into plain reals before a standard
+classifier can use them.  Two schemes are provided:
 
 * flatten: each row becomes ``[best_1..best_k, unc_1..unc_k]`` so the
   uncertainties are ordinary features.  Lossless.
@@ -36,11 +37,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DimensionMismatchError, UncertainVector
-from .series import format_real
+from .core import DimensionMismatchError
+from .series import UncertainDataset, format_real
 
 __all__ = [
-    "UncertainFeatureMatrix",
     "EncodedMatrix",
     "GaussianEncodingStats",
     "TreeParams",
@@ -147,47 +147,8 @@ def _split_gains(
 
 
 # ---------------------------------------------------------------------------
-# matrices
+# encodings
 # ---------------------------------------------------------------------------
-
-class UncertainFeatureMatrix:
-    """Per-instance uncertain distances to each shapelet, plus labels."""
-
-    __slots__ = ("best", "uncertainty", "labels")
-
-    def __init__(
-        self,
-        best: np.ndarray,
-        uncertainty: np.ndarray,
-        labels: Sequence[str] | None,
-    ) -> None:
-        best = np.asarray(best, dtype=np.float64)
-        uncertainty = np.asarray(uncertainty, dtype=np.float64)
-        if best.ndim != 2 or best.shape != uncertainty.shape:
-            raise DimensionMismatchError(
-                f"best {best.shape} and uncertainty {uncertainty.shape} must be equal 2-d shapes"
-            )
-        if best.shape[1] < 1:
-            raise ValueError("feature matrix needs at least one column")
-        if labels is not None and len(labels) != best.shape[0]:
-            raise DimensionMismatchError(
-                f"{len(labels)} labels for {best.shape[0]} rows"
-            )
-        self.best = best
-        self.uncertainty = uncertainty
-        self.labels = list(labels) if labels is not None else None
-
-    @property
-    def n_instances(self) -> int:
-        return self.best.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.best.shape[1]
-
-    def row(self, i: int) -> UncertainVector:
-        return UncertainVector(self.best[i], self.uncertainty[i])
-
 
 @dataclass(frozen=True)
 class GaussianEncodingStats:
@@ -221,38 +182,37 @@ class EncodedMatrix:
     stats: GaussianEncodingStats | None = None
 
 
-def encode_flatten(f: UncertainFeatureMatrix) -> EncodedMatrix:
+def encode_flatten(f: UncertainDataset) -> EncodedMatrix:
     """Row ``i`` becomes ``[best_1..best_k, unc_1..unc_k]`` (length 2k)."""
     features = np.hstack([f.best, f.uncertainty])
-    return EncodedMatrix(features, list(f.labels) if f.labels else f.labels, "flatten")
+    return EncodedMatrix(features, f.labels, "flatten")
 
 
-def encode_best(f: UncertainFeatureMatrix) -> EncodedMatrix:
+def encode_best(f: UncertainDataset) -> EncodedMatrix:
     """Keep the best estimates only (classical, uncertainty-blind features)."""
-    return EncodedMatrix(f.best.copy(), list(f.labels) if f.labels else f.labels, "best")
+    return EncodedMatrix(f.best.copy(), f.labels, "best")
 
 
-def fit_gaussian_stats(train: UncertainFeatureMatrix) -> GaussianEncodingStats:
+def fit_gaussian_stats(train: UncertainDataset) -> GaussianEncodingStats:
     """Column-wise min/max of the training best estimates.
 
     Fit on the train split only and reuse the result to encode test data;
     test values outside ``[min_j, max_j]`` are not clamped.
     """
-    if train.n_instances < 1:
-        raise ValueError("cannot fit gaussian stats on an empty matrix")
     return GaussianEncodingStats(
         tuple(float(x) for x in train.best.min(axis=0)),
         tuple(float(x) for x in train.best.max(axis=0)),
     )
 
 
-def encode_gaussian(f: UncertainFeatureMatrix, stats: GaussianEncodingStats) -> EncodedMatrix:
+def encode_gaussian(f: UncertainDataset, stats: GaussianEncodingStats) -> EncodedMatrix:
     """Replace each best estimate by its normal density ``exp(-pi*(x - mu_j)**2)``."""
-    if stats.k != f.k:
-        raise DimensionMismatchError(f"stats cover {stats.k} columns, matrix has {f.k}")
+    k = f.series_length
+    if stats.k != k:
+        raise DimensionMismatchError(f"stats cover {stats.k} columns, matrix has {k}")
     mu = stats.means()
     features = np.exp(-math.pi * (f.best - mu) ** 2)
-    return EncodedMatrix(features, list(f.labels) if f.labels else f.labels, "gaussian", stats)
+    return EncodedMatrix(features, f.labels, "gaussian", stats)
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +292,32 @@ def _grow(
     label_idx: np.ndarray,
     classes: Sequence[str],
     params: TreeParams,
-    depth: int,
 ) -> TreeNode:
-    counts = np.bincount(label_idx, minlength=len(classes))
-    distribution = {c: int(k) for c, k in zip(classes, counts) if k > 0}
-    split = None
-    if len(distribution) > 1 and (params.max_depth is None or depth < params.max_depth):
-        split = _best_node_split(features, label_idx, counts, params.min_samples_leaf)
-    if split is None:
-        # ties resolve to the smallest label in canonical (sorted) order
-        return TreeNode(label=classes[int(np.argmax(counts))], distribution=distribution)
+    """Grow the tree depth-first, left before right, with an explicit stack.
 
-    feature, threshold = split
-    mask = features[:, feature] <= threshold
-    left = _grow(features[mask], label_idx[mask], classes, params, depth + 1)
-    right = _grow(features[~mask], label_idx[~mask], classes, params, depth + 1)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    A stack instead of recursion keeps trees deeper than the interpreter's
+    recursion limit fittable.
+    """
+    root = TreeNode()
+    stack = [(root, features, label_idx, 0)]
+    while stack:
+        node, x, y, depth = stack.pop()
+        counts = np.bincount(y, minlength=len(classes))
+        distribution = {c: int(k) for c, k in zip(classes, counts) if k > 0}
+        split = None
+        if len(distribution) > 1 and (params.max_depth is None or depth < params.max_depth):
+            split = _best_node_split(x, y, counts, params.min_samples_leaf)
+        if split is None:
+            # ties resolve to the smallest label in canonical (sorted) order
+            node.label = classes[int(np.argmax(counts))]
+            node.distribution = distribution
+            continue
+        node.feature, node.threshold = split
+        node.left, node.right = TreeNode(), TreeNode()
+        mask = x[:, node.feature] <= node.threshold
+        stack.append((node.right, x[~mask], y[~mask], depth + 1))
+        stack.append((node.left, x[mask], y[mask], depth + 1))
+    return root
 
 
 def tree_fit(e: EncodedMatrix, params: TreeParams = TreeParams()) -> DecisionTreeModel:
@@ -363,7 +333,7 @@ def tree_fit(e: EncodedMatrix, params: TreeParams = TreeParams()) -> DecisionTre
     classes = tuple(sorted(set(e.labels)))
     class_to_idx = {c: i for i, c in enumerate(classes)}
     label_idx = np.array([class_to_idx[lab] for lab in e.labels], dtype=np.int64)
-    root = _grow(features, label_idx, classes, params, 0)
+    root = _grow(features, label_idx, classes, params)
     return DecisionTreeModel(root, params, features.shape[1], classes)
 
 
@@ -452,8 +422,12 @@ def model_to_json(model: PipelineModel) -> str:
 
 
 def save_model(model: PipelineModel, path: str | Path) -> None:
+    try:
+        text = model_to_json(model)
+    except RecursionError:  # tree_fit has no depth limit, but JSON encoding recurses per level
+        raise ValueError(f"{path}: model tree is too deep to write as JSON") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model) + "\n")
+        fh.write(text + "\n")
 
 
 def load_model(path: str | Path) -> PipelineModel:
@@ -479,26 +453,24 @@ def load_model(path: str | Path) -> PipelineModel:
 # feature matrix exchange (CSV)
 # ---------------------------------------------------------------------------
 
-def write_feature_csv(f: UncertainFeatureMatrix, path: str | Path) -> None:
+def write_feature_csv(f: UncertainDataset, path: str | Path) -> None:
     """Write ``label,f1..f2k`` rows: best estimates first, then uncertainties.
 
     The layout is the flatten encoding, which is lossless, so the uncertain
     matrix can be reconstructed exactly by :func:`read_feature_csv`.
     """
-    if f.labels is None:
-        raise ValueError("feature CSV requires labels")
-    k = f.k
+    labels = f.labels  # hoisted: the property copies on every access
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * k)])
-        for i in range(f.n_instances):
-            row = [f.labels[i]]
+        writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * f.series_length)])
+        for i, label in enumerate(labels):
+            row = [label]
             row += [format_real(x) for x in f.best[i]]
             row += [format_real(x) for x in f.uncertainty[i]]
             writer.writerow(row)
 
 
-def read_feature_csv(path: str | Path) -> UncertainFeatureMatrix:
+def read_feature_csv(path: str | Path) -> UncertainDataset:
     path = str(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -528,4 +500,4 @@ def read_feature_csv(path: str | Path) -> UncertainFeatureMatrix:
             unc_rows.append(values[k:])
     if not labels:
         raise ValueError(f"{path}: no feature rows")
-    return UncertainFeatureMatrix(np.array(best_rows), np.array(unc_rows), labels)
+    return UncertainDataset.from_arrays(best_rows, unc_rows, labels)

@@ -25,13 +25,11 @@ from .classify import (
     EncodedMatrix,
     PipelineModel,
     TreeParams,
-    UncertainFeatureMatrix,
     encode_best,
     encode_flatten,
     encode_gaussian,
     evaluate,
     fit_gaussian_stats,
-    load_model,
     read_feature_csv,
     save_model,
     tree_fit,
@@ -104,7 +102,7 @@ def _strip_uncertainty(d: UncertainDataset) -> UncertainDataset:
 
 
 def _encode_for_mode(
-    mode: str, train: UncertainFeatureMatrix, test: UncertainFeatureMatrix
+    mode: str, train: UncertainDataset, test: UncertainDataset
 ) -> tuple[EncodedMatrix, EncodedMatrix]:
     if mode == "st":
         return encode_best(train), encode_best(test)
@@ -189,9 +187,9 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     data = load_dataset(args.data, args.uncertainties)
     shapelets = load_shapelets(args.shapelets)
-    matrix = shapelet_transform(data, shapelets)
-    write_feature_csv(matrix, args.out)
-    print(f"wrote {matrix.n_instances}x{matrix.k} feature matrix -> {args.out}")
+    features = shapelet_transform(data, shapelets)
+    write_feature_csv(features, args.out)
+    print(f"wrote {len(features)}x{features.series_length} feature matrix -> {args.out}")
     return 0
 
 
@@ -259,22 +257,6 @@ def _prepare_noisy(
     return noisy_train, noisy_test
 
 
-def _benchmark_task(
-    name: str,
-    noisy_train: UncertainDataset,
-    noisy_test: UncertainDataset,
-    mode: str,
-    seed: int,
-    extraction: ExtractionConfig,
-    tree: TreeParams,
-) -> BenchmarkRow:
-    try:
-        result = run_pipeline(noisy_train, noisy_test, RunConfig(mode, extraction, tree))
-    except Exception as exc:  # noqa: BLE001 - per-task isolation by contract
-        return BenchmarkRow(name, mode, seed, error=f"{type(exc).__name__}: {exc}")
-    return BenchmarkRow(name, mode, seed, result)
-
-
 def _format_row(row: BenchmarkRow, with_timings: bool) -> list[str]:
     r = row.result
     if r is None:
@@ -310,6 +292,8 @@ def _pairwise_summary(rows: list[BenchmarkRow], modes: Sequence[str]) -> list[li
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     for mode in modes:
         if mode not in MODES:
@@ -335,13 +319,14 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         data = prepared[name]
         if isinstance(data, Exception):
             return BenchmarkRow(name, mode, args.seed, error=f"{type(data).__name__}: {data}")
-        return _benchmark_task(name, data[0], data[1], mode, args.seed, extraction, tree)
+        try:
+            result = run_pipeline(data[0], data[1], RunConfig(mode, extraction, tree))
+        except Exception as exc:  # noqa: BLE001 - per-task isolation by contract
+            return BenchmarkRow(name, mode, args.seed, error=f"{type(exc).__name__}: {exc}")
+        return BenchmarkRow(name, mode, args.seed, result)
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_one, tasks))
-    else:
-        rows = [run_one(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(run_one, tasks))
 
     out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

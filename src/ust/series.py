@@ -11,7 +11,9 @@ File format (one dataset = one or two files):
 
 In memory a dataset is two read-only ``(n, m)`` float64 matrices, ``best``
 and ``uncertainty``, plus one label per row; every stage after loading
-works on those matrices.
+works on those matrices.  The shapelet transform returns a dataset too:
+row ``i`` holds the k uncertain distances from instance ``i`` to the k
+shapelets, so ``m`` is k there.
 
 Reals are written with 17 significant digits, so a save/load round trip is
 bit-exact for binary64.

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .classify import UncertainFeatureMatrix, _split_gains, entropy_from_counts
+from .classify import _split_gains, entropy_from_counts
 from .core import DimensionMismatchError, NumericOverflowError, UncertainValue, UncertainVector
 from .series import UncertainDataset
 
@@ -285,8 +285,8 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
 def shapelet_transform(
     d: UncertainDataset, shapelets: Sequence[UncertainShapelet]
-) -> UncertainFeatureMatrix:
-    """Distance of every instance to every shapelet, as an uncertain matrix.
+) -> UncertainDataset:
+    """Distance of every instance to every shapelet, as an ``(n, k)`` dataset.
 
     Entry ``(i, j)`` is the minimum uncertain dissimilarity from
     ``shapelets[j].values`` to any equal-length window of instance ``i``;
@@ -315,7 +315,7 @@ def shapelet_transform(
         out_b[:, idxs] = dist_b.T
         out_u[:, idxs] = dist_u.T
 
-    return UncertainFeatureMatrix(out_b, out_u, d.labels)
+    return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 
 
 # ---------------------------------------------------------------------------

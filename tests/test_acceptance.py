@@ -19,7 +19,6 @@ from ust import (
     GaussianEncodingStats,
     NoiseSpec,
     UncertainDataset,
-    UncertainFeatureMatrix,
     UncertainSeries,
     UncertainValue,
     UncertainVector,
@@ -211,13 +210,13 @@ def test_criterion_6_noise_protocol_statistics():
 def test_criterion_7_gaussian_encoding():
     stats = GaussianEncodingStats((0.0,), (2.0,))  # mean exactly 1.0
     at_mean = encode_gaussian(
-        UncertainFeatureMatrix(np.array([[1.0]]), np.array([[0.3]]), ["a"]), stats
+        UncertainDataset.from_arrays([[1.0]], [[0.3]], ["a"]), stats
     )
     assert at_mean.features[0, 0] == 1.0
 
     for x in (0.0, 2.0):  # one unit below and above the mean
         enc = encode_gaussian(
-            UncertainFeatureMatrix(np.array([[x]]), np.array([[0.0]]), ["a"]), stats
+            UncertainDataset.from_arrays([[x]], [[0.0]], ["a"]), stats
         )
         assert enc.features[0, 0] == pytest.approx(math.exp(-math.pi), rel=1e-12)
         independent = norm.pdf(x, loc=1.0, scale=1.0 / math.sqrt(2.0 * math.pi))

@@ -16,7 +16,7 @@ from ust import (
     GaussianEncodingStats,
     PipelineModel,
     TreeParams,
-    UncertainFeatureMatrix,
+    UncertainDataset,
     encode_best,
     encode_flatten,
     encode_gaussian,
@@ -33,7 +33,7 @@ from ust.classify import model_to_json
 
 
 def matrix(best, unc, labels):
-    return UncertainFeatureMatrix(np.array(best, dtype=float), np.array(unc, dtype=float), labels)
+    return UncertainDataset.from_arrays(best, unc, labels)
 
 
 def tree_depth(node):
@@ -60,7 +60,7 @@ class TestFlatten:
         rng = np.random.default_rng(0)
         f = matrix(rng.normal(size=(4, 3)), rng.uniform(size=(4, 3)), list("ABAB"))
         e = encode_flatten(f)
-        k = f.k
+        k = f.series_length
         assert (e.features[:, :k] == f.best).all()
         assert (e.features[:, k:] == f.uncertainty).all()
 
@@ -180,6 +180,17 @@ class TestTreeFit:
             assert tree_depth(model.root) == 1
             sizes = [sum(model.root.left.distribution.values()), sum(model.root.right.distribution.values())]
             assert min(sizes) >= 2
+
+    def test_deeper_than_recursion_limit(self):
+        n = 1500  # alternating labels on 0..n-1 grow a chain n - 1 levels deep
+        e = EncodedMatrix(np.arange(n, dtype=float)[:, None], [str(i % 2) for i in range(n)], "best")
+        model = tree_fit(e)
+        depth, node = 0, model.root
+        while not node.is_leaf:
+            depth += 1
+            node = node.right if node.left.is_leaf else node.left
+        assert depth == n - 1
+        assert evaluate(tree_predict(model, e), e.labels) == 1.0
 
     def test_requires_labels(self):
         with pytest.raises(ValueError):
@@ -344,9 +355,7 @@ class TestFeatureCsv:
         path = tmp_path / "features.csv"
         write_feature_csv(f, path)
         loaded = read_feature_csv(path)
-        assert loaded.labels == f.labels
-        assert (loaded.best == f.best).all()
-        assert (loaded.uncertainty == f.uncertainty).all()
+        assert loaded == f  # labels, best and uncertainty all equal
 
     def test_header_layout(self, tmp_path):
         f = matrix([[1.0, 2.0]], [[0.1, 0.2]], ["A"])

@@ -237,6 +237,21 @@ class TestStepComposition:
         assert 0 < len(shapelets) <= 4
         assert "extracted" in capsys.readouterr().out
 
+    def test_classify_tree_deeper_than_recursion_limit(self, tmp_path, capsys):
+        n = 1500  # alternating labels on 0..n-1 grow a chain n - 1 levels deep
+        features = tmp_path / "deep.csv"
+        features.write_text("label,f1,f2\n" + "".join(f"{i % 2},{i},0\n" for i in range(n)))
+        base = ["classify", "--train-features", str(features), "--test-features", str(features),
+                "--mode", "st"]
+        assert main(base) == 0
+        assert capsys.readouterr().out == "accuracy 1\n"
+        model = tmp_path / "model.json"
+        assert main(base + ["--model-out", str(model)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "model.json: model tree is too deep" in err
+        assert not model.exists()
+
 
 def make_benchmark_dir(tmp_path, n_datasets=2, corrupt=()):
     rng = np.random.default_rng(9)
@@ -292,6 +307,17 @@ class TestBenchmark:
         assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1.csv")]) == 0
         assert main(base + ["--jobs", "4", "--out", str(tmp_path / "j4.csv")]) == 0
         assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j4.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
+        root = make_benchmark_dir(tmp_path)
+        out = tmp_path / "report.csv"
+        rc = main(["benchmark", "--data-dir", str(root), "--jobs", jobs, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--jobs" in err
+        assert not out.exists()
 
     def test_corrupt_dataset_is_isolated(self, tmp_path):
         root = make_benchmark_dir(tmp_path, corrupt=("broken",))

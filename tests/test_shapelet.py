@@ -351,6 +351,16 @@ class TestTransform:
             for j in range(len(shapelets)):
                 assert (mat.best[i, j], mat.uncertainty[i, j]) == expected[i][j]
 
+    def test_returns_frozen_dataset(self):
+        train = planted_motif_dataset()
+        shapelets = extract_shapelets(train, ExtractionConfig(min_len=3, max_len=4, k=3))
+        features = shapelet_transform(train, shapelets)
+        assert isinstance(features, UncertainDataset)
+        for a in (features.best, features.uncertainty):
+            assert a.shape == (len(train), len(shapelets))
+            assert not a.flags.writeable
+        assert features.labels == train.labels
+
     def test_labels_carried(self):
         train = planted_motif_dataset()
         shapelets = extract_shapelets(train, ExtractionConfig(min_len=3, max_len=3, k=2))
