@@ -21,11 +21,9 @@ from .classify import (
     evaluate,
     fit_gaussian_stats,
     load_model,
-    read_feature_csv,
     save_model,
     tree_fit,
     tree_predict,
-    write_feature_csv,
 )
 from .core import (
     DimensionMismatchError,
@@ -48,7 +46,9 @@ from .series import (
     derive_split_seeds,
     inject_noise,
     load_dataset,
+    read_feature_csv,
     save_dataset,
+    write_feature_csv,
 )
 from .shapelet import (
     ConfigurationError,

@@ -28,7 +28,6 @@ expression bit for bit.  Everything is deterministic.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionMismatchError
-from .series import UncertainDataset, format_real
+from .series import UncertainDataset
 
 __all__ = [
     "EncodedMatrix",
@@ -56,8 +55,6 @@ __all__ = [
     "evaluate",
     "save_model",
     "load_model",
-    "write_feature_csv",
-    "read_feature_csv",
     "entropy_from_counts",
 ]
 
@@ -431,10 +428,8 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         stats = None
         if doc["gaussian_stats"] is not None:
             stats = GaussianEncodingStats(
@@ -445,59 +440,5 @@ def load_model(path: str | Path) -> PipelineModel:
             _node_from_json(doc["tree"]), params, int(doc["n_features"]), tuple(doc["classes"])
         )
         return PipelineModel(doc["encoding"], stats, tree)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# feature matrix exchange (CSV)
-# ---------------------------------------------------------------------------
-
-def write_feature_csv(f: UncertainDataset, path: str | Path) -> None:
-    """Write ``label,f1..f2k`` rows: best estimates first, then uncertainties.
-
-    The layout is the flatten encoding, which is lossless, so the uncertain
-    matrix can be reconstructed exactly by :func:`read_feature_csv`.
-    """
-    labels = f.labels  # hoisted: the property copies on every access
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * f.series_length)])
-        for i, label in enumerate(labels):
-            row = [label]
-            row += [format_real(x) for x in f.best[i]]
-            row += [format_real(x) for x in f.uncertainty[i]]
-            writer.writerow(row)
-
-
-def read_feature_csv(path: str | Path) -> UncertainDataset:
-    path = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty feature file") from None
-        if not header or header[0] != "label" or (len(header) - 1) % 2 != 0 or len(header) < 3:
-            raise ValueError(f"{path}: expected header 'label,f1..f2k'")
-        k = (len(header) - 1) // 2
-        labels: list[str] = []
-        best_rows: list[list[float]] = []
-        unc_rows: list[list[float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 2 * k + 1:
-                raise ValueError(f"{path}:{line_no}: expected {2 * k + 1} fields, got {len(row)}")
-            labels.append(row[0])
-            try:
-                values = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            if any(not np.isfinite(v) for v in values):
-                raise ValueError(f"{path}:{line_no}: non-finite feature value")
-            if any(v < 0 for v in values[k:]):
-                raise ValueError(f"{path}:{line_no}: negative uncertainty")
-            best_rows.append(values[:k])
-            unc_rows.append(values[k:])
-    if not labels:
-        raise ValueError(f"{path}: no feature rows")
-    return UncertainDataset.from_arrays(best_rows, unc_rows, labels)

@@ -30,11 +30,9 @@ from .classify import (
     encode_gaussian,
     evaluate,
     fit_gaussian_stats,
-    read_feature_csv,
     save_model,
     tree_fit,
     tree_predict,
-    write_feature_csv,
 )
 from .series import (
     NoiseSpec,
@@ -44,7 +42,9 @@ from .series import (
     format_real,
     inject_noise,
     load_dataset,
+    read_feature_csv,
     save_dataset,
+    write_feature_csv,
 )
 from .shapelet import (
     ExtractionConfig,
@@ -295,9 +295,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+    if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
+        raise ValueError(f"--modes must list distinct modes from {MODES}, got {args.modes!r}")
     extraction = _extraction_from_args(args)
     tree = _tree_from_args(args)
     datasets = _discover_datasets(Path(args.data_dir))

@@ -1,22 +1,25 @@
-"""Uncertain time series, labeled datasets, TSV file I/O and noise injection.
+"""Uncertain time series, labeled datasets, their text files and noise injection.
 
-File format (one dataset = one or two files):
+A dataset is stored as one or two TSV files, or as one feature CSV:
 
 * values file: UTF-8 TSV, one instance per line, first field is the class
-  label (any token without tabs), the remaining ``m`` fields are decimal
-  reals.  No header.  This matches the common time-series archive layout.
+  label, the remaining ``m`` fields are decimal reals.  No header.  This
+  matches the common time-series archive layout.
 * uncertainty file (optional): UTF-8 TSV with the same number of lines and
-  ``m`` non-negative reals per line, no label column.  Row ``i`` column ``j``
-  pairs with values row ``i`` column ``j + 1``.
+  ``m`` reals per line, no label column.  Row ``i`` column ``j`` pairs with
+  values row ``i`` column ``j + 1``.
+* feature CSV: UTF-8, header ``label,f1..f2k``, then per row a label, ``k``
+  best estimates and their ``k`` uncertainties (the transform's output).
+
+All three hold finite reals with 17 significant digits (a bit-exact round
+trip for binary64), uncertainties >= 0 and non-empty labels without tab,
+CR or LF.  A malformed number raises ``<file>:<line>: column <c>: ...``.
 
 In memory a dataset is two read-only ``(n, m)`` float64 matrices, ``best``
 and ``uncertainty``, plus one label per row; every stage after loading
 works on those matrices.  The shapelet transform returns a dataset too:
 row ``i`` holds the k uncertain distances from instance ``i`` to the k
 shapelets, so ``m`` is k there.
-
-Reals are written with 17 significant digits, so a save/load round trip is
-bit-exact for binary64.
 
 Noise injection turns a certain dataset into an uncertain one: every value
 gets an additive draw from ``N(0, sigma)`` and its recorded uncertainty is
@@ -26,8 +29,10 @@ generator is pinned for reproducibility, see :func:`inject_noise`.
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -44,6 +49,8 @@ __all__ = [
     "DatasetFormatError",
     "load_dataset",
     "save_dataset",
+    "write_feature_csv",
+    "read_feature_csv",
     "dataset_std",
     "inject_noise",
     "derive_split_seeds",
@@ -52,7 +59,7 @@ __all__ = [
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file violates the documented TSV format."""
+    """A dataset file violates the documented TSV or feature-CSV format."""
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,11 @@ class UncertainDataset:
             raise ValueError("a dataset must contain at least one instance of at least one value")
         if len(labels) != b.shape[0]:
             raise ValueError(f"{len(labels)} labels for {b.shape[0]} instances")
-        if None in labels:
-            i = labels.index(None)
-            raise ValueError(f"instance {i} has no label: dataset instances must be labeled")
+        for i, label in enumerate(labels):
+            if label is None or label == "":
+                raise ValueError(f"instance {i} has no label: dataset instances must be labeled")
+            if not isinstance(label, str) or "\t" in label or "\r" in label or "\n" in label:
+                raise ValueError(f"instance {i} has label {label!r}: want a str without tab/CR/LF")
         if not np.isfinite(b).all() or not np.isfinite(u).all():
             raise ValueError("dataset values must be finite")
         np.abs(u, out=u)
@@ -184,29 +193,38 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_real(token: str, path: str, line_no: int, col_no: int) -> float:
+def _reals(at: str, tokens: Sequence[str], first_col: int, nonneg: bool = False) -> list[float]:
+    """Parse the reals of row ``at`` (``<file>:<line>``); ``tokens[0]`` is column ``first_col``."""
+    out = []
+    for col, tok in enumerate(tokens, start=first_col):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise DatasetFormatError(f"{at}: column {col}: not a decimal real: {tok!r}") from None
+        if not math.isfinite(value):
+            raise DatasetFormatError(f"{at}: column {col}: value must be finite, got {tok!r}")
+        if nonneg and value < 0:
+            raise DatasetFormatError(
+                f"{at}: column {col}: negative uncertainty {tok}, must be >= 0"
+            )
+        out.append(value)
+    return out
+
+
+@contextmanager
+def _open_text(path: str, newline: str | None = None):
+    """Open a UTF-8 file for reading; undecodable bytes raise an error naming it."""
     try:
-        value = float(token)
-    except ValueError:
-        raise DatasetFormatError(
-            f"{path}:{line_no}: column {col_no}: not a decimal real: {token!r}"
-        ) from None
-    if not math.isfinite(value):
-        raise DatasetFormatError(
-            f"{path}:{line_no}: column {col_no}: value must be finite, got {token!r}"
-        )
-    return value
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _read_rows(path: str | Path) -> list[tuple[int, list[str]]]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            rows.append((line_no, line.split("\t")))
-    return rows
+def _read_rows(path: str) -> list[tuple[int, list[str]]]:
+    with _open_text(path) as fh:
+        lines = [(line_no, line.rstrip("\r\n")) for line_no, line in enumerate(fh, start=1)]
+    return [(line_no, line.split("\t")) for line_no, line in lines if line]
 
 
 def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = None) -> UncertainDataset:
@@ -218,40 +236,32 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
     the two files.
     """
     vpath = str(values_path)
-    vrows = _read_rows(values_path)
+    vrows = _read_rows(vpath)
     if not vrows:
         raise DatasetFormatError(f"{vpath}: no instances found")
 
     labels: list[str] = []
     bests: list[list[float]] = []
-    m: int | None = None
+    m = len(vrows[0][1]) - 1
     for line_no, fields in vrows:
         if len(fields) < 2:
             raise DatasetFormatError(
                 f"{vpath}:{line_no}: expected a label followed by at least one value"
             )
-        label, value_tokens = fields[0], fields[1:]
-        if not label:
+        if not fields[0]:
             raise DatasetFormatError(f"{vpath}:{line_no}: column 1: missing label")
-        if m is None:
-            m = len(value_tokens)
-        elif len(value_tokens) != m:
+        if len(fields) - 1 != m:
             raise DatasetFormatError(
-                f"{vpath}:{line_no}: ragged row: {len(value_tokens)} values, expected {m}"
+                f"{vpath}:{line_no}: ragged row: {len(fields) - 1} values, expected {m}"
             )
-        row = [
-            _parse_real(tok, vpath, line_no, col)
-            for col, tok in enumerate(value_tokens, start=2)
-        ]
-        labels.append(label)
-        bests.append(row)
+        labels.append(fields[0])
+        bests.append(_reals(f"{vpath}:{line_no}", fields[1:], 2))
 
-    assert m is not None
     if uncertainty_path is None:
         uncs = np.zeros((len(bests), m))
     else:
         upath = str(uncertainty_path)
-        urows = _read_rows(uncertainty_path)
+        urows = _read_rows(upath)
         if len(urows) != len(vrows):
             raise DatasetFormatError(
                 f"{upath}: {len(urows)} rows but {vpath} has {len(vrows)}: shape mismatch"
@@ -262,31 +272,53 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
                 raise DatasetFormatError(
                     f"{upath}:{line_no}: {len(fields)} values, expected {m}: shape mismatch"
                 )
-            row = []
-            for col, tok in enumerate(fields, start=1):
-                value = _parse_real(tok, upath, line_no, col)
-                if value < 0:
-                    raise DatasetFormatError(
-                        f"{upath}:{line_no}: column {col}: uncertainty must be >= 0, got {tok}"
-                    )
-                row.append(value)
-            uncs.append(row)
+            uncs.append(_reals(f"{upath}:{line_no}", fields, 1, nonneg=True))
 
     return UncertainDataset.from_arrays(bests, uncs, labels)
 
 
 def save_dataset(d: UncertainDataset, values_path: str | Path, uncertainty_path: str | Path) -> None:
-    """Write a dataset to a values TSV and an uncertainty TSV.
-
-    ``load_dataset(values_path, uncertainty_path)`` reproduces the dataset
-    bit-exactly.
-    """
+    """Write a values TSV and an uncertainty TSV that :func:`load_dataset` reads back."""
     with open(values_path, "w", encoding="utf-8", newline="") as fh:
         for label, row in zip(d.labels, d.best.tolist()):
             fh.write("\t".join([label] + [format_real(x) for x in row]) + "\n")
     with open(uncertainty_path, "w", encoding="utf-8", newline="") as fh:
         for row in d.uncertainty.tolist():
             fh.write("\t".join(format_real(x) for x in row) + "\n")
+
+
+def write_feature_csv(f: UncertainDataset, path: str | Path) -> None:
+    """Write ``label,f1..f2k`` rows, best estimates then uncertainties (lossless)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * f.series_length)])
+        for label, row in zip(f.labels, np.hstack([f.best, f.uncertainty]).tolist()):
+            writer.writerow([label] + [format_real(x) for x in row])
+
+
+def read_feature_csv(path: str | Path) -> UncertainDataset:
+    """Load a feature CSV; errors name the file and, for a bad row, its line."""
+    path = str(path)
+    with _open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:
+            raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if len(rows) < 2 or rows[0][:1] != ["label"] or len(rows[0]) < 3 or len(rows[0]) % 2 == 0:
+        raise DatasetFormatError(f"{path}: expected header 'label,f1..f2k' and at least one row")
+    k = (len(rows[0]) - 1) // 2
+    bests, uncs = [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        at = f"{path}:{line_no}"
+        if len(row) != 2 * k + 1:
+            raise DatasetFormatError(f"{at}: expected {2 * k + 1} fields, got {len(row)}")
+        bests.append(_reals(at, row[1 : k + 1], 2))
+        uncs.append(_reals(at, row[k + 1 :], k + 2, nonneg=True))
+    try:
+        return UncertainDataset.from_arrays(bests, uncs, [row[0] for row in rows[1:]])
+    except ValueError as exc:  # a label the format cannot hold
+        raise DatasetFormatError(f"{path}: {exc}") from None
 
 
 def dataset_std(d: UncertainDataset) -> float:

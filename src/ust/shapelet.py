@@ -375,8 +375,7 @@ def save_shapelets(shapelets: Sequence[UncertainShapelet], path: str | Path) -> 
 
 
 def load_shapelets(path: str | Path) -> list[UncertainShapelet]:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        return shapelets_from_json(text)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        return shapelets_from_json(Path(path).read_text(encoding="utf-8"))
+    except (KeyError, TypeError, IndexError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed shapelet file: {type(exc).__name__}: {exc}") from None

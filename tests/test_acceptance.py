@@ -255,7 +255,8 @@ def test_criterion_9_benchmark_shape(tmp_path):
         "--no-timings",
         "--out", str(out),
     ]) == 0
-    rows = list(csv.DictReader(open(out)))
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
     datasets = sorted({r["dataset"] for r in rows})
     assert len(datasets) == 3
     assert len(rows) == 3 * len(MODES)
@@ -271,7 +272,8 @@ def test_criterion_9_benchmark_shape(tmp_path):
             f"not above baseline {baselines[r['dataset']]:.3f}"
         )
 
-    summary = list(csv.DictReader(open(tmp_path / "report_summary.csv")))
+    with open(tmp_path / "report_summary.csv") as fh:
+        summary = list(csv.DictReader(fh))
     assert len(summary) == 3
     for s in summary:
         assert int(s["wins_a"]) + int(s["ties"]) + int(s["wins_b"]) == 3

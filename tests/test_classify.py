@@ -347,6 +347,20 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match=r"model\.json: malformed model file: "):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "content, kind",
+        [
+            (b"[" * 100_000 + b"]" * 100_000, "RecursionError"),
+            (b'{"encoding": "\xff"}', "UnicodeDecodeError"),
+        ],
+        ids=["too-deep", "not-utf8"],
+    )
+    def test_undecodable_file_names_file(self, content, kind, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=rf"model\.json: malformed model file: {kind}"):
+            load_model(path)
+
 
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):

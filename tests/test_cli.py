@@ -179,13 +179,18 @@ class TestStepComposition:
             json.dumps(SHAPELET_DOC),
             json.dumps([dict(SHAPELET_DOC, values=[{"best": "abc", "uncertainty": 0.0}] * 2)]),
             "[{",
+            "[" * 100_000 + "]" * 100_000,
+            b"[{\"\xff\": 1}]",
         ],
-        ids=["missing-values", "scalar-threshold", "object-not-list", "string-best", "invalid-json"],
+        ids=[
+            "missing-values", "scalar-threshold", "object-not-list", "string-best",
+            "invalid-json", "too-deep", "not-utf8",
+        ],
     )
     def test_transform_rejects_malformed_shapelet_file(self, text, tiny_dataset, tmp_path, capsys):
         train_path, _ = tiny_dataset
         shapelets = tmp_path / "sh.json"
-        shapelets.write_text(text)
+        shapelets.write_bytes(text.encode() if isinstance(text, str) else text)
         rc = main([
             "transform", "--data", str(train_path),
             "--shapelets", str(shapelets),
@@ -195,6 +200,23 @@ class TestStepComposition:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sh.json: malformed shapelet file" in err
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("v.tsv", b"1\t0.5\n2\t\xff\n"), ("f.csv", b"label,f1,f2\nA,1,0\n\xff,1,0\n")],
+        ids=["values-tsv", "feature-csv"],
+    )
+    def test_non_utf8_input_names_file(self, name, content, tmp_path, capsys):
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        if name.endswith(".tsv"):
+            argv = ["extract", "--data", str(bad), "--out", str(tmp_path / "sh.json")]
+        else:
+            argv = ["classify", "--train-features", str(bad), "--test-features", str(bad)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{name}: not UTF-8 text" in err
 
     def test_classify_st_mode_warns_on_nonzero_uncertainty(self, tiny_dataset, tmp_path, capsys):
         train_path, test_path = tiny_dataset
@@ -276,12 +298,14 @@ class TestBenchmark:
             "--k", "2", "--min-len", "3", "--max-len", "5",
             "--out", str(out),
         ]) == 0
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * len(MODES)
         assert {r["mode"] for r in rows} == set(MODES)
         assert all(r["error"] == "" for r in rows)
         assert all(r["seed"] == "0" for r in rows)
-        summary = list(csv.DictReader(open(tmp_path / "report_summary.csv")))
+        with open(tmp_path / "report_summary.csv") as fh:
+            summary = list(csv.DictReader(fh))
         assert len(summary) == 3  # three unordered mode pairs
         for s in summary:
             assert int(s["wins_a"]) + int(s["ties"]) + int(s["wins_b"]) == 2
@@ -319,6 +343,17 @@ class TestBenchmark:
         assert "--jobs" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("modes", ["st,st", ",", "st,bogus"])
+    def test_rejects_bad_mode_list(self, modes, tmp_path, capsys):
+        root = make_benchmark_dir(tmp_path)
+        out = tmp_path / "report.csv"
+        rc = main(["benchmark", "--data-dir", str(root), "--modes", modes, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--modes" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_corrupt_dataset_is_isolated(self, tmp_path):
         root = make_benchmark_dir(tmp_path, corrupt=("broken",))
         out = tmp_path / "report.csv"
@@ -327,7 +362,8 @@ class TestBenchmark:
             "--k", "2", "--min-len", "3", "--max-len", "5",
             "--out", str(out),
         ]) == 0
-        rows = list(csv.DictReader(open(out)))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
         broken = [r for r in rows if r["dataset"] == "broken"]
         healthy = [r for r in rows if r["dataset"] != "broken"]
         assert broken and all(r["error"] != "" for r in broken)
@@ -357,7 +393,8 @@ class TestBenchmark:
             "--modes", "ust-flat", "--k", "2", "--min-len", "3", "--max-len", "5",
             "--out", str(out),
         ]) == 0
-        (benchmark_acc,) = [float(r["accuracy"]) for r in csv.DictReader(open(out))]
+        with open(out) as fh:
+            (benchmark_acc,) = [float(r["accuracy"]) for r in csv.DictReader(fh)]
 
         train_path = root / "ds0" / "ds0_TRAIN.tsv"
         test_path = root / "ds0" / "ds0_TEST.tsv"

@@ -1,9 +1,10 @@
+import os
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -17,7 +18,9 @@ from ust import (
     derive_split_seeds,
     inject_noise,
     load_dataset,
+    read_feature_csv,
     save_dataset,
+    write_feature_csv,
 )
 from ust.series import _instance_noise
 
@@ -152,6 +155,94 @@ class TestSave:
             assert load_dataset(tmp / "v.tsv", tmp / "u.tsv") == d
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonneg = st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+# printable: no control characters (so no tab, CR or LF) and no lone surrogates
+labels = st.text(st.characters(exclude_categories=("Cc", "Cs")), min_size=1, max_size=6)
+
+
+@st.composite
+def feature_datasets(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    return UncertainDataset.from_arrays(
+        draw(arrays(np.float64, (n, k), elements=finite)),
+        draw(arrays(np.float64, (n, k), elements=nonneg)),
+        draw(st.lists(labels, min_size=n, max_size=n)),
+    )
+
+
+BAD_REAL_FILES = {  # table -> (files, with {} for the bad token; the position the error names)
+    "values": ({"v.tsv": "a\t1\t2\nb\t3\t{}\n"}, "v.tsv:2: column 3: "),
+    "uncertainty": (
+        {"v.tsv": "a\t1\t2\nb\t3\t4\n", "u.tsv": "0\t0\n0\t{}\n"},
+        "u.tsv:2: column 2: ",
+    ),
+    "features": ({"f.csv": "label,f1,f2\nA,1,0\nB,1,{}\n"}, "f.csv:3: column 3: "),
+}
+BAD_TOKENS = {
+    "abc": "not a decimal real: 'abc'",
+    "inf": "value must be finite, got 'inf'",
+    "-0.5": "negative uncertainty -0.5, must be >= 0",
+}
+
+
+class TestFeatureCsvCodec:
+    @given(feature_datasets())
+    @example(
+        UncertainDataset.from_arrays(
+            [[-0.0, 5e-324, 1.7e308], [-1.7e308, -5e-324, 0.1]],
+            [[0.0, 5e-324, 1.7e308], [1e-300, 2.5, 0.0]],
+            ["a,b", ' "q" x '],
+        )
+    )
+    @settings(max_examples=50)
+    def test_round_trip_property(self, d):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            write_feature_csv(d, first)
+            loaded = read_feature_csv(first)
+            assert loaded == d
+            assert loaded.best.tobytes() == d.best.tobytes()  # keeps -0.0 apart from 0.0
+            assert loaded.uncertainty.tobytes() == d.uncertainty.tobytes()
+            write_feature_csv(loaded, second)
+            assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
+        "table, token",
+        [
+            (table, token)
+            for table in BAD_REAL_FILES
+            for token in BAD_TOKENS
+            if (table, token) != ("values", "-0.5")  # best estimates may be negative
+        ],
+    )
+    def test_bad_real_names_file_line_column(self, table, token, tmp_path):
+        files, position = BAD_REAL_FILES[table]
+        for name, text in files.items():
+            write(tmp_path / name, text.format(token))
+        with pytest.raises(DatasetFormatError) as info:
+            if table == "features":
+                read_feature_csv(tmp_path / "f.csv")
+            else:
+                load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv" if "u.tsv" in files else None)
+        assert str(info.value) == f"{tmp_path}{os.sep}{position}{BAD_TOKENS[token]}"
+
+    def test_unwritable_label_names_file(self, tmp_path):
+        path = write(tmp_path / "f.csv", "label,f1,f2\nA,1,0\n,1,0\n")
+        with pytest.raises(DatasetFormatError, match=r"f\.csv: instance 1 has no label"):
+            read_feature_csv(path)
+
+    def test_csv_syntax_error_names_line(self, tmp_path):
+        path = write(tmp_path / "f.csv", "label,f1,f2\nA,1,0\n" + "B" * 200_000 + ",1,0\n")
+        with pytest.raises(DatasetFormatError, match=r"f\.csv:3: field larger than field limit"):
+            read_feature_csv(path)
+
+    def test_form_feed_in_tsv_label_loads(self, tmp_path):
+        d = load_dataset(write(tmp_path / "v.tsv", "a\x0cb\t1\n"))
+        assert d.labels == ["a\x0cb"]
+
+
 class TestDatasetInvariants:
     def test_rejects_unlabeled_instance(self):
         labeled = UncertainSeries(UncertainVector([1.0], [0.0]), "a")
@@ -165,9 +256,6 @@ class TestDatasetInvariants:
         b = UncertainSeries(UncertainVector([1.0, 2.0], [0.0, 0.0]), "b")
         with pytest.raises(ValueError, match="equal-length"):
             UncertainDataset([a, b])
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -203,8 +291,16 @@ class TestDatasetArrays:
             (np.zeros((1, 2)), np.array([[np.nan, 0.0]]), ["a"], "finite"),
             (np.zeros((0, 3)), np.zeros((0, 3)), [], "at least one"),
             (np.zeros((2, 0)), np.zeros((2, 0)), ["a", "b"], "at least one"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), ["a", ""], "instance 1 has no label"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), ["a", "x\t5"], r"instance 1 has label 'x\\t5'"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), ["a\rb", "c"], r"instance 0 has label 'a\\rb'"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), ["a", "b\n"], r"instance 1 has label 'b\\n'"),
+            (np.zeros((2, 1)), np.zeros((2, 1)), ["a", 5], "instance 1 has label 5"),
         ],
-        ids=["shape", "one-dimensional", "label-count", "none-label", "inf", "nan", "no-rows", "no-columns"],
+        ids=[
+            "shape", "one-dimensional", "label-count", "none-label", "inf", "nan", "no-rows",
+            "no-columns", "empty-label", "tab-label", "cr-label", "lf-label", "non-str-label",
+        ],
     )
     def test_from_arrays_rejects(self, best, unc, labels, match):
         with pytest.raises(ValueError, match=match):
