@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DimensionMismatchError
-from .series import UncertainDataset
+from .series import UncertainDataset, _json_int, _json_real
 
 __all__ = [
     "EncodedMatrix",
@@ -388,14 +388,20 @@ def _node_to_json(node: TreeNode) -> dict:
     }
 
 
-def _node_from_json(obj: dict) -> TreeNode:
+def _node_from_json(obj: dict, n_features: int, classes: tuple[str, ...]) -> TreeNode:
     if "leaf" in obj:
-        return TreeNode(label=obj["leaf"], distribution=dict(obj["distribution"]))
+        label, counts = obj["leaf"], obj["distribution"]
+        if label not in classes:
+            raise ValueError(f"leaf label {label!r} is not one of the classes")
+        if not isinstance(counts, dict) or not set(counts) <= set(classes):
+            raise ValueError(f"distribution {counts!r} must map classes to counts")
+        distribution = {c: _json_int(k, "distribution count", 1) for c, k in counts.items()}
+        return TreeNode(label=label, distribution=distribution)
     return TreeNode(
-        feature=int(obj["feature"]),
-        threshold=float(obj["threshold"]),
-        left=_node_from_json(obj["left"]),
-        right=_node_from_json(obj["right"]),
+        feature=_json_int(obj["feature"], "feature", 0, n_features),
+        threshold=_json_real(obj["threshold"], "threshold"),
+        left=_node_from_json(obj["left"], n_features, classes),
+        right=_node_from_json(obj["right"], n_features, classes),
     )
 
 
@@ -436,9 +442,11 @@ def load_model(path: str | Path) -> PipelineModel:
                 tuple(doc["gaussian_stats"]["min"]), tuple(doc["gaussian_stats"]["max"])
             )
         params = TreeParams(doc["params"]["max_depth"], doc["params"]["min_samples_leaf"])
+        n_features = _json_int(doc["n_features"], "n_features", 0)
+        classes = tuple(doc["classes"])
         tree = DecisionTreeModel(
-            _node_from_json(doc["tree"]), params, int(doc["n_features"]), tuple(doc["classes"])
+            _node_from_json(doc["tree"], n_features, classes), params, n_features, classes
         )
         return PipelineModel(doc["encoding"], stats, tree)
-    except (KeyError, TypeError, IndexError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None

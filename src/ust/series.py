@@ -211,11 +211,33 @@ def _reals(at: str, tokens: Sequence[str], first_col: int, nonneg: bool = False)
     return out
 
 
+def _json_int(x, name: str, lo: int, hi: float = math.inf) -> int:
+    """``x`` if it is a JSON integer in ``[lo, hi)``; raises naming ``name`` otherwise."""
+    if type(x) is not int:  # excludes bool, which json.loads also yields
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if not lo <= x < hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}), got {x}")
+    return x
+
+
+def _json_real(x, name: str) -> float:
+    """``x`` as a float if it is a finite JSON number; raises naming ``name`` otherwise."""
+    if type(x) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {x!r}")
+    value = float(x)  # OverflowError for an integer beyond binary64
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return value
+
+
 @contextmanager
 def _open_text(path: str, newline: str | None = None):
-    """Open a UTF-8 file for reading; undecodable bytes raise an error naming it."""
+    """Open a UTF-8 file for reading, skipping a leading byte-order mark.
+
+    Undecodable bytes raise an error naming the file.
+    """
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
@@ -287,11 +309,15 @@ def save_dataset(d: UncertainDataset, values_path: str | Path, uncertainty_path:
             fh.write("\t".join(format_real(x) for x in row) + "\n")
 
 
+def _feature_header(k: int) -> list[str]:
+    return ["label"] + [f"f{j + 1}" for j in range(2 * k)]
+
+
 def write_feature_csv(f: UncertainDataset, path: str | Path) -> None:
     """Write ``label,f1..f2k`` rows, best estimates then uncertainties (lossless)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * f.series_length)])
+        writer.writerow(_feature_header(f.series_length))
         for label, row in zip(f.labels, np.hstack([f.best, f.uncertainty]).tolist()):
             writer.writerow([label] + [format_real(x) for x in row])
 
@@ -305,9 +331,9 @@ def read_feature_csv(path: str | Path) -> UncertainDataset:
             rows = list(reader)
         except csv.Error as exc:
             raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if len(rows) < 2 or rows[0][:1] != ["label"] or len(rows[0]) < 3 or len(rows[0]) % 2 == 0:
+    k = (len(rows[0]) - 1) // 2 if rows else 0
+    if len(rows) < 2 or k < 1 or rows[0] != _feature_header(k):
         raise DatasetFormatError(f"{path}: expected header 'label,f1..f2k' and at least one row")
-    k = (len(rows[0]) - 1) // 2
     bests, uncs = [], []
     for line_no, row in enumerate(rows[1:], start=2):
         at = f"{path}:{line_no}"

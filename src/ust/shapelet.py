@@ -24,11 +24,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .classify import _split_gains, entropy_from_counts
 from .core import DimensionMismatchError, NumericOverflowError, UncertainValue, UncertainVector
-from .series import UncertainDataset
+from .series import UncertainDataset, _json_int, _json_real
 
 __all__ = [
     "UncertainShapelet",
@@ -117,7 +116,7 @@ def _sliding_min_dissim(
     c_total, l = cand_best.shape
     n, m = series_best.shape
     if l > m:
-        raise DimensionMismatchError(f"candidate length {l} exceeds series length {m}")
+        raise DimensionMismatchError(f"window length {l} exceeds series length {m}")
     w = m - l + 1
     out_best = np.empty((c_total, n))
     out_unc = np.empty((c_total, n))
@@ -190,19 +189,18 @@ def _batch_best_splits(
 # extraction and transform
 # ---------------------------------------------------------------------------
 
-def _overlaps(offset_a: int, len_a: int, offset_b: int, len_b: int) -> bool:
-    return offset_a < offset_b + len_b and offset_b < offset_a + len_a
-
-
 def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = ExtractionConfig()) -> list[UncertainShapelet]:
     """Score every candidate window and return the top k after pruning.
 
-    Candidates are enumerated length-ascending, then by source instance and
-    start offset.  Selection sorts by quality descending with ties broken by
-    larger split margin, shorter length, then smaller (source, offset);
-    candidates overlapping an already-selected candidate from the same
-    source series are pruned.  Output is deterministic and independent of
-    any parallel scheduling.
+    Every candidate is one row of a table: int columns ``length``, ``source``
+    and ``offset``, enumerated once length-ascending, then by source instance
+    and start offset, and float columns ``quality``, ``margin``, ``thr_b`` and
+    ``thr_u``, filled one length at a time.  The output follows the selection
+    key, not the table order: quality descending, ties broken by larger split
+    margin, shorter length, then smaller (source, offset).  A candidate
+    overlapping an already-selected candidate from the same source series is
+    pruned.  Output is deterministic and independent of any parallel
+    scheduling.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -226,45 +224,35 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     class_totals = np.bincount(label_idx, minlength=len(classes))
     h_full = entropy_from_counts(class_totals.tolist(), n)
 
-    qualities: list[np.ndarray] = []
-    margins: list[np.ndarray] = []
-    thr_bests: list[np.ndarray] = []
-    thr_uncs: list[np.ndarray] = []
-    lengths: list[np.ndarray] = []
-    sources: list[np.ndarray] = []
-    offsets: list[np.ndarray] = []
+    # (length, source, offset) in row-major order, so each length is one block of rows;
+    # keep the windows that fit
+    length, source, offset = np.meshgrid(
+        np.arange(min_len, max_len + 1),
+        np.arange(n),
+        np.arange(0, m, config.candidate_stride),
+        indexing="ij",
+    )
+    fits = offset + length <= m
+    length, source, offset = length[fits], source[fits], offset[fits]
+    quality, margin, thr_b, thr_u = np.empty((4, len(length)))
     for l in range(min_len, max_len + 1):
-        offs = np.arange(0, m - l + 1, config.candidate_stride)
-        cand_b = sliding_window_view(best, l, axis=1)[:, offs].reshape(-1, l)
-        cand_u = sliding_window_view(unc, l, axis=1)[:, offs].reshape(-1, l)
-        dist_b, dist_u = _sliding_min_dissim(cand_b, cand_u, best, unc)
-        g, mg, tb, tu, _ = _batch_best_splits(dist_b, dist_u, label_idx, class_totals, h_full)
-        qualities.append(g)
-        margins.append(mg)
-        thr_bests.append(tb)
-        thr_uncs.append(tu)
-        count = len(offs) * n
-        lengths.append(np.full(count, l, dtype=np.int64))
-        sources.append(np.repeat(np.arange(n, dtype=np.int64), len(offs)))
-        offsets.append(np.tile(offs.astype(np.int64), n))
-
-    quality = np.concatenate(qualities)
-    margin = np.concatenate(margins)
-    thr_b = np.concatenate(thr_bests)
-    thr_u = np.concatenate(thr_uncs)
-    length = np.concatenate(lengths)
-    source = np.concatenate(sources)
-    offset = np.concatenate(offsets)
+        rows = slice(*np.searchsorted(length, [l, l + 1]))
+        src = source[rows, None]
+        window = offset[rows, None] + np.arange(l)
+        dist_b, dist_u = _sliding_min_dissim(best[src, window], unc[src, window], best, unc)
+        quality[rows], margin[rows], thr_b[rows], thr_u[rows], _ = _batch_best_splits(
+            dist_b, dist_u, label_idx, class_totals, h_full
+        )
 
     order = np.lexsort((offset, source, length, -margin, -quality))
+    taken = np.zeros((n, m), dtype=bool)  # cells of each source inside a selected window
     selected: list[int] = []
-    by_source: dict[int, list[tuple[int, int]]] = {}
-    for idx in order.tolist():
-        s, o, l = int(source[idx]), int(offset[idx]), int(length[idx])
-        if any(_overlaps(o, l, o2, l2) for o2, l2 in by_source.get(s, ())):
+    for i in order.tolist():
+        cells = taken[source[i], offset[i] : offset[i] + length[i]]
+        if cells.any():
             continue
-        selected.append(idx)
-        by_source.setdefault(s, []).append((o, l))
+        cells[:] = True
+        selected.append(i)
         if len(selected) == k:
             break
 
@@ -295,25 +283,19 @@ def shapelet_transform(
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
     best, unc = d.best, d.uncertainty
-    n, m = best.shape
+    n = len(d)
     k = len(shapelets)
     out_b = np.empty((n, k))
     out_u = np.empty((n, k))
 
-    by_length: dict[int, list[int]] = {}
-    for j, sh in enumerate(shapelets):
-        if sh.length > m:
-            raise DimensionMismatchError(
-                f"shapelet of length {sh.length} cannot slide over series of length {m}"
-            )
-        by_length.setdefault(sh.length, []).append(j)
-
-    for l, idxs in by_length.items():
-        cand_b = np.stack([shapelets[j].values.best for j in idxs])
-        cand_u = np.stack([shapelets[j].values.uncertainty for j in idxs])
+    length = np.array([sh.length for sh in shapelets])
+    for l in np.unique(length):
+        cols = np.flatnonzero(length == l)
+        cand_b = np.stack([shapelets[j].values.best for j in cols])
+        cand_u = np.stack([shapelets[j].values.uncertainty for j in cols])
         dist_b, dist_u = _sliding_min_dissim(cand_b, cand_u, best, unc)
-        out_b[:, idxs] = dist_b.T
-        out_u[:, idxs] = dist_u.T
+        out_b[:, cols] = dist_b.T
+        out_u[:, cols] = dist_u.T
 
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 
@@ -348,21 +330,23 @@ def shapelets_from_json(text: str) -> list[UncertainShapelet]:
     out = []
     for doc in docs:
         values = UncertainVector(
-            [v["best"] for v in doc["values"]],
-            [v["uncertainty"] for v in doc["values"]],
+            [_json_real(v["best"], "values[].best") for v in doc["values"]],
+            [_json_real(v["uncertainty"], "values[].uncertainty") for v in doc["values"]],
         )
-        if len(values) != doc["length"]:
+        length = _json_int(doc["length"], "length", 1)
+        if len(values) != length:
             raise ValueError(
-                f"shapelet declares length {doc['length']} but has {len(values)} values"
+                f"shapelet declares length {length} but has {len(values)} values"
             )
         out.append(
             UncertainShapelet(
                 values=values,
-                source_instance=int(doc["source_instance"]),
-                start_offset=int(doc["start_offset"]),
-                quality=float(doc["quality"]),
+                source_instance=_json_int(doc["source_instance"], "source_instance", 0),
+                start_offset=_json_int(doc["start_offset"], "start_offset", 0),
+                quality=_json_real(doc["quality"], "quality"),
                 split_threshold=UncertainValue(
-                    doc["threshold"]["best"], doc["threshold"]["uncertainty"]
+                    _json_real(doc["threshold"]["best"], "threshold.best"),
+                    _json_real(doc["threshold"]["uncertainty"], "threshold.uncertainty"),
                 ),
             )
         )
@@ -377,5 +361,5 @@ def save_shapelets(shapelets: Sequence[UncertainShapelet], path: str | Path) -> 
 def load_shapelets(path: str | Path) -> list[UncertainShapelet]:
     try:
         return shapelets_from_json(Path(path).read_text(encoding="utf-8"))
-    except (KeyError, TypeError, IndexError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed shapelet file: {type(exc).__name__}: {exc}") from None

@@ -336,8 +336,18 @@ class TestModelSerialization:
         [
             lambda text: text.replace('"feature": 0', '"feature": "x"'),
             lambda text: text[:-3],
+            lambda text: text.replace('"feature": 0', '"feature": 99'),
+            lambda text: text.replace('"feature": 0', '"feature": 0.9'),
+            lambda text: text.replace('"threshold": 0.5', '"threshold": "0.5"'),
+            lambda text: text.replace('"threshold": 0.5', '"threshold": NaN'),
+            lambda text: text.replace('"leaf": "A"', '"leaf": "ZZZ"'),
+            lambda text: text.replace('"A": 1', '"A": 0'),
+            lambda text: text.replace('"A": 1', '"Q": 1'),
         ],
-        ids=["string-feature", "invalid-json"],
+        ids=[
+            "string-feature", "invalid-json", "feature-out-of-range", "float-feature",
+            "string-threshold", "nan-threshold", "unknown-leaf", "zero-count", "unknown-count-class",
+        ],
     )
     def test_malformed_value_names_file(self, edit, tmp_path):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
@@ -382,6 +392,12 @@ class TestFeatureCsv:
     def test_rejects_odd_feature_count(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f1,f2,f3\nA,1,2,3\n")
+        with pytest.raises(ValueError, match="f1..f2k"):
+            read_feature_csv(path)
+
+    def test_rejects_other_column_names(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("label,x,y\nA,1,0\n")
         with pytest.raises(ValueError, match="f1..f2k"):
             read_feature_csv(path)
 

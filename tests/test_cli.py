@@ -181,10 +181,17 @@ class TestStepComposition:
             "[{",
             "[" * 100_000 + "]" * 100_000,
             b"[{\"\xff\": 1}]",
+            json.dumps([dict(SHAPELET_DOC, start_offset=2.5)]),
+            json.dumps([dict(SHAPELET_DOC, source_instance=-7)]),
+            json.dumps([dict(SHAPELET_DOC, threshold={"best": "1.0", "uncertainty": 0.0})]),
+            json.dumps([dict(SHAPELET_DOC, quality=True)]),
+            json.dumps([dict(SHAPELET_DOC, quality=10**400)]),
+            json.dumps([dict(SHAPELET_DOC, values=[{"best": "1.0", "uncertainty": 0.0}] * 2)]),
         ],
         ids=[
             "missing-values", "scalar-threshold", "object-not-list", "string-best",
-            "invalid-json", "too-deep", "not-utf8",
+            "invalid-json", "too-deep", "not-utf8", "float-offset", "negative-source",
+            "string-threshold", "bool-quality", "huge-quality", "numeric-string-best",
         ],
     )
     def test_transform_rejects_malformed_shapelet_file(self, text, tiny_dataset, tmp_path, capsys):

@@ -180,6 +180,14 @@ BAD_REAL_FILES = {  # table -> (files, with {} for the bad token; the position t
     ),
     "features": ({"f.csv": "label,f1,f2\nA,1,0\nB,1,{}\n"}, "f.csv:3: column 3: "),
 }
+def load_table(table, directory):
+    """Read the files of ``BAD_REAL_FILES[table]`` back from ``directory``."""
+    if table == "features":
+        return read_feature_csv(directory / "f.csv")
+    has_unc = "u.tsv" in BAD_REAL_FILES[table][0]
+    return load_dataset(directory / "v.tsv", directory / "u.tsv" if has_unc else None)
+
+
 BAD_TOKENS = {
     "abc": "not a decimal real: 'abc'",
     "inf": "value must be finite, got 'inf'",
@@ -222,11 +230,19 @@ class TestFeatureCsvCodec:
         for name, text in files.items():
             write(tmp_path / name, text.format(token))
         with pytest.raises(DatasetFormatError) as info:
-            if table == "features":
-                read_feature_csv(tmp_path / "f.csv")
-            else:
-                load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv" if "u.tsv" in files else None)
+            load_table(table, tmp_path)
         assert str(info.value) == f"{tmp_path}{os.sep}{position}{BAD_TOKENS[token]}"
+
+    @pytest.mark.parametrize("table", BAD_REAL_FILES)
+    def test_byte_order_mark_is_skipped(self, table, tmp_path):
+        files, position = BAD_REAL_FILES[table]
+        marked = position.partition(":")[0]  # the file that holds this table
+        loaded = []
+        for bom in ("", "\ufeff"):
+            for name, text in files.items():
+                write(tmp_path / name, (bom if name == marked else "") + text.format("0.5"))
+            loaded.append(load_table(table, tmp_path))
+        assert loaded[0] == loaded[1]
 
     def test_unwritable_label_names_file(self, tmp_path):
         path = write(tmp_path / "f.csv", "label,f1,f2\nA,1,0\n,1,0\n")

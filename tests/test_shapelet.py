@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ust.shapelet
@@ -54,6 +56,42 @@ def run_oracle(d, cfg):
     return oracles.extract(
         bests, uncs, d.labels, cfg.min_len, max_len, k, cfg.candidate_stride
     )
+
+
+def assert_matches_oracle(d, cfg):
+    """Extraction equals the brute-force oracle entry by entry; returns the shapelets."""
+    got = extract_shapelets(d, cfg)
+    expected = run_oracle(d, cfg)
+    assert len(got) == len(expected)
+    for sh, (l, s, o, gain, tb, tu) in zip(got, expected):
+        assert (sh.length, sh.source_instance, sh.start_offset) == (l, s, o)
+        assert sh.quality == gain
+        assert (sh.split_threshold.best, sh.split_threshold.uncertainty) == (tb, tu)
+    return got
+
+
+@st.composite
+def extraction_cases(draw):
+    """A small dataset and config; the grid variant forces exact distance ties."""
+    n_classes = draw(st.integers(2, 3))
+    n = draw(st.integers(n_classes, 6))
+    extra = draw(st.lists(st.integers(0, n_classes - 1), min_size=n - n_classes, max_size=n - n_classes))
+    labels = draw(st.permutations([str(c) for c in range(n_classes)] + [str(c) for c in extra]))
+    m = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        best_el, unc_el = st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.sampled_from([0.0, 0.5])
+    else:
+        best_el, unc_el = st.floats(-10, 10), st.floats(0, 1)
+    best = draw(st.lists(st.lists(best_el, min_size=m, max_size=m), min_size=n, max_size=n))
+    unc = draw(st.lists(st.lists(unc_el, min_size=m, max_size=m), min_size=n, max_size=n))
+    min_len = draw(st.integers(1, m))
+    cfg = ExtractionConfig(
+        min_len=min_len,
+        max_len=draw(st.integers(min_len, m)),
+        k=draw(st.integers(1, 30)),
+        candidate_stride=draw(st.integers(1, 3)),
+    )
+    return UncertainDataset.from_arrays(best, unc, labels), cfg
 
 
 def window_min(cand_b, cand_u, ser_b, ser_u):
@@ -271,25 +309,28 @@ class TestExtraction:
     def test_matches_bruteforce_oracle(self, seed, integer_grid):
         rng = np.random.default_rng(seed)
         d = random_dataset(rng, n=6, m=10, integer_grid=integer_grid)
-        cfg = ExtractionConfig(min_len=3, max_len=7, k=5)
-        got = extract_shapelets(d, cfg)
-        expected = run_oracle(d, cfg)
-        assert len(got) == len(expected)
-        for sh, (l, s, o, gain, tb, tu) in zip(got, expected):
-            assert (sh.length, sh.source_instance, sh.start_offset) == (l, s, o)
-            assert sh.quality == gain
-            assert (sh.split_threshold.best, sh.split_threshold.uncertainty) == (tb, tu)
+        assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=7, k=5))
 
     def test_stride_matches_oracle(self):
         rng = np.random.default_rng(9)
         d = random_dataset(rng, n=6, m=12)
-        cfg = ExtractionConfig(min_len=3, max_len=6, k=4, candidate_stride=2)
-        got = extract_shapelets(d, cfg)
-        expected = run_oracle(d, cfg)
-        for sh, (l, s, o, gain, tb, tu) in zip(got, expected):
-            assert (sh.length, sh.source_instance, sh.start_offset) == (l, s, o)
-            assert sh.quality == gain
-            assert o % 2 == 0
+        got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=6, k=4, candidate_stride=2))
+        assert all(sh.start_offset % 2 == 0 for sh in got)
+
+    @given(extraction_cases())
+    @example(  # source 1 keeps the touching windows [0, 2) and [2, 5); an overlapping one is pruned
+        (
+            UncertainDataset.from_arrays(
+                [[0.5, 0.5, 1.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0]],
+                [[0.5, 0.0, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0]],
+                ["A", "B"],
+            ),
+            ExtractionConfig(min_len=2, max_len=3, k=3),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_property(self, case):
+        assert_matches_oracle(*case)
 
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
@@ -305,13 +346,9 @@ class TestExtraction:
             (rng.normal(0, 1, 8).tolist(), "A" if i < 3 else "B", None) for i in range(6)
         ]
         d = dataset(rows)
-        cfg = ExtractionConfig(min_len=3, max_len=5, k=4)
-        got = extract_shapelets(d, cfg)
-        expected = run_oracle(d, cfg)  # oracle reduces to plain ED when deltas are zero
-        for sh, (l, s, o, gain, tb, tu) in zip(got, expected):
-            assert (sh.length, sh.source_instance, sh.start_offset) == (l, s, o)
-            assert sh.quality == gain
-            assert tu == 0.0 and sh.split_threshold.uncertainty == 0.0
+        # the oracle reduces to plain ED when deltas are zero
+        got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=5, k=4))
+        assert all(sh.split_threshold.uncertainty == 0.0 for sh in got)
 
 
 class TestTransform:
