@@ -436,17 +436,33 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> PipelineModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        stats = None
-        if doc["gaussian_stats"] is not None:
-            stats = GaussianEncodingStats(
-                tuple(doc["gaussian_stats"]["min"]), tuple(doc["gaussian_stats"]["max"])
-            )
-        params = TreeParams(doc["params"]["max_depth"], doc["params"]["min_samples_leaf"])
+        encoding = doc["encoding"]
+        if encoding not in ("best", "flatten", "gaussian"):
+            raise ValueError(f"encoding must be best, flatten or gaussian, got {encoding!r}")
         n_features = _json_int(doc["n_features"], "n_features", 0)
-        classes = tuple(doc["classes"])
+        raw_stats = doc["gaussian_stats"]
+        if (raw_stats is not None) != (encoding == "gaussian"):
+            raise ValueError("gaussian_stats must be given exactly when the encoding is gaussian")
+        stats = None
+        if raw_stats is not None:
+            lo, hi = ([_json_real(x, f"gaussian_stats.{k}") for x in raw_stats[k]] for k in ("min", "max"))
+            stats = GaussianEncodingStats(tuple(lo), tuple(hi))
+            if stats.k != n_features:
+                raise ValueError(f"gaussian_stats cover {stats.k} columns, model has {n_features} features")
+        classes = doc["classes"]
+        if type(classes) is not list or not all(type(c) is str and c for c in classes):
+            raise ValueError(f"classes must be a list of non-empty strings, got {classes!r}")
+        if len(set(classes)) < len(classes):
+            raise ValueError(f"classes must be distinct, got {classes!r}")
+        classes = tuple(classes)
+        max_depth = doc["params"]["max_depth"]
+        params = TreeParams(
+            None if max_depth is None else _json_int(max_depth, "params.max_depth", 0),
+            _json_int(doc["params"]["min_samples_leaf"], "params.min_samples_leaf", 1),
+        )
         tree = DecisionTreeModel(
             _node_from_json(doc["tree"], n_features, classes), params, n_features, classes
         )
-        return PipelineModel(doc["encoding"], stats, tree)
+        return PipelineModel(encoding, stats, tree)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None

@@ -294,9 +294,19 @@ def _pairwise_summary(rows: list[BenchmarkRow], modes: Sequence[str]) -> list[li
 def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
         raise ValueError(f"--modes must list distinct modes from {MODES}, got {args.modes!r}")
+    out_path = Path(args.out)
+    summary_path = (
+        Path(args.summary_out)
+        if args.summary_out
+        else out_path.parent / f"{out_path.stem}_summary{out_path.suffix}"
+    )
+    if summary_path.resolve() == out_path.resolve():
+        raise ValueError(f"--summary-out must differ from --out, both are {args.out!r}")
     extraction = _extraction_from_args(args)
     tree = _tree_from_args(args)
     datasets = _discover_datasets(Path(args.data_dir))
@@ -327,7 +337,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(run_one, tasks))
 
-    out_path = Path(args.out)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
@@ -335,11 +344,6 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             writer.writerow(_format_row(row, with_timings=not args.no_timings))
 
     summary = _pairwise_summary(rows, modes)
-    summary_path = (
-        Path(args.summary_out)
-        if args.summary_out
-        else out_path.parent / f"{out_path.stem}_summary{out_path.suffix}"
-    )
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["mode_a", "mode_b", "wins_a", "ties", "wins_b"])

@@ -8,12 +8,13 @@ under the uncertain total order.  Extraction scores every candidate in the
 configured length range, prunes overlapping candidates from the same source
 series, and keeps the top k by quality.
 
-The batch scorer reproduces a scalar brute force bit for bit: distance
-accumulation runs index-ascending exactly as in ``udissim``, and split gains
-come from the sweep shared with the decision tree, which ranks every cut
-with a vectorized approximation and then rescores the cuts that can be a
-row's maximum with the scalar expression of
-:func:`ust.classify.entropy_from_counts`.
+The batch scorer reproduces a scalar brute force bit for bit.  Candidates are
+the prefixes of stems (a source and a start offset).  One kernel grows the
+window sums of a block of stems by one index-ascending term per length, as
+``udissim`` folds them, and the block is scored at every length it reaches.
+Split gains come from the sweep shared with the decision tree, which ranks
+every cut approximately and rescores the cuts that can be a row's maximum with
+the scalar expression of :func:`ust.classify.entropy_from_counts`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,52 +100,47 @@ class ExtractionConfig:
 _KERNEL_CHUNK_ELEMS = 4_000_000
 
 
-def _sliding_min_dissim(
-    cand_best: np.ndarray,
-    cand_unc: np.ndarray,
-    series_best: np.ndarray,
-    series_unc: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum dissimilarity of each candidate to each series: (C, N) pair.
+def _prefix_min_dissims(
+    src_b: np.ndarray, src_u: np.ndarray,
+    row: np.ndarray, start: np.ndarray, ends: np.ndarray, min_len: int,
+    series_b: np.ndarray, series_u: np.ndarray,
+) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+    """Yield ``(l, rows, min_b, min_u)`` for every candidate prefix length ``l``.
 
-    Accumulates over the window position index in ascending order, exactly
-    like the scalar ``udissim`` fold, and takes the minimum under the
-    uncertain order over all windows.  Candidates and series are processed
-    in blocks of at most ``_KERNEL_CHUNK_ELEMS`` windows to bound peak
-    memory; each (candidate, series) entry is independent of the blocking.
+    Candidate ``c`` is ``src[row[c], start[c]:]``, scored at every length from
+    ``min_len`` to ``ends[c]``; ``ends`` is non-increasing, so the candidates of
+    length ``l`` are the slice ``rows``.  ``min_b`` and ``min_u`` are their
+    ``(len(rows), n)`` minimum dissimilarities to each series under the
+    uncertain order.  Each window accumulator grows by one term per length,
+    index-ascending exactly like the scalar ``udissim`` fold.  Candidates are
+    processed in blocks whose accumulators hold at most ``_KERNEL_CHUNK_ELEMS``
+    cells, or one candidate; each entry is independent of the blocking.
     """
-    c_total, l = cand_best.shape
-    n, m = series_best.shape
-    if l > m:
-        raise DimensionMismatchError(f"window length {l} exceeds series length {m}")
-    w = m - l + 1
-    out_best = np.empty((c_total, n))
-    out_unc = np.empty((c_total, n))
-    rows = min(n, max(1, _KERNEL_CHUNK_ELEMS // w))
-    chunk = max(1, _KERNEL_CHUNK_ELEMS // (rows * w))
-    for c0 in range(0, c_total, chunk):
-        c1 = min(c_total, c0 + chunk)
-        sb = cand_best[c0:c1]
-        su = cand_unc[c0:c1]
-        for r0 in range(0, n, rows):
-            r1 = min(n, r0 + rows)
-            tb = series_best[r0:r1]
-            tu = series_unc[r0:r1]
-            acc_b = np.zeros((c1 - c0, r1 - r0, w))
-            acc_u = np.zeros((c1 - c0, r1 - r0, w))
-            for i in range(l):
-                d = sb[:, i, None, None] - tb[None, :, i : i + w]
-                acc_b += d * d
-                np.abs(d, out=d)
-                acc_u += d * (su[:, i, None, None] + tu[None, :, i : i + w])
-            acc_u *= 2.0
-            min_b = acc_b.min(axis=2)
-            min_u = np.where(acc_b == min_b[:, :, None], acc_u, np.inf).min(axis=2)
+    n, m = series_b.shape
+    if ends[0] > m:
+        raise DimensionMismatchError(f"window length {ends[0]} exceeds series length {m}")
+    w0 = m - min_len + 1
+    step = max(1, _KERNEL_CHUNK_ELEMS // (n * w0))
+    for c0 in range(0, len(row), step):
+        block_ends = ends[c0 : c0 + step]
+        acc_b, acc_u = np.zeros((2, len(block_ends), n, w0))
+        for i in range(block_ends[0]):
+            c1 = c0 + np.count_nonzero(block_ends > i)  # candidates of length > i
+            w = min(w0, m - i)  # windows valid for length max(i + 1, min_len)
+            ab, au = acc_b[: c1 - c0, :, :w], acc_u[: c1 - c0, :, :w]
+            at = (row[c0:c1], start[c0:c1] + i)
+            d = src_b[at][:, None, None] - series_b[None, :, i : i + w]
+            ab += d * d
+            np.abs(d, out=d)
+            d *= src_u[at][:, None, None] + series_u[None, :, i : i + w]
+            au += d
+            if i + 1 < min_len:
+                continue
+            min_b = ab.min(axis=2)
+            min_u = 2.0 * au.min(axis=2, where=ab == min_b[:, :, None], initial=np.inf)
             if not (np.isfinite(min_b).all() and np.isfinite(min_u).all()):
                 raise NumericOverflowError("dissimilarity overflowed to non-finite values")
-            out_best[c0:c1, r0:r1] = min_b
-            out_unc[c0:c1, r0:r1] = min_u
-    return out_best, out_unc
+            yield i + 1, slice(c0, c1), min_b, min_u
 
 
 def _batch_best_splits(
@@ -192,15 +188,15 @@ def _batch_best_splits(
 def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = ExtractionConfig()) -> list[UncertainShapelet]:
     """Score every candidate window and return the top k after pruning.
 
-    Every candidate is one row of a table: int columns ``length``, ``source``
-    and ``offset``, enumerated once length-ascending, then by source instance
-    and start offset, and float columns ``quality``, ``margin``, ``thr_b`` and
-    ``thr_u``, filled one length at a time.  The output follows the selection
-    key, not the table order: quality descending, ties broken by larger split
-    margin, shorter length, then smaller (source, offset).  A candidate
-    overlapping an already-selected candidate from the same source series is
-    pruned.  Output is deterministic and independent of any parallel
-    scheduling.
+    Candidates are the prefixes of stems ``(offset, source)``, enumerated
+    offset-major.  Blocks of stems are scored at every length up to
+    ``min(max_len, m - offset)`` into a ``(4, stems, lengths)`` table of
+    ``quality``, ``margin``, ``thr_b`` and ``thr_u``, flattened over the cells
+    that fit.  The output follows the selection key, not the table order:
+    quality descending, ties broken by larger split margin, shorter length,
+    then smaller (source, offset).  A candidate overlapping an already-selected
+    candidate from the same source series is pruned.  Output is deterministic
+    and independent of any parallel scheduling.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -224,25 +220,17 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     class_totals = np.bincount(label_idx, minlength=len(classes))
     h_full = entropy_from_counts(class_totals.tolist(), n)
 
-    # (length, source, offset) in row-major order, so each length is one block of rows;
-    # keep the windows that fit
-    length, source, offset = np.meshgrid(
-        np.arange(min_len, max_len + 1),
-        np.arange(n),
-        np.arange(0, m, config.candidate_stride),
-        indexing="ij",
-    )
-    fits = offset + length <= m
-    length, source, offset = length[fits], source[fits], offset[fits]
-    quality, margin, thr_b, thr_u = np.empty((4, len(length)))
-    for l in range(min_len, max_len + 1):
-        rows = slice(*np.searchsorted(length, [l, l + 1]))
-        src = source[rows, None]
-        window = offset[rows, None] + np.arange(l)
-        dist_b, dist_u = _sliding_min_dissim(best[src, window], unc[src, window], best, unc)
-        quality[rows], margin[rows], thr_b[rows], thr_u[rows], _ = _batch_best_splits(
-            dist_b, dist_u, label_idx, class_totals, h_full
-        )
+    # stems (offset, source) offset-major, so the longest prefix ``ends`` is non-increasing
+    offset = np.repeat(np.arange(0, m - min_len + 1, config.candidate_stride), n)
+    source = np.tile(np.arange(n), len(offset) // n)
+    ends = np.minimum(max_len, m - offset)
+    table = np.empty((4, len(offset), max_len - min_len + 1))
+    for l, rows, dist_b, dist_u in _prefix_min_dissims(best, unc, source, offset, ends, min_len, best, unc):
+        table[:, rows, l - min_len] = _batch_best_splits(dist_b, dist_u, label_idx, class_totals, h_full)[:4]
+
+    stem, column = np.nonzero(np.arange(min_len, max_len + 1) <= ends[:, None])
+    quality, margin, thr_b, thr_u = table[:, stem, column]
+    length, source, offset = column + min_len, source[stem], offset[stem]
 
     order = np.lexsort((offset, source, length, -margin, -quality))
     taken = np.zeros((n, m), dtype=bool)  # cells of each source inside a selected window
@@ -283,19 +271,24 @@ def shapelet_transform(
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
     best, unc = d.best, d.uncertainty
-    n = len(d)
+    n, m = best.shape
     k = len(shapelets)
     out_b = np.empty((n, k))
     out_u = np.empty((n, k))
 
+    rows = max(1, _KERNEL_CHUNK_ELEMS // m)  # instances are independent; a block of them fits the budget
     length = np.array([sh.length for sh in shapelets])
     for l in np.unique(length):
         cols = np.flatnonzero(length == l)
         cand_b = np.stack([shapelets[j].values.best for j in cols])
         cand_u = np.stack([shapelets[j].values.uncertainty for j in cols])
-        dist_b, dist_u = _sliding_min_dissim(cand_b, cand_u, best, unc)
-        out_b[:, cols] = dist_b.T
-        out_u[:, cols] = dist_u.T
+        start = np.zeros(len(cols), dtype=np.int64)
+        for r0 in range(0, n, rows):
+            r = slice(r0, r0 + rows)
+            blocks = _prefix_min_dissims(cand_b, cand_u, np.arange(len(cols)), start, start + l, l, best[r], unc[r])
+            for _, c, dist_b, dist_u in blocks:
+                out_b[r, cols[c]] = dist_b.T
+                out_u[r, cols[c]] = dist_u.T
 
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 

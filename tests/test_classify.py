@@ -343,10 +343,19 @@ class TestModelSerialization:
             lambda text: text.replace('"leaf": "A"', '"leaf": "ZZZ"'),
             lambda text: text.replace('"A": 1', '"A": 0'),
             lambda text: text.replace('"A": 1', '"Q": 1'),
+            lambda text: text.replace('"encoding": "best"', '"encoding": "bogus"'),
+            lambda text: text.replace('"classes": [', '"classes": ["A",'),
+            lambda text: text.replace('"classes": [', '"classes": ["",'),
+            lambda text: text.replace('"classes": [', '"classes": "AB", "_": ['),
+            lambda text: text.replace('"min_samples_leaf": 1', '"min_samples_leaf": 1.5'),
+            lambda text: text.replace('"max_depth": null', '"max_depth": 2.5'),
+            lambda text: text.replace('"gaussian_stats": null', '"gaussian_stats": {"min": [0], "max": [1]}'),
         ],
         ids=[
             "string-feature", "invalid-json", "feature-out-of-range", "float-feature",
             "string-threshold", "nan-threshold", "unknown-leaf", "zero-count", "unknown-count-class",
+            "unknown-encoding", "repeated-class", "empty-class", "string-classes",
+            "float-min-samples-leaf", "float-max-depth", "stats-without-gaussian",
         ],
     )
     def test_malformed_value_names_file(self, edit, tmp_path):
@@ -354,6 +363,28 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         save_model(PipelineModel("best", None, tree_fit(e)), path)
         path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=r"model\.json: malformed model file: "):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            None,
+            {"min": [0.0, 0.0, 0.0], "max": [1.0, 1.0, 1.0]},
+            {"min": ["a", "b"], "max": ["a", "b"]},
+            {"min": [math.nan, 0.0], "max": [1.0, 1.0]},
+        ],
+        ids=["missing", "three-columns", "string-values", "nan-min"],
+    )
+    def test_malformed_gaussian_stats_names_file(self, stats, tmp_path):
+        rng = np.random.default_rng(4)
+        f = matrix(rng.normal(size=(20, 2)), rng.uniform(size=(20, 2)), [str(i % 2) for i in range(20)])
+        fitted = fit_gaussian_stats(f)
+        path = tmp_path / "model.json"
+        save_model(PipelineModel("gaussian", fitted, tree_fit(encode_gaussian(f, fitted))), path)
+        doc = json.loads(path.read_text())
+        doc["gaussian_stats"] = stats
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"model\.json: malformed model file: "):
             load_model(path)
 

@@ -350,6 +350,21 @@ class TestBenchmark:
         assert "--jobs" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(["--seed", "-1"], "--seed"), (["--summary-out", "report.csv"], "--summary-out")],
+        ids=["negative-seed", "summary-over-report"],
+    )
+    def test_rejects_bad_arguments_before_writing(self, flags, name, tmp_path, capsys, monkeypatch):
+        root = make_benchmark_dir(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["benchmark", "--data-dir", str(root), "--out", str(tmp_path / "report.csv"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+        assert not (tmp_path / "report.csv").exists()
+
     @pytest.mark.parametrize("modes", ["st,st", ",", "st,bogus"])
     def test_rejects_bad_mode_list(self, modes, tmp_path, capsys):
         root = make_benchmark_dir(tmp_path)

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ust import (
     save_shapelets,
     shapelet_transform,
 )
-from ust.shapelet import _batch_best_splits, _sliding_min_dissim
+from ust.shapelet import _batch_best_splits, _prefix_min_dissims, shapelets_to_json
 
 
 def series(best, label="A", unc=None):
@@ -94,14 +96,47 @@ def extraction_cases(draw):
     return UncertainDataset.from_arrays(best, unc, labels), cfg
 
 
+def sliding_min(cand_b, cand_u, ser_b, ser_u):
+    """Every candidate row against every series row at its full length: a (C, N) pair."""
+    cand_b, cand_u = np.asarray(cand_b, dtype=float), np.asarray(cand_u, dtype=float)
+    c, l = cand_b.shape
+    ends = np.full(c, l)
+    blocks = list(
+        _prefix_min_dissims(
+            cand_b, cand_u, np.arange(c), np.zeros_like(ends), ends, l,
+            np.asarray(ser_b, dtype=float), np.asarray(ser_u, dtype=float),
+        )
+    )
+    return np.concatenate([b for _, _, b, _ in blocks]), np.concatenate([u for *_, u in blocks])
+
+
+@st.composite
+def prefix_kernel_cases(draw):
+    """Sources, candidates with ragged non-increasing ends, series and a block budget."""
+    if draw(st.booleans()):
+        el, unc_el = st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.sampled_from([0.0, 0.5])
+    else:
+        el, unc_el = st.floats(-10, 10), st.floats(0, 1)
+    n_src, width = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    min_len = draw(st.integers(1, min(width, m)))
+    arrays = [
+        np.array(draw(st.lists(st.lists(e, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+        for e, rows, cols in ((el, n_src, width), (unc_el, n_src, width), (el, n, m), (unc_el, n, m))
+    ]
+    cands = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.integers(0, width - min_len))
+        end = draw(st.integers(min_len, min(m, width - start)))
+        cands.append((end, draw(st.integers(0, n_src - 1)), start))
+    ends, row, start = np.array(sorted(cands, reverse=True)).T
+    budget = draw(st.sampled_from([1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS]))
+    return arrays, row, start, ends, min_len, budget
+
+
 def window_min(cand_b, cand_u, ser_b, ser_u):
     """One (candidate, series) entry of the batch distance kernel."""
-    db, du = _sliding_min_dissim(
-        np.array([cand_b], dtype=float),
-        np.array([cand_u], dtype=float),
-        np.array([ser_b], dtype=float),
-        np.array([ser_u], dtype=float),
-    )
+    db, du = sliding_min([cand_b], [cand_u], [ser_b], [ser_u])
     return db[0, 0], du[0, 0]
 
 
@@ -118,7 +153,7 @@ def row_split(pairs, labels):
 
 
 class TestSubsequenceDistance:
-    """The window minimum of ``_sliding_min_dissim`` against ``oracles.min_dissim``."""
+    """The window minimum of ``_prefix_min_dissims`` against ``oracles.min_dissim``."""
 
     def test_self_match(self):
         assert window_min([1.0, 2.0, 3.0], [0.0] * 3, [1.0, 2.0, 3.0], [0.0] * 3) == (0.0, 0.0)
@@ -217,7 +252,7 @@ class TestBatchKernels:
         su = rng.uniform(0, 1, (5, 4))
         tb = rng.normal(0, 1, (3, 9))
         tu = rng.uniform(0, 1, (3, 9))
-        db, du = _sliding_min_dissim(sb, su, tb, tu)
+        db, du = sliding_min(sb, su, tb, tu)
         for c in range(5):
             for n in range(3):
                 expected = oracles.min_dissim(
@@ -232,11 +267,39 @@ class TestBatchKernels:
         su = rng.uniform(0, 1, (6, 4))
         tb = rng.integers(0, 3, (9, 12)).astype(float)
         tu = rng.choice([0.0, 0.5], (9, 12))
-        expected = _sliding_min_dissim(sb, su, tb, tu)
+        expected = sliding_min(sb, su, tb, tu)
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
-        got = _sliding_min_dissim(sb, su, tb, tu)
+        got = sliding_min(sb, su, tb, tu)
         assert got[0].tobytes() == expected[0].tobytes()
         assert got[1].tobytes() == expected[1].tobytes()
+
+    @given(prefix_kernel_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_min_matches_oracle_property(self, case):
+        (src_b, src_u, ser_b, ser_u), row, start, ends, min_len, budget = case
+        seen = {}
+        with patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget):
+            for l, rows, min_b, min_u in _prefix_min_dissims(src_b, src_u, row, start, ends, min_len, ser_b, ser_u):
+                for c, b, u in zip(range(len(row))[rows], min_b, min_u):
+                    assert (c, l) not in seen
+                    seen[c, l] = b, u
+        assert set(seen) == {(c, l) for c in range(len(row)) for l in range(min_len, ends[c] + 1)}
+        for (c, l), (b, u) in seen.items():
+            window = slice(start[c], start[c] + l)
+            cand = src_b[row[c], window].tolist(), src_u[row[c], window].tolist()
+            for r in range(len(ser_b)):
+                assert (b[r], u[r]) == oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
+
+    def test_blocking_keeps_extraction_and_transform_bytes(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(4), n=7, m=11, integer_grid=True)
+        cfg = ExtractionConfig(min_len=2, k=12, candidate_stride=2)
+        outputs = []
+        for budget in (1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS):
+            monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+            shapelets = extract_shapelets(d, cfg)
+            features = shapelet_transform(d, shapelets)
+            outputs.append((shapelets_to_json(shapelets), features.best.tobytes(), features.uncertainty.tobytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_batch_splits_match_scalar_best_split(self):
         rng = np.random.default_rng(13)
@@ -331,6 +394,21 @@ class TestExtraction:
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_property(self, case):
         assert_matches_oracle(*case)
+
+    def test_extraction_memory_is_bounded_by_the_block_budget(self, monkeypatch):
+        # scoring one block of candidates at a time keeps no (candidates, n) matrix of a whole length
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 200_000)
+        rng = np.random.default_rng(0)
+        d = UncertainDataset.from_arrays(
+            rng.normal(0, 1, (200, 20)), rng.uniform(0, 0.5, (200, 20)), ["A"] * 100 + ["B"] * 100
+        )
+        tracemalloc.start()
+        try:
+            extract_shapelets(d, ExtractionConfig(min_len=3, max_len=3, k=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
