@@ -9,9 +9,12 @@ configured length range, prunes overlapping candidates from the same source
 series, and keeps the top k by quality.
 
 The batch scorer reproduces a scalar brute force bit for bit.  Candidates are
-the prefixes of stems (a source and a start offset).  One kernel grows the
-window sums of a block of stems by one index-ascending term per length, as
-``udissim`` folds them, and the block is scored at every length it reaches.
+the prefixes of stems (a source and a start offset).  One kernel serves
+extraction and the transform.  For each cache-sized tile of sources by series
+rows it computes every pairwise term once into a term table, then grows every
+window sum of the tile by one index-ascending term per length, as ``udissim``
+folds them, from a shifted view of that table.  The tiles' per-length minima
+fill a staging block of stems, which is scored at every length it reaches.
 Split gains come from the sweep shared with the decision tree, which ranks
 every cut approximately and rescores the cuts that can be a row's maximum with
 the scalar expression of :func:`ust.classify.entropy_from_counts`.
@@ -97,50 +100,108 @@ class ExtractionConfig:
 # batch kernels
 # ---------------------------------------------------------------------------
 
-_KERNEL_CHUNK_ELEMS = 4_000_000
+_KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells per block
+_TILE_ELEMS = 300_000  # term and accumulator cells of one tile; the fastest measured of 100 K to 600 K
 
 
-def _prefix_min_dissims(
-    src_b: np.ndarray, src_u: np.ndarray,
-    row: np.ndarray, start: np.ndarray, ends: np.ndarray, min_len: int,
+def _grid_min_dissims(
+    src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     series_b: np.ndarray, series_u: np.ndarray,
-) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
-    """Yield ``(l, rows, min_b, min_u)`` for every candidate prefix length ``l``.
+) -> Iterator[tuple[int, slice, slice, np.ndarray, np.ndarray]]:
+    """Yield ``(l, offsets, sources, min_b, min_u)`` for every stem prefix length ``l``.
 
-    Candidate ``c`` is ``src[row[c], start[c]:]``, scored at every length from
-    ``min_len`` to ``ends[c]``; ``ends`` is non-increasing, so the candidates of
-    length ``l`` are the slice ``rows``.  ``min_b`` and ``min_u`` are their
-    ``(len(rows), n)`` minimum dissimilarities to each series under the
-    uncertain order.  Each window accumulator grows by one term per length,
-    index-ascending exactly like the scalar ``udissim`` fold.  Candidates are
-    processed in blocks whose accumulators hold at most ``_KERNEL_CHUNK_ELEMS``
-    cells, or one candidate; each entry is independent of the blocking.
+    Stems are the grid of start offsets ``stride * k`` (``k < len(ends)``) by
+    rows of ``src``.  The stems at offset ``k`` are scored at every length from
+    ``min_len`` to ``ends[k]``; ``ends`` is non-increasing, so the offsets of
+    length ``l`` are a leading slice.  ``min_b`` and ``min_u`` are the
+    ``(offsets, sources, n)`` minimum dissimilarities of those stems to each
+    series under the uncertain order.
+
+    Stems are staged in blocks of offsets by sources of at most
+    ``_KERNEL_CHUNK_ELEMS // (n * (m - min_len + 1))`` stems, or one, so that
+    a block's minima at every length, and their split sweep at one length,
+    stay within the budget.  A block is filled tile by tile.  A tile of
+    sources by series rows builds its term tables ``(x_src[p] - x_ser[q])**2``
+    and ``|x_src[p] - x_ser[q]| * (u_src[p] + u_ser[q])`` once; each window
+    accumulator then grows by one term per length, index-ascending exactly
+    like the scalar ``udissim`` fold, from a shifted view of the tables.
+    Tiles hold at most ``_TILE_ELEMS`` term and accumulator cells, or one
+    source against one row.  No entry depends on either blocking.
     """
     n, m = series_b.shape
     if ends[0] > m:
         raise DimensionMismatchError(f"window length {ends[0]} exceeds series length {m}")
     w0 = m - min_len + 1
-    step = max(1, _KERNEL_CHUNK_ELEMS // (n * w0))
-    for c0 in range(0, len(row), step):
-        block_ends = ends[c0 : c0 + step]
-        acc_b, acc_u = np.zeros((2, len(block_ends), n, w0))
-        for i in range(block_ends[0]):
-            c1 = c0 + np.count_nonzero(block_ends > i)  # candidates of length > i
-            w = min(w0, m - i)  # windows valid for length max(i + 1, min_len)
-            ab, au = acc_b[: c1 - c0, :, :w], acc_u[: c1 - c0, :, :w]
-            at = (row[c0:c1], start[c0:c1] + i)
-            d = src_b[at][:, None, None] - series_b[None, :, i : i + w]
-            ab += d * d
-            np.abs(d, out=d)
-            d *= src_u[at][:, None, None] + series_u[None, :, i : i + w]
-            au += d
-            if i + 1 < min_len:
-                continue
-            min_b = ab.min(axis=2)
-            min_u = 2.0 * au.min(axis=2, where=ab == min_b[:, :, None], initial=np.inf)
-            if not (np.isfinite(min_b).all() and np.isfinite(min_u).all()):
-                raise NumericOverflowError("dissimilarity overflowed to non-finite values")
-            yield i + 1, slice(c0, c1), min_b, min_u
+    stems = max(1, _KERNEL_CHUNK_ELEMS // (n * w0))
+    stage_offsets = min(len(ends), stems)
+    stage_sources = max(1, stems // stage_offsets)
+    for k0 in range(0, len(ends), stage_offsets):
+        block_ends = ends[k0 : k0 + stage_offsets]
+        p0 = stride * k0
+        p1 = int((p0 + stride * np.arange(len(block_ends)) + block_ends).max())
+        pair_cells = m * (p1 - p0) + w0 * len(block_ends)  # one source against one row
+        tile_rows = min(n, max(1, _TILE_ELEMS // pair_cells))
+        tile_sources = min(stage_sources, len(src_b), max(1, _TILE_ELEMS // (pair_cells * tile_rows)))
+        # tiles share these buffers: a fresh allocation per tile costs a page fault per page
+        terms = np.empty((2, m, p1 - p0, tile_sources, tile_rows))
+        acc = np.empty((2, w0, len(block_ends), tile_sources, tile_rows))
+        for s0 in range(0, len(src_b), stage_sources):
+            s1 = min(s0 + stage_sources, len(src_b))
+            min_b, min_u = np.empty((2, block_ends[0] - min_len + 1, len(block_ends), s1 - s0, n))
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the minima
+                for a in range(s0, s1, tile_sources):
+                    b = min(a + tile_sources, s1)
+                    for r0 in range(0, n, tile_rows):
+                        r = slice(r0, r0 + tile_rows)
+                        _fill_tile(
+                            src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, block_ends, min_len,
+                            series_b[r].T, series_u[r].T,
+                            min_b[:, :, a - s0 : b - s0, r], min_u[:, :, a - s0 : b - s0, r], terms, acc,
+                        )
+            for l in range(min_len, block_ends[0] + 1):
+                o = np.count_nonzero(block_ends >= l)
+                mb, mu = min_b[l - min_len, :o], min_u[l - min_len, :o]
+                if not (np.isfinite(mb).all() and np.isfinite(mu).all()):
+                    raise NumericOverflowError("dissimilarity overflowed to non-finite values")
+                yield l, slice(k0, k0 + o), slice(s0, s1), mb, mu
+
+
+def _fill_tile(
+    src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
+    ser_b: np.ndarray, ser_u: np.ndarray, min_b: np.ndarray, min_u: np.ndarray,
+    terms: np.ndarray, acc: np.ndarray,
+) -> None:
+    """Write one tile's ``(lengths, offsets, sources, rows)`` minima into ``min_b``, ``min_u``.
+
+    ``src`` is ``(positions, sources)`` from the tile's first offset on and
+    ``ser`` is ``(m, rows)``.  Term ``[q, p, s, j]`` pairs series position
+    ``q`` with source position ``p`` and accumulator ``[t, k, s, j]`` is window
+    ``t`` of offset ``k``, so step ``i`` adds one strided view of the terms.
+    The minimum under the uncertain order reduces over the leading window
+    axis.  ``terms`` and ``acc`` are scratch buffers at least the tile's size.
+    """
+    s, r = src_b.shape[1], ser_b.shape[1]
+    (term_b, term_u), acc = terms[..., :s, :r], acc[..., :s, :r]
+    m, w0 = len(ser_b), len(ser_b) - min_len + 1
+    np.subtract(src_b[None, :, :, None], ser_b[:, None, None, :], out=term_b)
+    np.abs(term_b, out=term_b)
+    np.add(src_u[None, :, :, None], ser_u[:, None, None, :], out=term_u)
+    term_u *= term_b
+    term_b *= term_b
+    acc.fill(0.0)
+    for i in range(ends[0]):
+        o = np.count_nonzero(ends > i)  # offsets with a term at index i
+        w = min(w0, m - i)  # windows valid for length max(i + 1, min_len)
+        at = slice(i, i + w), slice(i, i + (o - 1) * stride + 1, stride)
+        ab, au = acc[0, :w, :o], acc[1, :w, :o]
+        ab += term_b[at]
+        au += term_u[at]
+        if i + 1 < min_len:
+            continue
+        mb, mu = min_b[i + 1 - min_len, :o], min_u[i + 1 - min_len, :o]
+        np.min(ab, axis=0, out=mb)
+        np.min(au, axis=0, out=mu, where=ab == mb, initial=np.inf)
+        mu *= 2.0
 
 
 def _batch_best_splits(
@@ -188,15 +249,17 @@ def _batch_best_splits(
 def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = ExtractionConfig()) -> list[UncertainShapelet]:
     """Score every candidate window and return the top k after pruning.
 
-    Candidates are the prefixes of stems ``(offset, source)``, enumerated
-    offset-major.  Blocks of stems are scored at every length up to
-    ``min(max_len, m - offset)`` into a ``(4, stems, lengths)`` table of
-    ``quality``, ``margin``, ``thr_b`` and ``thr_u``, flattened over the cells
-    that fit.  The output follows the selection key, not the table order:
-    quality descending, ties broken by larger split margin, shorter length,
-    then smaller (source, offset).  A candidate overlapping an already-selected
-    candidate from the same source series is pruned.  Output is deterministic
-    and independent of any parallel scheduling.
+    Candidates are the prefixes of stems ``(offset, source)`` of length up
+    to ``min(max_len, m - offset)``.  The distance kernel yields a staging
+    block of stems per length, and one split sweep per yield scores it into a
+    ``(4, offsets, sources, lengths)`` table of ``quality``, ``margin``,
+    ``thr_b`` and ``thr_u``, flattened offset-major over the cells that fit.
+    Tiles and staging blocks are bounded by ``_TILE_ELEMS`` and
+    ``_KERNEL_CHUNK_ELEMS``.  The output follows the selection key, not the
+    table order: quality descending, ties broken by larger split margin,
+    shorter length, then smaller (source, offset).  A candidate overlapping
+    an already-selected candidate from the same source series is pruned.
+    Output is deterministic and independent of any parallel scheduling.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -220,17 +283,18 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     class_totals = np.bincount(label_idx, minlength=len(classes))
     h_full = entropy_from_counts(class_totals.tolist(), n)
 
-    # stems (offset, source) offset-major, so the longest prefix ``ends`` is non-increasing
-    offset = np.repeat(np.arange(0, m - min_len + 1, config.candidate_stride), n)
-    source = np.tile(np.arange(n), len(offset) // n)
-    ends = np.minimum(max_len, m - offset)
-    table = np.empty((4, len(offset), max_len - min_len + 1))
-    for l, rows, dist_b, dist_u in _prefix_min_dissims(best, unc, source, offset, ends, min_len, best, unc):
-        table[:, rows, l - min_len] = _batch_best_splits(dist_b, dist_u, label_idx, class_totals, h_full)[:4]
+    # the longest prefix ``ends`` of a stem is non-increasing in its offset
+    offsets = np.arange(0, m - min_len + 1, config.candidate_stride)
+    ends = np.minimum(max_len, m - offsets)
+    table = np.empty((4, len(offsets), n, max_len - min_len + 1))
+    for l, o, s, dist_b, dist_u in _grid_min_dissims(best, unc, config.candidate_stride, ends, min_len, best, unc):
+        splits = _batch_best_splits(dist_b.reshape(-1, n), dist_u.reshape(-1, n), label_idx, class_totals, h_full)
+        table[:, o, s, l - min_len] = np.reshape(splits[:4], (4, *dist_b.shape[:2]))
 
-    stem, column = np.nonzero(np.arange(min_len, max_len + 1) <= ends[:, None])
-    quality, margin, thr_b, thr_u = table[:, stem, column]
-    length, source, offset = column + min_len, source[stem], offset[stem]
+    # stems offset-major, each with the lengths it reaches
+    stem, column = np.nonzero(np.arange(min_len, max_len + 1) <= np.repeat(ends, n)[:, None])
+    quality, margin, thr_b, thr_u = table.reshape(4, len(offsets) * n, -1)[:, stem, column]
+    length, source, offset = column + min_len, stem % n, offsets[stem // n]
 
     order = np.lexsort((offset, source, length, -margin, -quality))
     taken = np.zeros((n, m), dtype=bool)  # cells of each source inside a selected window
@@ -266,7 +330,9 @@ def shapelet_transform(
 
     Entry ``(i, j)`` is the minimum uncertain dissimilarity from
     ``shapelets[j].values`` to any equal-length window of instance ``i``;
-    rows follow the instance order and carry the instance labels.
+    rows follow the instance order and carry the instance labels.  The
+    shapelets of one length are the kernel's sources, each a single stem at
+    offset 0, and its tiles split the instances into cache-sized row blocks.
     """
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
@@ -276,19 +342,14 @@ def shapelet_transform(
     out_b = np.empty((n, k))
     out_u = np.empty((n, k))
 
-    rows = max(1, _KERNEL_CHUNK_ELEMS // m)  # instances are independent; a block of them fits the budget
     length = np.array([sh.length for sh in shapelets])
     for l in np.unique(length):
         cols = np.flatnonzero(length == l)
         cand_b = np.stack([shapelets[j].values.best for j in cols])
         cand_u = np.stack([shapelets[j].values.uncertainty for j in cols])
-        start = np.zeros(len(cols), dtype=np.int64)
-        for r0 in range(0, n, rows):
-            r = slice(r0, r0 + rows)
-            blocks = _prefix_min_dissims(cand_b, cand_u, np.arange(len(cols)), start, start + l, l, best[r], unc[r])
-            for _, c, dist_b, dist_u in blocks:
-                out_b[r, cols[c]] = dist_b.T
-                out_u[r, cols[c]] = dist_u.T
+        for _, _, s, dist_b, dist_u in _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, best, unc):
+            out_b[:, cols[s]] = dist_b[0].T
+            out_u[:, cols[s]] = dist_u[0].T
 
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 

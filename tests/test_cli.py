@@ -208,6 +208,19 @@ class TestStepComposition:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sh.json: malformed shapelet file" in err
 
+    @pytest.mark.parametrize("command", ["extract", "transform"])
+    def test_overflow_is_one_error_line(self, command, tmp_path, capsys):
+        data = write_tsv(tmp_path / "v.tsv", [("1", [1e200, -1e200, 1e200]), ("2", [-1e200, 1e200, -1e200])])
+        if command == "extract":
+            argv = ["extract", "--data", str(data), "--min-len", "2", "--out", str(tmp_path / "sh.json")]
+        else:
+            (tmp_path / "sh.json").write_text(json.dumps([SHAPELET_DOC]))
+            argv = ["transform", "--data", str(data), "--shapelets", str(tmp_path / "sh.json"),
+                    "--out", str(tmp_path / "f.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: dissimilarity overflowed to non-finite values\n"
+
     @pytest.mark.parametrize(
         "name, content",
         [("v.tsv", b"1\t0.5\n2\t\xff\n"), ("f.csv", b"label,f1,f2\nA,1,0\n\xff,1,0\n")],

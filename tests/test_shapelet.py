@@ -14,8 +14,11 @@ from ust import (
     ConfigurationError,
     DimensionMismatchError,
     ExtractionConfig,
+    NumericOverflowError,
     UncertainDataset,
     UncertainSeries,
+    UncertainShapelet,
+    UncertainValue,
     UncertainVector,
     entropy_from_counts,
     extract_shapelets,
@@ -23,7 +26,7 @@ from ust import (
     save_shapelets,
     shapelet_transform,
 )
-from ust.shapelet import _batch_best_splits, _prefix_min_dissims, shapelets_to_json
+from ust.shapelet import _batch_best_splits, _grid_min_dissims, shapelets_to_json
 
 
 def series(best, label="A", unc=None):
@@ -99,39 +102,37 @@ def extraction_cases(draw):
 def sliding_min(cand_b, cand_u, ser_b, ser_u):
     """Every candidate row against every series row at its full length: a (C, N) pair."""
     cand_b, cand_u = np.asarray(cand_b, dtype=float), np.asarray(cand_u, dtype=float)
-    c, l = cand_b.shape
-    ends = np.full(c, l)
+    l = cand_b.shape[1]
     blocks = list(
-        _prefix_min_dissims(
-            cand_b, cand_u, np.arange(c), np.zeros_like(ends), ends, l,
+        _grid_min_dissims(
+            cand_b, cand_u, 1, np.array([l]), l,
             np.asarray(ser_b, dtype=float), np.asarray(ser_u, dtype=float),
         )
     )
-    return np.concatenate([b for _, _, b, _ in blocks]), np.concatenate([u for *_, u in blocks])
+    return np.concatenate([b[0] for *_, b, _ in blocks]), np.concatenate([u[0] for *_, u in blocks])
 
 
 @st.composite
 def prefix_kernel_cases(draw):
-    """Sources, candidates with ragged non-increasing ends, series and a block budget."""
+    """Sources, a stride-spaced offset grid with non-increasing ends, series and both budgets."""
     if draw(st.booleans()):
         el, unc_el = st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.sampled_from([0.0, 0.5])
     else:
         el, unc_el = st.floats(-10, 10), st.floats(0, 1)
     n_src, width = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
-    min_len = draw(st.integers(1, min(width, m)))
+    min_len = draw(st.integers(1, min(width, m)) | st.just(min(width, m)))
+    stride = draw(st.integers(1, 3))
     arrays = [
         np.array(draw(st.lists(st.lists(e, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
         for e, rows, cols in ((el, n_src, width), (unc_el, n_src, width), (el, n, m), (unc_el, n, m))
     ]
-    cands = []
-    for _ in range(draw(st.integers(1, 6))):
-        start = draw(st.integers(0, width - min_len))
-        end = draw(st.integers(min_len, min(m, width - start)))
-        cands.append((end, draw(st.integers(0, n_src - 1)), start))
-    ends, row, start = np.array(sorted(cands, reverse=True)).T
+    ends = []
+    for k in range(draw(st.integers(1, (width - min_len) // stride + 1))):
+        ends.append(draw(st.integers(min_len, min([m, width - stride * k] + ends[-1:]))))
     budget = draw(st.sampled_from([1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS]))
-    return arrays, row, start, ends, min_len, budget
+    tile = draw(st.sampled_from([1, ust.shapelet._TILE_ELEMS]))
+    return arrays, stride, np.array(ends), min_len, budget, tile
 
 
 def window_min(cand_b, cand_u, ser_b, ser_u):
@@ -153,7 +154,7 @@ def row_split(pairs, labels):
 
 
 class TestSubsequenceDistance:
-    """The window minimum of ``_prefix_min_dissims`` against ``oracles.min_dissim``."""
+    """The window minimum of ``_grid_min_dissims`` against ``oracles.min_dissim``."""
 
     def test_self_match(self):
         assert window_min([1.0, 2.0, 3.0], [0.0] * 3, [1.0, 2.0, 3.0], [0.0] * 3) == (0.0, 0.0)
@@ -276,17 +277,24 @@ class TestBatchKernels:
     @given(prefix_kernel_cases())
     @settings(max_examples=80, deadline=None)
     def test_prefix_min_matches_oracle_property(self, case):
-        (src_b, src_u, ser_b, ser_u), row, start, ends, min_len, budget = case
+        (src_b, src_u, ser_b, ser_u), stride, ends, min_len, budget, tile = case
         seen = {}
-        with patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget):
-            for l, rows, min_b, min_u in _prefix_min_dissims(src_b, src_u, row, start, ends, min_len, ser_b, ser_u):
-                for c, b, u in zip(range(len(row))[rows], min_b, min_u):
-                    assert (c, l) not in seen
-                    seen[c, l] = b, u
-        assert set(seen) == {(c, l) for c in range(len(row)) for l in range(min_len, ends[c] + 1)}
-        for (c, l), (b, u) in seen.items():
-            window = slice(start[c], start[c] + l)
-            cand = src_b[row[c], window].tolist(), src_u[row[c], window].tolist()
+        with patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget), patch.object(ust.shapelet, "_TILE_ELEMS", tile):
+            for l, offsets, sources, min_b, min_u in _grid_min_dissims(
+                src_b, src_u, stride, ends, min_len, ser_b, ser_u
+            ):
+                offs, srcs = range(len(ends))[offsets], range(len(src_b))[sources]
+                assert min_b.shape == min_u.shape == (len(offs), len(srcs), len(ser_b))
+                for i, k in enumerate(offs):
+                    for j, s in enumerate(srcs):
+                        assert (k, s, l) not in seen
+                        seen[k, s, l] = min_b[i, j].tolist(), min_u[i, j].tolist()
+        assert set(seen) == {
+            (k, s, l) for k in range(len(ends)) for s in range(len(src_b)) for l in range(min_len, ends[k] + 1)
+        }
+        for (k, s, l), (b, u) in seen.items():
+            window = slice(stride * k, stride * k + l)
+            cand = src_b[s, window].tolist(), src_u[s, window].tolist()
             for r in range(len(ser_b)):
                 assert (b[r], u[r]) == oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
 
@@ -295,11 +303,13 @@ class TestBatchKernels:
         cfg = ExtractionConfig(min_len=2, k=12, candidate_stride=2)
         outputs = []
         for budget in (1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS):
-            monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
-            shapelets = extract_shapelets(d, cfg)
-            features = shapelet_transform(d, shapelets)
-            outputs.append((shapelets_to_json(shapelets), features.best.tobytes(), features.uncertainty.tobytes()))
-        assert outputs[0] == outputs[1] == outputs[2]
+            for tile in (1, 300, ust.shapelet._TILE_ELEMS):
+                monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+                monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
+                shapelets = extract_shapelets(d, cfg)
+                features = shapelet_transform(d, shapelets)
+                outputs.append((shapelets_to_json(shapelets), features.best.tobytes(), features.uncertainty.tobytes()))
+        assert all(out == outputs[0] for out in outputs)
 
     def test_batch_splits_match_scalar_best_split(self):
         rng = np.random.default_rng(13)
@@ -410,6 +420,11 @@ class TestExtraction:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_overflow_raises_without_a_warning(self):
+        d = UncertainDataset.from_arrays([[1e200, 0.0, 1.0], [-1e200, 1.0, 0.0]], [[0.0] * 3] * 2, ["A", "B"])
+        with pytest.raises(NumericOverflowError):
+            extract_shapelets(d, ExtractionConfig(min_len=2))
+
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
         d = random_dataset(rng, n=8, m=10)
@@ -487,6 +502,28 @@ class TestTransform:
         short = dataset([([0.0, 1.0], "A", None), ([1.0, 0.0], "B", None)])
         with pytest.raises(DimensionMismatchError):
             shapelet_transform(short, shapelets)
+
+    def test_memory_is_bounded_by_the_tile_budget(self, monkeypatch):
+        # tiles span a few hundred rows, so no term table covers every instance
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 200_000)
+        rng = np.random.default_rng(0)
+        d = UncertainDataset.from_arrays(rng.normal(0, 1, (4000, 60)), rng.uniform(0, 0.5, (4000, 60)), ["A"] * 4000)
+        shapelets = [
+            UncertainShapelet(UncertainVector(d.best[j, :l], d.uncertainty[j, :l]), j, 0, 0.0, UncertainValue(0.0, 0.0))
+            for j, l in enumerate([12, 12, 12, 20, 20, 20, 5, 5])
+        ]
+        tracemalloc.start()
+        try:
+            shapelet_transform(d, shapelets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_overflow_raises_without_a_warning(self):
+        shapelet = UncertainShapelet(UncertainVector([1e200, 0.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0, 0.0))
+        with pytest.raises(NumericOverflowError):
+            shapelet_transform(planted_motif_dataset(), [shapelet])
 
     def test_rejects_empty_shapelet_list(self):
         with pytest.raises(ValueError):
