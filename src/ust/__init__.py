@@ -12,7 +12,6 @@ from .classify import (
     DecisionTreeModel,
     EncodedMatrix,
     GaussianEncodingStats,
-    PipelineModel,
     TreeParams,
     encode_best,
     encode_flatten,
@@ -93,7 +92,6 @@ __all__ = [
     "GaussianEncodingStats",
     "TreeParams",
     "DecisionTreeModel",
-    "PipelineModel",
     "encode_flatten",
     "encode_best",
     "encode_gaussian",

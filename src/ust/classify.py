@@ -24,6 +24,10 @@ index, threshold) first-best.  Each node stably sorts every feature once and
 scores all cuts with the gain sweep that also ranks shapelet candidates
 (``_split_gains``), so tree gains equal the scalar ``entropy_from_counts``
 expression bit for bit.  Everything is deterministic.
+
+The model ``tree_fit`` returns carries the encoding and gaussian stats of its
+training matrix; it is what ``save_model`` writes and ``load_model`` returns,
+and ``tree_predict`` refuses features whose encoding or stats differ.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ __all__ = [
     "TreeParams",
     "TreeNode",
     "DecisionTreeModel",
-    "PipelineModel",
     "encode_flatten",
     "encode_best",
     "fit_gaussian_stats",
@@ -246,10 +249,14 @@ class TreeNode:
 
 @dataclass
 class DecisionTreeModel:
+    """A fitted tree plus the encoding (and gaussian stats) of the features it was fitted on."""
+
     root: TreeNode
     params: TreeParams
     n_features: int
     classes: tuple[str, ...]
+    encoding: str
+    stats: GaussianEncodingStats | None
 
 
 def _best_node_split(
@@ -331,11 +338,13 @@ def tree_fit(e: EncodedMatrix, params: TreeParams = TreeParams()) -> DecisionTre
     class_to_idx = {c: i for i, c in enumerate(classes)}
     label_idx = np.array([class_to_idx[lab] for lab in e.labels], dtype=np.int64)
     root = _grow(features, label_idx, classes, params)
-    return DecisionTreeModel(root, params, features.shape[1], classes)
+    return DecisionTreeModel(root, params, features.shape[1], classes, e.encoding, e.stats)
 
 
 def tree_predict(model: DecisionTreeModel, e: EncodedMatrix) -> list[str]:
-    """Route each row to a leaf; returns one label per row."""
+    """Route each row, encoded as the training matrix was, to a leaf; one label per row."""
+    if (e.encoding, e.stats) != (model.encoding, model.stats):
+        raise ValueError(f"features are {e.encoding}-encoded, model expects {model.encoding} with its own stats")
     features = np.asarray(e.features, dtype=np.float64)
     if features.shape[0] == 0:
         return []
@@ -368,15 +377,6 @@ def evaluate(predictions: Sequence[str], truth: Sequence[str]) -> float:
 # serialization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PipelineModel:
-    """A fitted classifier plus the encoding needed to reproduce its inputs."""
-
-    encoding: str
-    stats: GaussianEncodingStats | None
-    tree: DecisionTreeModel
-
-
 def _node_to_json(node: TreeNode) -> dict:
     if node.is_leaf:
         return {"leaf": node.label, "distribution": node.distribution}
@@ -405,7 +405,7 @@ def _node_from_json(obj: dict, n_features: int, classes: tuple[str, ...]) -> Tre
     )
 
 
-def model_to_json(model: PipelineModel) -> str:
+def model_to_json(model: DecisionTreeModel) -> str:
     doc = {
         "encoding": model.encoding,
         "gaussian_stats": (
@@ -413,18 +413,18 @@ def model_to_json(model: PipelineModel) -> str:
             if model.stats is None
             else {"min": list(model.stats.minimum), "max": list(model.stats.maximum)}
         ),
-        "n_features": model.tree.n_features,
-        "classes": list(model.tree.classes),
+        "n_features": model.n_features,
+        "classes": list(model.classes),
         "params": {
-            "max_depth": model.tree.params.max_depth,
-            "min_samples_leaf": model.tree.params.min_samples_leaf,
+            "max_depth": model.params.max_depth,
+            "min_samples_leaf": model.params.min_samples_leaf,
         },
-        "tree": _node_to_json(model.tree.root),
+        "tree": _node_to_json(model.root),
     }
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def save_model(model: PipelineModel, path: str | Path) -> None:
+def save_model(model: DecisionTreeModel, path: str | Path) -> None:
     try:
         text = model_to_json(model)
     except RecursionError:  # tree_fit has no depth limit, but JSON encoding recurses per level
@@ -433,7 +433,7 @@ def save_model(model: PipelineModel, path: str | Path) -> None:
         fh.write(text + "\n")
 
 
-def load_model(path: str | Path) -> PipelineModel:
+def load_model(path: str | Path) -> DecisionTreeModel:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         encoding = doc["encoding"]
@@ -460,9 +460,7 @@ def load_model(path: str | Path) -> PipelineModel:
             None if max_depth is None else _json_int(max_depth, "params.max_depth", 0),
             _json_int(doc["params"]["min_samples_leaf"], "params.min_samples_leaf", 1),
         )
-        tree = DecisionTreeModel(
-            _node_from_json(doc["tree"], n_features, classes), params, n_features, classes
-        )
-        return PipelineModel(encoding, stats, tree)
+        root = _node_from_json(doc["tree"], n_features, classes)
+        return DecisionTreeModel(root, params, n_features, classes, encoding, stats)
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from None

@@ -22,8 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .classify import (
+    DecisionTreeModel,
     EncodedMatrix,
-    PipelineModel,
     TreeParams,
     encode_best,
     encode_flatten,
@@ -90,7 +90,7 @@ class PipelineResult:
     predictions: list[str]
     accuracy: float
     shapelet_count: int
-    model: PipelineModel
+    model: DecisionTreeModel
     extract_s: float
     transform_s: float
     fit_s: float
@@ -132,13 +132,12 @@ def run_pipeline(
     f_test = shapelet_transform(test, shapelets)
     t2 = time.perf_counter()
     e_train, e_test = _encode_for_mode(config.mode, f_train, f_test)
-    tree = tree_fit(e_train, config.tree)
+    model = tree_fit(e_train, config.tree)
     t3 = time.perf_counter()
-    predictions = tree_predict(tree, e_test)
+    predictions = tree_predict(model, e_test)
     t4 = time.perf_counter()
 
     accuracy = evaluate(predictions, test.labels)
-    model = PipelineModel(e_train.encoding, e_train.stats, tree)
     return PipelineResult(
         predictions=predictions,
         accuracy=accuracy,
@@ -203,11 +202,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
             stacklevel=1,
         )
     e_train, e_test = _encode_for_mode(args.mode, train, test)
-    tree = tree_fit(e_train, _tree_from_args(args))
-    predictions = tree_predict(tree, e_test)
+    model = tree_fit(e_train, _tree_from_args(args))
+    predictions = tree_predict(model, e_test)
     accuracy = evaluate(predictions, test.labels)
     if args.model_out:
-        save_model(PipelineModel(e_train.encoding, e_train.stats, tree), args.model_out)
+        save_model(model, args.model_out)
     if args.predictions_out:
         with open(args.predictions_out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(predictions) + "\n")
@@ -429,11 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")  # shown once per message, whatever the caller's filters
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ValueError, OSError, ArithmeticError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -109,11 +109,6 @@ class UncertainVector:
         raise AttributeError("UncertainVector is immutable")
 
     @classmethod
-    def from_values(cls, values: Iterable[UncertainValue]) -> "UncertainVector":
-        vals = list(values)
-        return cls([v.best for v in vals], [v.uncertainty for v in vals])
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> "UncertainVector":
         pairs = list(pairs)
         return cls([p[0] for p in pairs], [p[1] for p in pairs])

@@ -14,7 +14,6 @@ from ust import (
     DimensionMismatchError,
     EncodedMatrix,
     GaussianEncodingStats,
-    PipelineModel,
     TreeParams,
     UncertainDataset,
     encode_best,
@@ -152,9 +151,7 @@ class TestTreeFit:
         e = EncodedMatrix(rng.normal(size=(30, 4)), [str(i % 3) for i in range(30)], "best")
         a = tree_fit(e)
         b = tree_fit(e)
-        assert model_to_json(PipelineModel("best", None, a)) == model_to_json(
-            PipelineModel("best", None, b)
-        )
+        assert model_to_json(a) == model_to_json(b)
 
     def test_full_depth_memorizes_clean_data(self):
         rng = np.random.default_rng(3)
@@ -224,7 +221,7 @@ class TestTreeOracle:
         rows, labels, max_depth, min_samples_leaf = case
         e = EncodedMatrix(np.array(rows), labels, "best")
         model = tree_fit(e, TreeParams(max_depth, min_samples_leaf))
-        doc = json.loads(model_to_json(PipelineModel("best", None, model)))
+        doc = json.loads(model_to_json(model))
         assert doc["tree"] == oracles.grow_tree(rows, labels, max_depth, min_samples_leaf)
 
     def test_adjacent_float_cut_separates(self):
@@ -267,9 +264,18 @@ class TestTreePredict:
                 right=TreeNode(label="C", distribution={"C": 1}),
             ),
         )
-        model = DecisionTreeModel(root, TreeParams(), 2, ("A", "B", "C"))
+        model = DecisionTreeModel(root, TreeParams(), 2, ("A", "B", "C"), "best", None)
         e = EncodedMatrix(np.array([[0.0, 9.0], [1.0, 1.0], [1.0, 5.0]]), None, "best")
         assert tree_predict(model, e) == ["A", "B", "C"]
+
+    def test_rejects_features_of_another_encoding(self):
+        rng = np.random.default_rng(4)
+        f = matrix(rng.normal(size=(20, 2)), rng.uniform(size=(20, 2)), [str(i % 2) for i in range(20)])
+        model = tree_fit(encode_gaussian(f, fit_gaussian_stats(f)))
+        best = encode_best(f)
+        assert best.features.shape[1] == model.n_features
+        with pytest.raises(ValueError, match="best-encoded, model expects gaussian"):
+            tree_predict(model, best)
 
     def test_dimension_mismatch(self):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
@@ -295,23 +301,28 @@ class TestEvaluate:
 
 
 class TestModelSerialization:
-    def test_round_trip_predictions(self, tmp_path):
+    @pytest.mark.parametrize(
+        "encode",
+        [encode_best, encode_flatten, lambda f: encode_gaussian(f, fit_gaussian_stats(f))],
+        ids=["best", "flatten", "gaussian"],
+    )
+    def test_round_trip_predictions(self, encode, tmp_path):
         rng = np.random.default_rng(4)
         f = matrix(rng.normal(size=(20, 2)), rng.uniform(size=(20, 2)), [str(i % 2) for i in range(20)])
-        stats = fit_gaussian_stats(f)
-        e = encode_gaussian(f, stats)
-        tree = tree_fit(e)
-        model = PipelineModel("gaussian", stats, tree)
+        e = encode(f)
+        model = tree_fit(e)
+        assert (model.encoding, model.stats) == (e.encoding, e.stats)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.encoding == "gaussian"
-        assert loaded.stats == stats
-        assert tree_predict(loaded.tree, e) == tree_predict(tree, e)
+        assert loaded == model
+        save_model(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        assert tree_predict(loaded, e) == tree_predict(model, e)
 
     def test_schema_keys(self, tmp_path):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
-        model = PipelineModel("best", None, tree_fit(e))
+        model = tree_fit(e)
         path = tmp_path / "model.json"
         save_model(model, path)
         doc = json.loads(path.read_text())
@@ -324,7 +335,7 @@ class TestModelSerialization:
     def test_missing_tree_is_malformed(self, tmp_path):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
         path = tmp_path / "model.json"
-        save_model(PipelineModel("best", None, tree_fit(e)), path)
+        save_model(tree_fit(e), path)
         doc = json.loads(path.read_text())
         del doc["tree"]
         path.write_text(json.dumps(doc))
@@ -361,7 +372,7 @@ class TestModelSerialization:
     def test_malformed_value_names_file(self, edit, tmp_path):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
         path = tmp_path / "model.json"
-        save_model(PipelineModel("best", None, tree_fit(e)), path)
+        save_model(tree_fit(e), path)
         path.write_text(edit(path.read_text()))
         with pytest.raises(ValueError, match=r"model\.json: malformed model file: "):
             load_model(path)
@@ -381,7 +392,7 @@ class TestModelSerialization:
         f = matrix(rng.normal(size=(20, 2)), rng.uniform(size=(20, 2)), [str(i % 2) for i in range(20)])
         fitted = fit_gaussian_stats(f)
         path = tmp_path / "model.json"
-        save_model(PipelineModel("gaussian", fitted, tree_fit(encode_gaussian(f, fitted))), path)
+        save_model(tree_fit(encode_gaussian(f, fitted)), path)
         doc = json.loads(path.read_text())
         doc["gaussian_stats"] = stats
         path.write_text(json.dumps(doc))

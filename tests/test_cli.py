@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ust import (
     load_dataset,
     load_shapelets,
 )
+import ust.cli
 from ust.cli import MODES, RunConfig, main, run_pipeline
 
 
@@ -85,18 +88,20 @@ class TestAddNoise:
         assert rc != 0
         assert "nope.tsv" in capsys.readouterr().err
 
-    def test_constant_dataset_warns_and_outputs_zero_uncertainty(self, tmp_path):
+    def test_constant_dataset_warns_and_outputs_zero_uncertainty(self, tmp_path, capsys):
         train = write_tsv(tmp_path / "c.tsv", [("1", [2.0, 2.0]), ("2", [2.0, 2.0])])
-        with pytest.warns(RuntimeWarning, match="standard deviation is 0"):
-            rc = main(
-                [
-                    "add-noise",
-                    "--input", str(train),
-                    "--out-values", str(tmp_path / "v.tsv"),
-                    "--out-uncertainties", str(tmp_path / "u.tsv"),
-                ]
-            )
+        rc = main(
+            [
+                "add-noise",
+                "--input", str(train),
+                "--out-values", str(tmp_path / "v.tsv"),
+                "--out-uncertainties", str(tmp_path / "u.tsv"),
+            ]
+        )
         assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: dataset standard deviation is 0: no noise injected, output equals input\n"
+        )
         out = load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv")
         assert out == load_dataset(train)
 
@@ -258,15 +263,16 @@ class TestStepComposition:
             "--out", str(tmp_path / "f.csv"),
         ]) == 0
         capsys.readouterr()
-        with pytest.warns(RuntimeWarning, match="mode st ignores uncertainties"):
-            rc = main([
-                "classify",
-                "--train-features", str(tmp_path / "f.csv"),
-                "--test-features", str(tmp_path / "f.csv"),
-                "--mode", "st",
-            ])
+        rc = main([
+            "classify",
+            "--train-features", str(tmp_path / "f.csv"),
+            "--test-features", str(tmp_path / "f.csv"),
+            "--mode", "st",
+        ])
         assert rc == 0
-        assert "accuracy" in capsys.readouterr().out
+        out, err = capsys.readouterr()
+        assert "accuracy" in out
+        assert err == "warning: mode st ignores uncertainties: best estimates used, deltas dropped\n"
 
     def test_extract_reports_shapelet_file(self, tiny_dataset, tmp_path, capsys):
         train_path, _ = tiny_dataset
@@ -469,3 +475,15 @@ class TestBenchmark:
         printed = capsys.readouterr().out
         step_acc = float(printed.split("accuracy")[1].split()[0])
         assert step_acc == benchmark_acc
+
+
+def test_perfbench_traced_names_exist_in_cli(monkeypatch):
+    # perfbench's tracer rebinds these ust.cli names and skips, with only a
+    # stderr notice, any the module lacks; load_model has no CLI caller yet
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))  # tracing imports its sibling counters
+    spec = importlib.util.spec_from_file_location("tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [name for name in tracing.LAYERS if name != "load_model" and not hasattr(ust.cli, name)]
+    assert missing == []
