@@ -48,6 +48,7 @@ from .series import (
 )
 from .shapelet import (
     ExtractionConfig,
+    _concurrent_tasks,
     extract_shapelets,
     load_shapelets,
     save_shapelets,
@@ -333,7 +334,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
             return BenchmarkRow(name, mode, args.seed, error=f"{type(exc).__name__}: {exc}")
         return BenchmarkRow(name, mode, args.seed, result)
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    # each task's kernel takes its share of the CPUs, so the pools together do not oversubscribe them
+    with ThreadPoolExecutor(args.jobs, initializer=_concurrent_tasks.set, initargs=(args.jobs,)) as pool:
         rows = list(pool.map(run_one, tasks))
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

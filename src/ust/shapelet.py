@@ -18,14 +18,27 @@ fill a staging block of stems, which is scored at every length it reaches.
 Split gains come from the sweep shared with the decision tree, which ranks
 every cut approximately and rescores the cuts that can be a row's maximum with
 the scalar expression of :func:`ust.classify.entropy_from_counts`.
+
+Extraction and the transform run on one worker thread per CPU in this
+process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
+--jobs J`` each task's call gets ``1/J`` of them, at least one.  The kernel's
+independent axis is split into fixed contiguous slices, one per worker:
+extraction gives each worker a slice of sources, which it stages, scores and
+writes into its own cells of the candidate table, and the transform gives each
+a slice of series rows.  No entry depends on the slicing, so the worker count
+never changes an output byte.  One worker, or one unit of work, runs inline on
+the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,11 +115,44 @@ class ExtractionConfig:
 
 _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells per block
 _TILE_ELEMS = 300_000  # term and accumulator cells of one tile; the fastest measured of 100 K to 600 K
+_CPUS: int | None = None  # CPUs the kernel's workers use; None reads this process's affinity mask per call
+# pipeline runs sharing those CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
+_concurrent_tasks: contextvars.ContextVar[int] = contextvars.ContextVar("_concurrent_tasks", default=1)
+
+
+def _worker_count() -> int:
+    """Kernel threads for one call: the process's CPUs divided among its concurrent tasks."""
+    cpus = _CPUS
+    if cpus is None:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+    return max(1, cpus // _concurrent_tasks.get())
+
+
+def _in_slices(count: int, work: Callable[[slice, int], None]) -> None:
+    """Call ``work(part, workers)`` on fixed contiguous slices of ``range(count)``, one per worker.
+
+    ``workers`` is :func:`_worker_count` capped at ``count``.  One worker runs
+    inline on the calling thread; more run on one thread pool that is shut
+    down before this returns.  A worker's exception is raised here unchanged,
+    the first in slice order.
+    """
+    workers = min(_worker_count(), count)
+    if workers <= 1:
+        work(slice(0, count), 1)
+        return
+    bounds = [count * i // workers for i in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work, slice(a, b), workers) for a, b in zip(bounds, bounds[1:])]
+        for future in futures:
+            future.result()
 
 
 def _grid_min_dissims(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
-    series_b: np.ndarray, series_u: np.ndarray,
+    series_b: np.ndarray, series_u: np.ndarray, workers: int = 1,
 ) -> Iterator[tuple[int, slice, slice, np.ndarray, np.ndarray]]:
     """Yield ``(l, offsets, sources, min_b, min_u)`` for every stem prefix length ``l``.
 
@@ -118,9 +164,11 @@ def _grid_min_dissims(
     series under the uncertain order.
 
     Stems are staged in blocks of offsets by sources of at most
-    ``_KERNEL_CHUNK_ELEMS // (n * (m - min_len + 1))`` stems, or one, so that
-    a block's minima at every length, and their split sweep at one length,
-    stay within the budget.  A block is filled tile by tile.  A tile of
+    ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len + 1))`` stems, or
+    one, so that a block's minima at every length, and their split sweep at
+    one length, stay within the budget when ``workers`` calls run at once on
+    disjoint slices of the sources or series rows.  Each call is serial and
+    keeps its own tile scratch.  A block is filled tile by tile.  A tile of
     sources by series rows builds its term tables ``(x_src[p] - x_ser[q])**2``
     and ``|x_src[p] - x_ser[q]| * (u_src[p] + u_ser[q])`` once; each window
     accumulator then grows by one term per length, index-ascending exactly
@@ -132,7 +180,7 @@ def _grid_min_dissims(
     if ends[0] > m:
         raise DimensionMismatchError(f"window length {ends[0]} exceeds series length {m}")
     w0 = m - min_len + 1
-    stems = max(1, _KERNEL_CHUNK_ELEMS // (n * w0))
+    stems = max(1, _KERNEL_CHUNK_ELEMS // (workers * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
     for k0 in range(0, len(ends), stage_offsets):
@@ -254,12 +302,15 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     block of stems per length, and one split sweep per yield scores it into a
     ``(4, offsets, sources, lengths)`` table of ``quality``, ``margin``,
     ``thr_b`` and ``thr_u``, flattened offset-major over the cells that fit.
-    Tiles and staging blocks are bounded by ``_TILE_ELEMS`` and
-    ``_KERNEL_CHUNK_ELEMS``.  The output follows the selection key, not the
-    table order: quality descending, ties broken by larger split margin,
-    shorter length, then smaller (source, offset).  A candidate overlapping
-    an already-selected candidate from the same source series is pruned.
-    Output is deterministic and independent of any parallel scheduling.
+    Each worker takes a contiguous slice of the sources, runs the kernel and
+    the split sweeps on it, and writes that slice's cells of the table.
+    Tiles are bounded by ``_TILE_ELEMS`` per worker and staging blocks by
+    ``_KERNEL_CHUNK_ELEMS`` over all workers.  The output follows the
+    selection key, not the table order: quality descending, ties broken by
+    larger split margin, shorter length, then smaller (source, offset).  A
+    candidate overlapping an already-selected candidate from the same source
+    series is pruned.
+    Output is deterministic and independent of the worker count.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -287,9 +338,16 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     offsets = np.arange(0, m - min_len + 1, config.candidate_stride)
     ends = np.minimum(max_len, m - offsets)
     table = np.empty((4, len(offsets), n, max_len - min_len + 1))
-    for l, o, s, dist_b, dist_u in _grid_min_dissims(best, unc, config.candidate_stride, ends, min_len, best, unc):
-        splits = _batch_best_splits(dist_b.reshape(-1, n), dist_u.reshape(-1, n), label_idx, class_totals, h_full)
-        table[:, o, s, l - min_len] = np.reshape(splits[:4], (4, *dist_b.shape[:2]))
+
+    def score(part: slice, workers: int) -> None:
+        for l, o, s, dist_b, dist_u in _grid_min_dissims(
+            best[part], unc[part], config.candidate_stride, ends, min_len, best, unc, workers
+        ):
+            splits = _batch_best_splits(dist_b.reshape(-1, n), dist_u.reshape(-1, n), label_idx, class_totals, h_full)
+            cells = slice(part.start + s.start, part.start + s.stop)
+            table[:, o, cells, l - min_len] = np.reshape(splits[:4], (4, *dist_b.shape[:2]))
+
+    _in_slices(n, score)
 
     # stems offset-major, each with the lengths it reaches
     stem, column = np.nonzero(np.arange(min_len, max_len + 1) <= np.repeat(ends, n)[:, None])
@@ -332,7 +390,9 @@ def shapelet_transform(
     ``shapelets[j].values`` to any equal-length window of instance ``i``;
     rows follow the instance order and carry the instance labels.  The
     shapelets of one length are the kernel's sources, each a single stem at
-    offset 0, and its tiles split the instances into cache-sized row blocks.
+    offset 0.  Each worker takes a contiguous slice of the instances and
+    writes their rows at every length; the kernel's tiles split that slice
+    into cache-sized row blocks.
     """
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
@@ -343,14 +403,22 @@ def shapelet_transform(
     out_u = np.empty((n, k))
 
     length = np.array([sh.length for sh in shapelets])
+    groups = []
     for l in np.unique(length):
         cols = np.flatnonzero(length == l)
         cand_b = np.stack([shapelets[j].values.best for j in cols])
         cand_u = np.stack([shapelets[j].values.uncertainty for j in cols])
-        for _, _, s, dist_b, dist_u in _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, best, unc):
-            out_b[:, cols[s]] = dist_b[0].T
-            out_u[:, cols[s]] = dist_u[0].T
+        groups.append((l, cols, cand_b, cand_u))
 
+    def fill(part: slice, workers: int) -> None:
+        for l, cols, cand_b, cand_u in groups:
+            for _, _, s, dist_b, dist_u in _grid_min_dissims(
+                cand_b, cand_u, 1, np.array([l]), l, best[part], unc[part], workers
+            ):
+                out_b[part, cols[s]] = dist_b[0].T
+                out_u[part, cols[s]] = dist_u[0].T
+
+    _in_slices(n, fill)
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 
 

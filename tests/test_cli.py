@@ -17,6 +17,7 @@ from ust import (
     load_shapelets,
 )
 import ust.cli
+import ust.shapelet
 from ust.cli import MODES, RunConfig, main, run_pipeline
 
 
@@ -214,7 +215,8 @@ class TestStepComposition:
         assert "sh.json: malformed shapelet file" in err
 
     @pytest.mark.parametrize("command", ["extract", "transform"])
-    def test_overflow_is_one_error_line(self, command, tmp_path, capsys):
+    def test_overflow_is_one_error_line(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)  # the error is raised on a kernel worker thread
         data = write_tsv(tmp_path / "v.tsv", [("1", [1e200, -1e200, 1e200]), ("2", [-1e200, 1e200, -1e200])])
         if command == "extract":
             argv = ["extract", "--data", str(data), "--min-len", "2", "--out", str(tmp_path / "sh.json")]
@@ -357,6 +359,25 @@ class TestBenchmark:
         assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1.csv")]) == 0
         assert main(base + ["--jobs", "4", "--out", str(tmp_path / "j4.csv")]) == 0
         assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j4.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs, workers", [("2", {1}), ("1", {2})])
+    def test_kernel_workers_share_the_jobs_budget(self, jobs, workers, tmp_path, monkeypatch):
+        # on 2 CPUs, two concurrent tasks get one kernel worker each and a lone task gets both
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
+        kernel = ust.shapelet._grid_min_dissims
+        seen = set()
+
+        def spy(*args):
+            seen.add(args[7])  # the number of workers running the kernel at once
+            return kernel(*args)
+
+        monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy)
+        root = make_benchmark_dir(tmp_path)
+        assert main([
+            "benchmark", "--data-dir", str(root), "--k", "2", "--min-len", "3", "--max-len", "5",
+            "--jobs", jobs, "--no-timings", "--out", str(tmp_path / "r.csv"),
+        ]) == 0
+        assert seen == workers
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_rejects_jobs_below_one(self, jobs, tmp_path, capsys):

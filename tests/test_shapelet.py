@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from unittest.mock import patch
 
@@ -278,38 +280,88 @@ class TestBatchKernels:
     @settings(max_examples=80, deadline=None)
     def test_prefix_min_matches_oracle_property(self, case):
         (src_b, src_u, ser_b, ser_u), stride, ends, min_len, budget, tile = case
-        seen = {}
-        with patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget), patch.object(ust.shapelet, "_TILE_ELEMS", tile):
-            for l, offsets, sources, min_b, min_u in _grid_min_dissims(
-                src_b, src_u, stride, ends, min_len, ser_b, ser_u
+        for workers in (1, 2):
+            seen = {}
+            lock = threading.Lock()
+
+            def collect(part, share):
+                # one worker's kernel call over its slice of the sources, keyed by global source
+                for l, offsets, sources, min_b, min_u in _grid_min_dissims(
+                    src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u, share
+                ):
+                    offs, srcs = range(len(ends))[offsets], range(len(src_b))[part][sources]
+                    assert min_b.shape == min_u.shape == (len(offs), len(srcs), len(ser_b))
+                    with lock:
+                        for i, k in enumerate(offs):
+                            for j, s in enumerate(srcs):
+                                assert (k, s, l) not in seen
+                                seen[k, s, l] = min_b[i, j].tolist(), min_u[i, j].tolist()
+
+            with (
+                patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget),
+                patch.object(ust.shapelet, "_TILE_ELEMS", tile),
+                patch.object(ust.shapelet, "_CPUS", workers),
             ):
-                offs, srcs = range(len(ends))[offsets], range(len(src_b))[sources]
-                assert min_b.shape == min_u.shape == (len(offs), len(srcs), len(ser_b))
-                for i, k in enumerate(offs):
-                    for j, s in enumerate(srcs):
-                        assert (k, s, l) not in seen
-                        seen[k, s, l] = min_b[i, j].tolist(), min_u[i, j].tolist()
-        assert set(seen) == {
-            (k, s, l) for k in range(len(ends)) for s in range(len(src_b)) for l in range(min_len, ends[k] + 1)
-        }
-        for (k, s, l), (b, u) in seen.items():
-            window = slice(stride * k, stride * k + l)
-            cand = src_b[s, window].tolist(), src_u[s, window].tolist()
-            for r in range(len(ser_b)):
-                assert (b[r], u[r]) == oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
+                ust.shapelet._in_slices(len(src_b), collect)
+            assert set(seen) == {
+                (k, s, l) for k in range(len(ends)) for s in range(len(src_b)) for l in range(min_len, ends[k] + 1)
+            }
+            for (k, s, l), (b, u) in seen.items():
+                window = slice(stride * k, stride * k + l)
+                cand = src_b[s, window].tolist(), src_u[s, window].tolist()
+                for r in range(len(ser_b)):
+                    assert (b[r], u[r]) == oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
 
     def test_blocking_keeps_extraction_and_transform_bytes(self, monkeypatch):
         d = random_dataset(np.random.default_rng(4), n=7, m=11, integer_grid=True)
         cfg = ExtractionConfig(min_len=2, k=12, candidate_stride=2)
-        outputs = []
+        outputs = {}
         for budget in (1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS):
             for tile in (1, 300, ust.shapelet._TILE_ELEMS):
-                monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
-                monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
+                for workers in (1, 2, 3):  # 3 workers slice the 7 sources and rows unevenly
+                    monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+                    monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
+                    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+                    shapelets = extract_shapelets(d, cfg)
+                    features = shapelet_transform(d, shapelets)
+                    outputs[budget, tile, workers] = (
+                        shapelets_to_json(shapelets), features.best.tobytes(), features.uncertainty.tobytes()
+                    )
+        first = outputs[1, 1, 1]
+        assert [key for key, out in outputs.items() if out != first] == []
+
+    def test_more_workers_than_cores_under_fast_switching_keep_bytes(self, monkeypatch):
+        # one-cell tiles and a 1 us switch interval hand the GIL between workers at every numpy call,
+        # so a worker writing outside its own slice of the shared table or output would show
+        d = random_dataset(np.random.default_rng(5), n=9, m=12, integer_grid=True)
+        cfg = ExtractionConfig(min_len=2, k=10)
+        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)
+        outputs = []
+        for workers in (1, 5):
+            monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
                 shapelets = extract_shapelets(d, cfg)
                 features = shapelet_transform(d, shapelets)
-                outputs.append((shapelets_to_json(shapelets), features.best.tobytes(), features.uncertainty.tobytes()))
-        assert all(out == outputs[0] for out in outputs)
+            finally:
+                sys.setswitchinterval(interval)
+            outputs.append((shapelets_to_json(shapelets), features.best.tobytes(), features.uncertainty.tobytes()))
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_threads_end_with_the_call(self, workers, monkeypatch):
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        d = random_dataset(np.random.default_rng(4), n=7, m=11)
+        before = threading.active_count()
+        shapelets = extract_shapelets(d, ExtractionConfig(min_len=2, k=4))
+        assert threading.active_count() == before
+        shapelet_transform(d, shapelets)
+        assert threading.active_count() == before
+        overflow = UncertainDataset.from_arrays([[1e200, 0.0], [-1e200, 1.0]], [[0.0] * 2] * 2, ["A", "B"])
+        with pytest.raises(NumericOverflowError):
+            extract_shapelets(overflow, ExtractionConfig(min_len=2))
+        assert threading.active_count() == before
 
     def test_batch_splits_match_scalar_best_split(self):
         rng = np.random.default_rng(13)
@@ -403,11 +455,16 @@ class TestExtraction:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_property(self, case):
-        assert_matches_oracle(*case)
+        for workers in (1, 2):
+            with patch.object(ust.shapelet, "_CPUS", workers):
+                assert_matches_oracle(*case)
 
-    def test_extraction_memory_is_bounded_by_the_block_budget(self, monkeypatch):
-        # scoring one block of candidates at a time keeps no (candidates, n) matrix of a whole length
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_extraction_memory_is_bounded_by_the_block_budget(self, workers, monkeypatch):
+        # scoring one block of candidates at a time keeps no (candidates, n) matrix of a whole
+        # length; the workers share the block budget and each holds its own tile scratch
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 200_000)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
         rng = np.random.default_rng(0)
         d = UncertainDataset.from_arrays(
             rng.normal(0, 1, (200, 20)), rng.uniform(0, 0.5, (200, 20)), ["A"] * 100 + ["B"] * 100
@@ -503,9 +560,11 @@ class TestTransform:
         with pytest.raises(DimensionMismatchError):
             shapelet_transform(short, shapelets)
 
-    def test_memory_is_bounded_by_the_tile_budget(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_is_bounded_by_the_tile_budget(self, workers, monkeypatch):
         # tiles span a few hundred rows, so no term table covers every instance
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 200_000)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
         rng = np.random.default_rng(0)
         d = UncertainDataset.from_arrays(rng.normal(0, 1, (4000, 60)), rng.uniform(0, 0.5, (4000, 60)), ["A"] * 4000)
         shapelets = [
