@@ -17,7 +17,10 @@ folds them, from a shifted view of that table.  The tiles' per-length minima
 fill a staging block of stems, which is scored at every length it reaches.
 Split gains come from the sweep shared with the decision tree, which ranks
 every cut approximately and rescores the cuts that can be a row's maximum with
-the scalar expression of :func:`ust.classify.entropy_from_counts`.
+the scalar expression of :func:`ust.classify.entropy_from_counts`.  On certain
+data (the ``st`` view, or no uncertainty file) the kernel sums only
+``(a - b)**2``, which has the bits of ``|a - b|**2``, and leaves every
+uncertainty minimum at the ``+0.0`` the full path gives there.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -25,9 +28,9 @@ process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
 independent axis is split into fixed contiguous slices, one per worker:
 extraction gives each worker a slice of sources, which it stages, scores and
 writes into its own cells of the candidate table, and the transform gives each
-a slice of series rows.  No entry depends on the slicing, so the worker count
-never changes an output byte.  One worker, or one unit of work, runs inline on
-the calling thread.
+a slice of series rows, but no worker less than one tile of work.  No entry
+depends on the slicing, so the worker count never changes an output byte.  One
+worker, or one unit of work, runs inline on the calling thread.
 """
 
 from __future__ import annotations
@@ -131,21 +134,25 @@ def _worker_count() -> int:
     return max(1, cpus // _concurrent_tasks.get())
 
 
-def _in_slices(count: int, work: Callable[[slice, int], None]) -> None:
-    """Call ``work(part, workers)`` on fixed contiguous slices of ``range(count)``, one per worker.
+def _in_slices(count: int, work: Callable[[slice, int], None], tiles: int | None = None) -> None:
+    """Call ``work(part, share)`` on fixed contiguous slices of ``range(count)``, one per worker.
 
-    ``workers`` is :func:`_worker_count` capped at ``count``.  One worker runs
-    inline on the calling thread; more run on one thread pool that is shut
-    down before this returns.  A worker's exception is raised here unchanged,
-    the first in slice order.
+    ``share`` is :func:`_worker_count`, the most kernel calls this task runs
+    at once.  Workers are ``share`` capped at ``count`` and, when the caller
+    gives the ``tiles`` of ``_TILE_ELEMS`` cells its work spans, at that many,
+    so that no worker gets less than one tile.  One worker runs inline on the
+    calling thread; more run on one thread pool that is shut down before this
+    returns.  A worker's exception is raised here unchanged, the first in
+    slice order.
     """
-    workers = min(_worker_count(), count)
+    share = _worker_count()
+    workers = min(share, count, count if tiles is None else tiles)
     if workers <= 1:
-        work(slice(0, count), 1)
+        work(slice(0, count), share)
         return
     bounds = [count * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, slice(a, b), workers) for a, b in zip(bounds, bounds[1:])]
+        futures = [pool.submit(work, slice(a, b), share) for a, b in zip(bounds, bounds[1:])]
         for future in futures:
             future.result()
 
@@ -180,6 +187,8 @@ def _grid_min_dissims(
     if ends[0] > m:
         raise DimensionMismatchError(f"window length {ends[0]} exceeds series length {m}")
     w0 = m - min_len + 1
+    # with no uncertainty every term |a - b| * (u + v) is +0.0, so min_u is left at its zeros
+    certain = not (src_u.any() or series_u.any())
     stems = max(1, _KERNEL_CHUNK_ELEMS // (workers * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
@@ -195,7 +204,8 @@ def _grid_min_dissims(
         acc = np.empty((2, w0, len(block_ends), tile_sources, tile_rows))
         for s0 in range(0, len(src_b), stage_sources):
             s1 = min(s0 + stage_sources, len(src_b))
-            min_b, min_u = np.empty((2, block_ends[0] - min_len + 1, len(block_ends), s1 - s0, n))
+            shape = (2, block_ends[0] - min_len + 1, len(block_ends), s1 - s0, n)
+            min_b, min_u = np.zeros(shape) if certain else np.empty(shape)
             with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the minima
                 for a in range(s0, s1, tile_sources):
                     b = min(a + tile_sources, s1)
@@ -205,6 +215,7 @@ def _grid_min_dissims(
                             src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, block_ends, min_len,
                             series_b[r].T, series_u[r].T,
                             min_b[:, :, a - s0 : b - s0, r], min_u[:, :, a - s0 : b - s0, r], terms, acc,
+                            certain,
                         )
             for l in range(min_len, block_ends[0] + 1):
                 o = np.count_nonzero(block_ends >= l)
@@ -217,7 +228,7 @@ def _grid_min_dissims(
 def _fill_tile(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     ser_b: np.ndarray, ser_u: np.ndarray, min_b: np.ndarray, min_u: np.ndarray,
-    terms: np.ndarray, acc: np.ndarray,
+    terms: np.ndarray, acc: np.ndarray, certain: bool,
 ) -> None:
     """Write one tile's ``(lengths, offsets, sources, rows)`` minima into ``min_b``, ``min_u``.
 
@@ -227,29 +238,35 @@ def _fill_tile(
     ``t`` of offset ``k``, so step ``i`` adds one strided view of the terms.
     The minimum under the uncertain order reduces over the leading window
     axis.  ``terms`` and ``acc`` are scratch buffers at least the tile's size.
+    When ``certain``, every uncertainty is zero: the uncertainty terms and their
+    minima are skipped, and ``min_u`` must already hold the ``+0.0`` they give.
     """
     s, r = src_b.shape[1], ser_b.shape[1]
-    (term_b, term_u), acc = terms[..., :s, :r], acc[..., :s, :r]
+    (term_b, term_u), (acc_b, acc_u) = terms[..., :s, :r], acc[..., :s, :r]
     m, w0 = len(ser_b), len(ser_b) - min_len + 1
     np.subtract(src_b[None, :, :, None], ser_b[:, None, None, :], out=term_b)
-    np.abs(term_b, out=term_b)
-    np.add(src_u[None, :, :, None], ser_u[:, None, None, :], out=term_u)
-    term_u *= term_b
+    if not certain:
+        np.abs(term_b, out=term_b)
+        np.add(src_u[None, :, :, None], ser_u[:, None, None, :], out=term_u)
+        term_u *= term_b
+        acc_u.fill(0.0)
     term_b *= term_b
-    acc.fill(0.0)
+    acc_b.fill(0.0)
     for i in range(ends[0]):
         o = np.count_nonzero(ends > i)  # offsets with a term at index i
         w = min(w0, m - i)  # windows valid for length max(i + 1, min_len)
         at = slice(i, i + w), slice(i, i + (o - 1) * stride + 1, stride)
-        ab, au = acc[0, :w, :o], acc[1, :w, :o]
+        ab, au = acc_b[:w, :o], acc_u[:w, :o]
         ab += term_b[at]
-        au += term_u[at]
+        if not certain:
+            au += term_u[at]
         if i + 1 < min_len:
             continue
         mb, mu = min_b[i + 1 - min_len, :o], min_u[i + 1 - min_len, :o]
         np.min(ab, axis=0, out=mb)
-        np.min(au, axis=0, out=mu, where=ab == mb, initial=np.inf)
-        mu *= 2.0
+        if not certain:
+            np.min(au, axis=0, out=mu, where=ab == mb, initial=np.inf)
+            mu *= 2.0
 
 
 def _batch_best_splits(
@@ -418,7 +435,9 @@ def shapelet_transform(
                 out_b[part, cols[s]] = dist_b[0].T
                 out_u[part, cols[s]] = dist_u[0].T
 
-    _in_slices(n, fill)
+    # term and accumulator cells of every (shapelet, row) pair, as the kernel's tiles count them
+    cells = n * sum(len(cols) * (m * l + m - l + 1) for l, cols, _, _ in groups)
+    _in_slices(n, fill, cells // _TILE_ELEMS)
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 
 

@@ -214,19 +214,30 @@ class TestStepComposition:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sh.json: malformed shapelet file" in err
 
-    @pytest.mark.parametrize("command", ["extract", "transform"])
-    def test_overflow_is_one_error_line(self, command, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)  # the error is raised on a kernel worker thread
+    @pytest.mark.parametrize(
+        "command, certain",
+        [("extract", True), ("transform", True), ("extract", False), ("transform", False)],
+        ids=["extract", "transform", "extract-uncertain", "transform-uncertain"],
+    )
+    def test_overflow_is_one_error_line(self, command, certain, tmp_path, capsys, monkeypatch):
+        # the error is raised on a kernel worker thread, on either kernel path
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
+        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)  # the 2-row transform is then two tiles
+        fill, paths = ust.shapelet._fill_tile, set()
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.add(args[-1]) or fill(*args))
         data = write_tsv(tmp_path / "v.tsv", [("1", [1e200, -1e200, 1e200]), ("2", [-1e200, 1e200, -1e200])])
+        (tmp_path / "u.tsv").write_text("0.5\t0.5\t0.5\n" * 2)
+        unc = [] if certain else ["--uncertainties", str(tmp_path / "u.tsv")]
         if command == "extract":
-            argv = ["extract", "--data", str(data), "--min-len", "2", "--out", str(tmp_path / "sh.json")]
+            argv = ["extract", "--data", str(data), *unc, "--min-len", "2", "--out", str(tmp_path / "sh.json")]
         else:
             (tmp_path / "sh.json").write_text(json.dumps([SHAPELET_DOC]))
-            argv = ["transform", "--data", str(data), "--shapelets", str(tmp_path / "sh.json"),
+            argv = ["transform", "--data", str(data), *unc, "--shapelets", str(tmp_path / "sh.json"),
                     "--out", str(tmp_path / "f.csv")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == "error: dissimilarity overflowed to non-finite values\n"
+        assert paths == {certain}
 
     @pytest.mark.parametrize(
         "name, content",
@@ -356,9 +367,68 @@ class TestBenchmark:
             "benchmark", "--data-dir", str(root), "--seed", "3",
             "--k", "2", "--min-len", "3", "--max-len", "5", "--no-timings",
         ]
-        assert main(base + ["--jobs", "1", "--out", str(tmp_path / "j1.csv")]) == 0
-        assert main(base + ["--jobs", "4", "--out", str(tmp_path / "j4.csv")]) == 0
-        assert (tmp_path / "j1.csv").read_bytes() == (tmp_path / "j4.csv").read_bytes()
+        for jobs in ("1", "2", "4"):
+            assert main(base + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}.csv")]) == 0
+        for name in ("j{}.csv", "j{}_summary.csv"):
+            first = (tmp_path / name.format(1)).read_bytes()
+            assert (tmp_path / name.format(2)).read_bytes() == first
+            assert (tmp_path / name.format(4)).read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "modes, views",
+        [("st,ust-flat,ust-gauss", [False, True]), ("ust-flat,ust-gauss", [True]), ("st", [False])],
+        ids=["all-modes", "ust-modes", "st"],
+    )
+    def test_one_extraction_per_dataset_view(self, modes, views, tmp_path, monkeypatch):
+        # the two ust-* modes share one featurization; st featurizes on certain data
+        extract, seen = ust.cli.extract_shapelets, []
+
+        def counted(train, cfg):
+            seen.append(bool(train.uncertainty.any()))
+            return extract(train, cfg)
+
+        monkeypatch.setattr(ust.cli, "extract_shapelets", counted)
+        root = make_benchmark_dir(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main([
+            "benchmark", "--data-dir", str(root), "--modes", modes, "--k", "2", "--min-len", "3",
+            "--max-len", "5", "--jobs", "2", "--out", str(out),
+        ]) == 0
+        assert sorted(seen) == sorted(views * 2)  # two datasets
+        with open(out) as fh:
+            assert [r["error"] for r in csv.DictReader(fh)] == [""] * 2 * len(modes.split(","))
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("step", ["featurize", "classify"])
+    def test_failures_are_isolated_per_view_and_mode(self, step, jobs, tmp_path, monkeypatch):
+        # a failed featurization fails every mode of its view; a failed mode fails only itself
+        def boom(*args):
+            raise RuntimeError(f"{step} boom")
+
+        extract = ust.cli.extract_shapelets
+
+        def uncertain_boom(train, cfg):
+            return boom() if train.uncertainty.any() else extract(train, cfg)
+
+        if step == "featurize":
+            monkeypatch.setattr(ust.cli, "extract_shapelets", uncertain_boom)
+            failed = {"ust-gauss", "ust-flat"}
+        else:
+            monkeypatch.setattr(ust.cli, "encode_gaussian", boom)
+            failed = {"ust-gauss"}
+        root = make_benchmark_dir(tmp_path)
+        out = tmp_path / "r.csv"
+        modes = ["ust-gauss", "st", "ust-flat"]
+        assert main([
+            "benchmark", "--data-dir", str(root), "--modes", ",".join(modes), "--k", "2", "--min-len", "3",
+            "--max-len", "5", "--jobs", jobs, "--no-timings", "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            rows = [(r["dataset"], r["mode"], r["accuracy"] != "", r["error"]) for r in csv.DictReader(fh)]
+        assert rows == [
+            (name, mode, mode not in failed, f"RuntimeError: {step} boom" if mode in failed else "")
+            for name in ("ds0", "ds1") for mode in modes
+        ]
 
     @pytest.mark.parametrize("jobs, workers", [("2", {1}), ("1", {2})])
     def test_kernel_workers_share_the_jobs_budget(self, jobs, workers, tmp_path, monkeypatch):

@@ -89,6 +89,8 @@ def extraction_cases(draw):
         best_el, unc_el = st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.sampled_from([0.0, 0.5])
     else:
         best_el, unc_el = st.floats(-10, 10), st.floats(0, 1)
+    if draw(st.booleans()):  # certain data, which the kernel scores without its uncertainty terms
+        unc_el = st.just(0.0)
     best = draw(st.lists(st.lists(best_el, min_size=m, max_size=m), min_size=n, max_size=n))
     unc = draw(st.lists(st.lists(unc_el, min_size=m, max_size=m), min_size=n, max_size=n))
     min_len = draw(st.integers(1, m))
@@ -121,6 +123,8 @@ def prefix_kernel_cases(draw):
         el, unc_el = st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.sampled_from([0.0, 0.5])
     else:
         el, unc_el = st.floats(-10, 10), st.floats(0, 1)
+    if draw(st.booleans()):  # certain sources and series
+        unc_el = st.just(0.0)
     n_src, width = draw(st.integers(1, 3)), draw(st.integers(1, 8))
     n, m = draw(st.integers(1, 4)), draw(st.integers(1, 8))
     min_len = draw(st.integers(1, min(width, m)) | st.just(min(width, m)))
@@ -277,6 +281,14 @@ class TestBatchKernels:
         assert got[1].tobytes() == expected[1].tobytes()
 
     @given(prefix_kernel_cases())
+    @example(  # certain, tied values at stride 2: three offsets reaching lengths 4, 4 and 2
+        ([np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0, 1.0, 1.0]]), np.zeros((2, 6)),
+          np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]]), np.zeros((2, 4))], 2, np.array([4, 4, 2]), 2, 1, 1)
+    )
+    @example(  # certain, min_len == m: one window per series
+        ([np.array([[0.5, 1.0, 0.5]]), np.zeros((1, 3)), np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]]),
+          np.zeros((2, 3))], 1, np.array([3]), 3, 37, 1)
+    )
     @settings(max_examples=80, deadline=None)
     def test_prefix_min_matches_oracle_property(self, case):
         (src_b, src_u, ser_b, ser_u), stride, ends, min_len, budget, tile = case
@@ -311,6 +323,31 @@ class TestBatchKernels:
                 cand = src_b[s, window].tolist(), src_u[s, window].tolist()
                 for r in range(len(ser_b)):
                     assert (b[r], u[r]) == oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
+
+    @pytest.mark.parametrize("nonzero", [None, "sources", "series"])
+    def test_certain_path_runs_only_without_uncertainty(self, nonzero, monkeypatch):
+        # all-zero uncertainties take the certain path, which writes +0.0 uncertainty minima;
+        # one nonzero uncertainty on either side takes the full path; both match the oracle
+        rng = np.random.default_rng(3)
+        src_b, ser_b = rng.integers(0, 3, (3, 7)).astype(float), rng.integers(0, 3, (4, 7)).astype(float)
+        src_u, ser_u = np.zeros_like(src_b), np.zeros_like(ser_b)
+        if nonzero is not None:
+            (src_u if nonzero == "sources" else ser_u)[1, 2] = 0.5
+        fill, paths = ust.shapelet._fill_tile, []
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args))
+        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 50)  # several tiles
+        ends = np.array([6, 5, 3])
+        for l, offsets, sources, min_b, min_u in _grid_min_dissims(src_b, src_u, 2, ends, 2, ser_b, ser_u):
+            if nonzero is None:
+                assert min_u.tobytes() == np.zeros_like(min_u).tobytes()
+            for i, k in enumerate(range(len(ends))[offsets]):
+                for j, s in enumerate(range(len(src_b))[sources]):
+                    window = slice(2 * k, 2 * k + l)
+                    cand = src_b[s, window].tolist(), src_u[s, window].tolist()
+                    for r in range(len(ser_b)):
+                        expected = oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
+                        assert (min_b[i, j, r], min_u[i, j, r]) == expected
+        assert len(paths) > 1 and set(paths) == {nonzero is None}
 
     def test_blocking_keeps_extraction_and_transform_bytes(self, monkeypatch):
         d = random_dataset(np.random.default_rng(4), n=7, m=11, integer_grid=True)
@@ -352,6 +389,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_threads_end_with_the_call(self, workers, monkeypatch):
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 300)  # small enough for the transform to use the workers
         d = random_dataset(np.random.default_rng(4), n=7, m=11)
         before = threading.active_count()
         shapelets = extract_shapelets(d, ExtractionConfig(min_len=2, k=4))
@@ -451,6 +489,22 @@ class TestExtraction:
                 ["A", "B"],
             ),
             ExtractionConfig(min_len=2, max_len=3, k=3),
+        )
+    )
+    @example(  # certain data with tied distances at stride 2
+        (
+            UncertainDataset.from_arrays(
+                [[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 1.0]],
+                [[0.0] * 5] * 3,
+                ["A", "B", "A"],
+            ),
+            ExtractionConfig(min_len=2, k=6, candidate_stride=2),
+        )
+    )
+    @example(  # certain data, min_len == m
+        (
+            UncertainDataset.from_arrays([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [[0.0] * 3] * 3, ["A", "B", "A"]),
+            ExtractionConfig(min_len=3, k=3),
         )
     )
     @settings(max_examples=60, deadline=None)
@@ -578,6 +632,24 @@ class TestTransform:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.parametrize("tile, rows", [(None, {10}), (1, {5})], ids=["default-tile", "one-cell-tile"])
+    def test_no_worker_gets_less_than_a_tile(self, tile, rows, monkeypatch):
+        # ten rows against two short shapelets are far less than one default tile, so one call
+        # takes all rows; with one-cell tiles each of the two workers takes half of them
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
+        train = planted_motif_dataset()
+        shapelets = extract_shapelets(train, ExtractionConfig(min_len=3, max_len=4, k=2))
+        expected = shapelet_transform(train, shapelets)
+        if tile is not None:
+            monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
+        kernel, seen = ust.shapelet._grid_min_dissims, set()
+        monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", lambda *a: seen.add(len(a[5])) or kernel(*a))
+        features = shapelet_transform(train, shapelets)
+        assert seen == rows
+        assert (features.best.tobytes(), features.uncertainty.tobytes()) == (
+            expected.best.tobytes(), expected.uncertainty.tobytes()
+        )
 
     def test_overflow_raises_without_a_warning(self):
         shapelet = UncertainShapelet(UncertainVector([1e200, 0.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0, 0.0))
