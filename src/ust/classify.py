@@ -47,7 +47,6 @@ __all__ = [
     "EncodedMatrix",
     "GaussianEncodingStats",
     "TreeParams",
-    "TreeNode",
     "DecisionTreeModel",
     "encode_flatten",
     "encode_best",
@@ -99,18 +98,19 @@ def _split_gains(
     sorted_labels: np.ndarray,
     valid: np.ndarray,
     class_totals: np.ndarray,
-    h_full: float,
 ) -> np.ndarray:
     """Information gain of cutting each row after each position: (R, n).
 
     Row ``r`` holds class indices in sorted order; cutting after position
     ``i`` puts the first ``n1 = i + 1`` on the near side.  Every position that
     is ``valid`` and can be its row's maximum holds exactly
-    ``(h_full - (n1/n)*entropy_from_counts(near, n1)) - (n2/n)*entropy_from_counts(far, n2)``;
-    all other positions are ``-inf``.
+    ``(h_full - (n1/n)*entropy_from_counts(near, n1)) - (n2/n)*entropy_from_counts(far, n2)``,
+    where ``h_full`` is ``entropy_from_counts(class_totals, n)``; all other
+    positions are ``-inf``.
     """
     r, n = sorted_labels.shape
     n_classes = len(class_totals)
+    h_full = entropy_from_counts(class_totals.tolist(), n)
     one_hot = sorted_labels == np.arange(n_classes)[:, None, None]
     cum = np.cumsum(one_hot, axis=2, dtype=np.int32)  # (K, R, n) near-side counts
     n1 = np.arange(1, n + 1)
@@ -278,9 +278,7 @@ def _best_node_split(
     valid = np.zeros(sv.shape, dtype=bool)
     valid[:, :-1] = sv[:, :-1] != sv[:, 1:]
     valid &= (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-    gains = _split_gains(
-        label_idx[order], valid, class_counts, entropy_from_counts(class_counts.tolist(), n)
-    )
+    gains = _split_gains(label_idx[order], valid, class_counts)
     feature, i = divmod(int(np.argmax(gains)), n)
     if gains[feature, i] == -np.inf:
         return None

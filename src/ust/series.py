@@ -54,7 +54,6 @@ __all__ = [
     "dataset_std",
     "inject_noise",
     "derive_split_seeds",
-    "format_real",
 ]
 
 
@@ -80,7 +79,6 @@ class UncertainDataset:
     of shape ``(n_instances, series_length)``; row ``i`` of both, with
     ``labels[i]``, is instance ``i``.  Uncertainties are stored as absolute
     values, every value is finite, and every instance carries a label.
-    ``d[i]`` and iteration yield :class:`UncertainSeries` built from a row.
     """
 
     __slots__ = ("best", "uncertainty", "_labels")
@@ -137,12 +135,6 @@ class UncertainDataset:
     def __len__(self) -> int:
         return self.best.shape[0]
 
-    def __getitem__(self, i: int) -> UncertainSeries:
-        return UncertainSeries(UncertainVector(self.best[i], self.uncertainty[i]), self._labels[i])
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     @property
     def series_length(self) -> int:
         return self.best.shape[1]
@@ -150,13 +142,6 @@ class UncertainDataset:
     @property
     def labels(self) -> list[str]:
         return list(self._labels)
-
-    @property
-    def class_set(self) -> set[str]:
-        return set(self._labels)
-
-    def is_certain(self) -> bool:
-        return not self.uncertainty.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UncertainDataset):
@@ -184,8 +169,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.fixed_scale is not None and not self.fixed_scale > 0:
-            raise ValueError(f"fixed scale must be > 0, got {self.fixed_scale}")
+        if self.fixed_scale is not None and not (math.isfinite(self.fixed_scale) and self.fixed_scale > 0):
+            raise ValueError(f"fixed scale must be a finite number > 0, got {self.fixed_scale}")
 
 
 def format_real(x: float) -> str:
@@ -379,7 +364,7 @@ def inject_noise(d: UncertainDataset, spec: NoiseSpec) -> UncertainDataset:
     population standard deviation of ``d``.  The same spec always produces a
     bit-identical dataset.
     """
-    if not d.is_certain():
+    if d.uncertainty.any():
         raise ValueError("noise injection expects a certain dataset (all uncertainties zero)")
     sigma = spec.fixed_scale if spec.fixed_scale is not None else dataset_std(d)
     if sigma == 0.0:

@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _split_gains, entropy_from_counts
+from .classify import _split_gains
 from .core import DimensionMismatchError, NumericOverflowError, UncertainValue, UncertainVector
 from .series import UncertainDataset, _json_int, _json_real
 
@@ -57,8 +57,6 @@ __all__ = [
     "shapelet_transform",
     "save_shapelets",
     "load_shapelets",
-    "shapelets_to_json",
-    "shapelets_from_json",
 ]
 
 DEFAULT_MIN_LEN = 3
@@ -134,32 +132,33 @@ def _worker_count() -> int:
     return max(1, cpus // _concurrent_tasks.get())
 
 
-def _in_slices(count: int, work: Callable[[slice, int], None], tiles: int | None = None) -> None:
-    """Call ``work(part, share)`` on fixed contiguous slices of ``range(count)``, one per worker.
+def _in_slices(count: int, work: Callable[[slice], None], tiles: int | None = None) -> None:
+    """Call ``work(part)`` on fixed contiguous slices of ``range(count)``, one per worker.
 
-    ``share`` is :func:`_worker_count`, the most kernel calls this task runs
-    at once.  Workers are ``share`` capped at ``count`` and, when the caller
+    Workers are :func:`_worker_count` capped at ``count`` and, when the caller
     gives the ``tiles`` of ``_TILE_ELEMS`` cells its work spans, at that many,
     so that no worker gets less than one tile.  One worker runs inline on the
     calling thread; more run on one thread pool that is shut down before this
-    returns.  A worker's exception is raised here unchanged, the first in
-    slice order.
+    returns, each in a copy of the caller's context, so that they see its
+    ``_concurrent_tasks``.  A worker's exception is raised here unchanged, the
+    first in slice order.
     """
-    share = _worker_count()
-    workers = min(share, count, count if tiles is None else tiles)
+    workers = min(_worker_count(), count, count if tiles is None else tiles)
     if workers <= 1:
-        work(slice(0, count), share)
+        work(slice(0, count))
         return
     bounds = [count * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, slice(a, b), share) for a, b in zip(bounds, bounds[1:])]
+        futures = [
+            pool.submit(contextvars.copy_context().run, work, slice(a, b)) for a, b in zip(bounds, bounds[1:])
+        ]
         for future in futures:
             future.result()
 
 
 def _grid_min_dissims(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
-    series_b: np.ndarray, series_u: np.ndarray, workers: int = 1,
+    series_b: np.ndarray, series_u: np.ndarray,
 ) -> Iterator[tuple[int, slice, slice, np.ndarray, np.ndarray]]:
     """Yield ``(l, offsets, sources, min_b, min_u)`` for every stem prefix length ``l``.
 
@@ -174,8 +173,9 @@ def _grid_min_dissims(
     ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len + 1))`` stems, or
     one, so that a block's minima at every length, and their split sweep at
     one length, stay within the budget when ``workers`` calls run at once on
-    disjoint slices of the sources or series rows.  Each call is serial and
-    keeps its own tile scratch.  A block is filled tile by tile.  A tile of
+    disjoint slices of the sources or series rows; ``workers`` is the
+    caller's :func:`_worker_count`.  Each call is serial and keeps its own
+    tile scratch.  A block is filled tile by tile.  A tile of
     sources by series rows builds its term tables ``(x_src[p] - x_ser[q])**2``
     and ``|x_src[p] - x_ser[q]| * (u_src[p] + u_ser[q])`` once; each window
     accumulator then grows by one term per length, index-ascending exactly
@@ -189,7 +189,7 @@ def _grid_min_dissims(
     w0 = m - min_len + 1
     # with no uncertainty every term |a - b| * (u + v) is +0.0, so min_u is left at its zeros
     certain = not (src_u.any() or series_u.any())
-    stems = max(1, _KERNEL_CHUNK_ELEMS // (workers * n * w0))
+    stems = max(1, _KERNEL_CHUNK_ELEMS // (_worker_count() * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
     for k0 in range(0, len(ends), stage_offsets):
@@ -274,7 +274,6 @@ def _batch_best_splits(
     dist_unc: np.ndarray,
     label_idx: np.ndarray,
     class_totals: np.ndarray,
-    h_full: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Best split per candidate row: (gain, margin, thr_best, thr_unc, n_near).
 
@@ -294,7 +293,7 @@ def _batch_best_splits(
     valid = np.empty((c_total, n), dtype=bool)
     valid[:, -1] = True
     valid[:, :-1] = (sb[:, :-1] != sb[:, 1:]) | (su[:, :-1] != su[:, 1:])
-    gain = _split_gains(label_idx[order], valid, class_totals, h_full)
+    gain = _split_gains(label_idx[order], valid, class_totals)
 
     margin = np.zeros((c_total, n))
     margin[:, :-1] = sb[:, 1:] - sb[:, :-1]
@@ -349,18 +348,17 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     index = {c: i for i, c in enumerate(classes)}
     label_idx = np.array([index[lab] for lab in labels], dtype=np.int64)
     class_totals = np.bincount(label_idx, minlength=len(classes))
-    h_full = entropy_from_counts(class_totals.tolist(), n)
 
     # the longest prefix ``ends`` of a stem is non-increasing in its offset
     offsets = np.arange(0, m - min_len + 1, config.candidate_stride)
     ends = np.minimum(max_len, m - offsets)
     table = np.empty((4, len(offsets), n, max_len - min_len + 1))
 
-    def score(part: slice, workers: int) -> None:
+    def score(part: slice) -> None:
         for l, o, s, dist_b, dist_u in _grid_min_dissims(
-            best[part], unc[part], config.candidate_stride, ends, min_len, best, unc, workers
+            best[part], unc[part], config.candidate_stride, ends, min_len, best, unc
         ):
-            splits = _batch_best_splits(dist_b.reshape(-1, n), dist_u.reshape(-1, n), label_idx, class_totals, h_full)
+            splits = _batch_best_splits(dist_b.reshape(-1, n), dist_u.reshape(-1, n), label_idx, class_totals)
             cells = slice(part.start + s.start, part.start + s.stop)
             table[:, o, cells, l - min_len] = np.reshape(splits[:4], (4, *dist_b.shape[:2]))
 
@@ -427,10 +425,10 @@ def shapelet_transform(
         cand_u = np.stack([shapelets[j].values.uncertainty for j in cols])
         groups.append((l, cols, cand_b, cand_u))
 
-    def fill(part: slice, workers: int) -> None:
+    def fill(part: slice) -> None:
         for l, cols, cand_b, cand_u in groups:
             for _, _, s, dist_b, dist_u in _grid_min_dissims(
-                cand_b, cand_u, 1, np.array([l]), l, best[part], unc[part], workers
+                cand_b, cand_u, 1, np.array([l]), l, best[part], unc[part]
             ):
                 out_b[part, cols[s]] = dist_b[0].T
                 out_u[part, cols[s]] = dist_u[0].T

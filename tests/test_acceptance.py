@@ -19,7 +19,6 @@ from ust import (
     GaussianEncodingStats,
     NoiseSpec,
     UncertainDataset,
-    UncertainSeries,
     UncertainValue,
     UncertainVector,
     dataset_std,
@@ -105,17 +104,15 @@ def test_criterion_3_extraction_oracle_equivalence():
         rng = np.random.default_rng(300 + trial)
         n = int(rng.choice([4, 6, 8]))
         m = int(rng.integers(8, 17))
-        rows = []
+        bests, uncs = [], []
         for i in range(n):
-            label = "A" if i < n // 2 else "B"
             if trial % 3 == 0:  # integer grid: heavy exact ties
-                best = rng.integers(0, 3, m).astype(float)
-                unc = rng.choice([0.0, 0.5], m)
+                bests.append(rng.integers(0, 3, m).astype(float))
+                uncs.append(rng.choice([0.0, 0.5], m))
             else:
-                best = rng.normal(0, 1, m)
-                unc = rng.uniform(0, 0.5, m)
-            rows.append(UncertainSeries(UncertainVector(best, unc), label))
-        train = UncertainDataset(rows)
+                bests.append(rng.normal(0, 1, m))
+                uncs.append(rng.uniform(0, 0.5, m))
+        train = UncertainDataset.from_arrays(bests, uncs, ["A" if i < n // 2 else "B" for i in range(n)])
 
         stride = 2 if trial % 5 == 0 else 1
         cfg = ExtractionConfig(
@@ -126,8 +123,8 @@ def test_criterion_3_extraction_oracle_equivalence():
         )
         got = extract_shapelets(train, cfg)
         expected = oracles.extract(
-            [r.values.best.tolist() for r in rows],
-            [r.values.uncertainty.tolist() for r in rows],
+            train.best.tolist(),
+            train.uncertainty.tolist(),
             train.labels,
             cfg.min_len,
             cfg.max_len,
@@ -157,15 +154,16 @@ def test_criterion_4_zero_uncertainty_degeneration():
 
 def _planted_motif(seed_gen, n_per_class, m=40):
     rng = np.random.default_rng(seed_gen)
-    rows = []
+    rows, labels = [], []
     for label, sign in (("1", 1.0), ("2", -1.0)):
         for _ in range(n_per_class):
             s = 0.2 * np.sin(np.linspace(0, 2 * np.pi, m) + rng.uniform(0, 2 * np.pi))
             start = int(rng.integers(2, m - 6))
             x = np.linspace(-1, 1, 4)
             s[start : start + 4] += sign * 8.0 * (1 - x**2)
-            rows.append(UncertainSeries(UncertainVector(s, np.zeros(m)), label))
-    return UncertainDataset(rows)
+            rows.append(s)
+            labels.append(label)
+    return UncertainDataset.from_arrays(rows, np.zeros((len(rows), m)), labels)
 
 
 def test_criterion_5_planted_motif_recovery():
@@ -189,13 +187,10 @@ def test_criterion_5_planted_motif_recovery():
 def test_criterion_6_noise_protocol_statistics():
     sigma = 2.5
     n, m = 60, 200  # 12000 values
-    base = np.zeros((n, m))
-    d = UncertainDataset(
-        [UncertainSeries(UncertainVector(row, np.zeros(m)), "x") for row in base]
-    )
+    d = UncertainDataset.from_arrays(np.zeros((n, m)), np.zeros((n, m)), ["x"] * n)
     out = inject_noise(d, NoiseSpec(seed=606, fixed_scale=sigma))
-    noise = np.concatenate([inst.values.best for inst in out])
-    deltas = np.concatenate([inst.values.uncertainty for inst in out])
+    noise = out.best.ravel()
+    deltas = out.uncertainty.ravel()
     assert noise.size >= 10_000
     assert abs(noise.mean()) <= 0.05 * sigma
     assert abs(noise.std() - sigma) <= 0.05 * sigma

@@ -106,6 +106,21 @@ class TestAddNoise:
         out = load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv")
         assert out == load_dataset(train)
 
+    def test_infinite_sigma_is_one_error_line(self, tiny_dataset, tmp_path, capsys):
+        train, _ = tiny_dataset
+        rc = main(
+            [
+                "add-noise",
+                "--input", str(train),
+                "--sigma", "inf",
+                "--out-values", str(tmp_path / "v.tsv"),
+                "--out-uncertainties", str(tmp_path / "u.tsv"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "error: fixed scale must be a finite number > 0, got inf\n"
+        assert not (tmp_path / "v.tsv").exists()
+
 
 class TestStepComposition:
     def test_files_equal_in_process_pipeline(self, tiny_dataset, tmp_path, capsys):
@@ -438,7 +453,7 @@ class TestBenchmark:
         seen = set()
 
         def spy(*args):
-            seen.add(args[7])  # the number of workers running the kernel at once
+            seen.add(ust.shapelet._worker_count())  # the number of workers running the kernel at once
             return kernel(*args)
 
         monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy)

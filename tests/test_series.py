@@ -38,22 +38,27 @@ def make_dataset(rows, labels, uncs=None):
     return UncertainDataset(out)
 
 
+def certain(rows, labels):
+    """A dataset of the given best-estimate rows with every uncertainty zero."""
+    return UncertainDataset.from_arrays(rows, np.zeros(np.shape(rows)), labels)
+
+
 class TestLoad:
     def test_values_only(self, tmp_path):
         p = write(tmp_path / "v.tsv", "1\t0.0\t1.0\n2\t1.0\t0.0\n")
         d = load_dataset(p)
         assert len(d) == 2
         assert d.series_length == 2
-        assert d.class_set == {"1", "2"}
-        assert all(not inst.values.uncertainty.any() for inst in d)
+        assert set(d.labels) == {"1", "2"}
+        assert not d.uncertainty.any()
 
     def test_with_uncertainty_file(self, tmp_path):
         v = write(tmp_path / "v.tsv", "1\t0.0\t1.0\n2\t1.0\t0.0\n")
         u = write(tmp_path / "u.tsv", "0.1\t0.2\n0.0\t0.3\n")
         d = load_dataset(v, u)
-        assert d[0].values.best.tolist() == [0.0, 1.0]
-        assert d[0].values.uncertainty.tolist() == [0.1, 0.2]
-        assert d[1].values.uncertainty.tolist() == [0.0, 0.3]
+        assert d.best[0].tolist() == [0.0, 1.0]
+        assert d.uncertainty[0].tolist() == [0.1, 0.2]
+        assert d.uncertainty[1].tolist() == [0.0, 0.3]
 
     def test_shape_mismatch_between_files(self, tmp_path):
         v = write(tmp_path / "v.tsv", "1\t0.0\t1.0\t2.0\n")
@@ -106,21 +111,21 @@ class TestLoad:
 
 class TestSave:
     def test_round_trip(self, tmp_path):
-        d = make_dataset(
+        d = UncertainDataset.from_arrays(
             [[0.1, -2.5e-17, 3.0], [1e300, 2.0, -0.0]],
-            ["a", "b"],
             [[0.25, 0.0, 1e-8], [0.5, 0.125, 0.0]],
+            ["a", "b"],
         )
         save_dataset(d, tmp_path / "v.tsv", tmp_path / "u.tsv")
         assert load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv") == d
 
     def test_certain_dataset_writes_zero_uncertainties(self, tmp_path):
-        d = make_dataset([[1.0, 2.0]], ["x"])
+        d = certain([[1.0, 2.0]], ["x"])
         save_dataset(d, tmp_path / "v.tsv", tmp_path / "u.tsv")
         assert (tmp_path / "u.tsv").read_text() == "0\t0\n"
 
     def test_unwritable_path_names_target(self, tmp_path):
-        d = make_dataset([[1.0]], ["x"])
+        d = certain([[1.0]], ["x"])
         missing = tmp_path / "no" / "such" / "dir"
         with pytest.raises(OSError):
             save_dataset(d, missing / "v.tsv", missing / "u.tsv")
@@ -144,10 +149,10 @@ class TestSave:
     )
     @settings(max_examples=50)
     def test_round_trip_property(self, raw):
-        d = make_dataset(
+        d = UncertainDataset.from_arrays(
             [[b for b, _ in row] for _, row in raw],
-            [lab for lab, _ in raw],
             [[u for _, u in row] for _, row in raw],
+            [lab for lab, _ in raw],
         )
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
@@ -293,8 +298,7 @@ class TestDatasetArrays:
         assert d == make_dataset(best.tolist(), labels, unc.tolist())
         assert d.labels == labels
         for i in range(len(labels)):
-            assert d[i].label == labels[i]
-            assert d[i].values == UncertainVector(best[i], unc[i])
+            assert UncertainVector(d.best[i], d.uncertainty[i]) == UncertainVector(best[i], unc[i])
 
     @pytest.mark.parametrize(
         "best, unc, labels, match",
@@ -347,30 +351,30 @@ class TestDatasetArrays:
 
 class TestDatasetStd:
     def test_constant_dataset(self):
-        assert dataset_std(make_dataset([[3.0, 3.0], [3.0, 3.0]], ["a", "b"])) == 0.0
+        assert dataset_std(certain([[3.0, 3.0], [3.0, 3.0]], ["a", "b"])) == 0.0
 
     def test_two_point_pool(self):
-        assert dataset_std(make_dataset([[0.0, 2.0]], ["a"])) == 1.0
+        assert dataset_std(certain([[0.0, 2.0]], ["a"])) == 1.0
 
     def test_single_instance(self):
-        d = make_dataset([[1.0, 3.0, 5.0]], ["a"])
+        d = certain([[1.0, 3.0, 5.0]], ["a"])
         assert dataset_std(d) == pytest.approx(1.6329931618554521, rel=1e-12)
 
 
 class TestInjectNoise:
     def test_degenerate_sigma_warns_and_returns_input(self):
-        d = make_dataset([[1.0, 1.0], [1.0, 1.0]], ["a", "b"])
+        d = certain([[1.0, 1.0], [1.0, 1.0]], ["a", "b"])
         with pytest.warns(RuntimeWarning, match="standard deviation is 0"):
             out = inject_noise(d, NoiseSpec(seed=3))
         assert out is d
 
     def test_rejects_uncertain_input(self):
-        d = make_dataset([[1.0, 2.0]], ["a"], [[0.1, 0.0]])
+        d = UncertainDataset.from_arrays([[1.0, 2.0]], [[0.1, 0.0]], ["a"])
         with pytest.raises(ValueError, match="certain dataset"):
             inject_noise(d, NoiseSpec(seed=0))
 
     def test_deterministic(self, tmp_path):
-        d = make_dataset([[0.0, 1.0, 2.0], [5.0, 4.0, 3.0]], ["a", "b"])
+        d = certain([[0.0, 1.0, 2.0], [5.0, 4.0, 3.0]], ["a", "b"])
         out1 = inject_noise(d, NoiseSpec(seed=11))
         out2 = inject_noise(d, NoiseSpec(seed=11))
         assert out1 == out2
@@ -380,32 +384,32 @@ class TestInjectNoise:
         assert (tmp_path / "u1.tsv").read_bytes() == (tmp_path / "u2.tsv").read_bytes()
 
     def test_different_seeds_differ(self):
-        d = make_dataset([[0.0, 1.0, 2.0]], ["a"])
+        d = certain([[0.0, 1.0, 2.0]], ["a"])
         assert inject_noise(d, NoiseSpec(seed=1)) != inject_noise(d, NoiseSpec(seed=2))
 
     def test_preserves_shape_and_labels(self):
-        d = make_dataset([[0.0, 1.0], [2.0, 3.0]], ["a", "b"])
+        d = certain([[0.0, 1.0], [2.0, 3.0]], ["a", "b"])
         out = inject_noise(d, NoiseSpec(seed=7))
         assert len(out) == len(d)
         assert out.series_length == d.series_length
         assert out.labels == d.labels
 
     def test_uncertainty_is_absolute_shift(self):
-        d = make_dataset([list(np.linspace(0, 9, 10)), list(np.linspace(9, 0, 10))], ["a", "b"])
+        d = certain([list(np.linspace(0, 9, 10)), list(np.linspace(9, 0, 10))], ["a", "b"])
         sigma = dataset_std(d)
         out = inject_noise(d, NoiseSpec(seed=5))
-        for i, (before, after) in enumerate(zip(d, out)):
-            expected = before.values.best + sigma * _instance_noise(5, i, 10)
-            assert after.values.best.tobytes() == expected.tobytes()
-            shift = np.abs(after.values.best - before.values.best)
-            assert (after.values.uncertainty == shift).all()
+        for i, (before, after, after_u) in enumerate(zip(d.best, out.best, out.uncertainty)):
+            expected = before + sigma * _instance_noise(5, i, 10)
+            assert after.tobytes() == expected.tobytes()
+            shift = np.abs(after - before)
+            assert (after_u == shift).all()
 
     def test_noise_statistics(self):
         sigma = 2.5
         n, m = 100, 200
-        d = make_dataset([[0.0] * m for _ in range(n)], ["a"] * n)
+        d = certain([[0.0] * m for _ in range(n)], ["a"] * n)
         out = inject_noise(d, NoiseSpec(seed=123, fixed_scale=sigma))
-        noise = np.concatenate([inst.values.best for inst in out])
+        noise = out.best.ravel()
         assert noise.size >= 10_000
         assert abs(noise.mean()) <= 0.05 * sigma
         assert abs(noise.std() - sigma) <= 0.05 * sigma
@@ -415,6 +419,8 @@ class TestInjectNoise:
             NoiseSpec(seed=0, fixed_scale=0.0)
         with pytest.raises(ValueError):
             NoiseSpec(seed=0, fixed_scale=-1.0)
+        with pytest.raises(ValueError, match="fixed scale must be a finite number > 0, got inf"):
+            NoiseSpec(seed=0, fixed_scale=float("inf"))
 
 
 class TestSplitSeeds:

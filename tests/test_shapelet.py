@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -18,11 +19,9 @@ from ust import (
     ExtractionConfig,
     NumericOverflowError,
     UncertainDataset,
-    UncertainSeries,
     UncertainShapelet,
     UncertainValue,
     UncertainVector,
-    entropy_from_counts,
     extract_shapelets,
     load_shapelets,
     save_shapelets,
@@ -31,13 +30,13 @@ from ust import (
 from ust.shapelet import _batch_best_splits, _grid_min_dissims, shapelets_to_json
 
 
-def series(best, label="A", unc=None):
-    unc = [0.0] * len(best) if unc is None else unc
-    return UncertainSeries(UncertainVector(best, unc), label)
-
-
 def dataset(rows):
-    return UncertainDataset([series(b, lab, u) for b, lab, u in rows])
+    """A dataset of ``(best, label, unc)`` rows; ``unc=None`` is all zeros."""
+    return UncertainDataset.from_arrays(
+        [b for b, _, _ in rows],
+        [[0.0] * len(b) if u is None else u for b, _, u in rows],
+        [lab for _, lab, _ in rows],
+    )
 
 
 def random_dataset(rng, n, m, integer_grid=False):
@@ -56,12 +55,10 @@ def random_dataset(rng, n, m, integer_grid=False):
 
 
 def run_oracle(d, cfg):
-    bests = [inst.values.best.tolist() for inst in d]
-    uncs = [inst.values.uncertainty.tolist() for inst in d]
     max_len = cfg.max_len if cfg.max_len is not None else d.series_length
-    k = cfg.k if cfg.k is not None else min(10 * len(d.class_set), 200)
+    k = cfg.k if cfg.k is not None else min(10 * len(set(d.labels)), 200)
     return oracles.extract(
-        bests, uncs, d.labels, cfg.min_len, max_len, k, cfg.candidate_stride
+        d.best.tolist(), d.uncertainty.tolist(), d.labels, cfg.min_len, max_len, k, cfg.candidate_stride
     )
 
 
@@ -152,9 +149,8 @@ def row_split(pairs, labels):
     classes = sorted(set(labels))
     label_idx = np.array([classes.index(lab) for lab in labels])
     totals = np.bincount(label_idx, minlength=len(classes))
-    h = entropy_from_counts(totals.tolist(), len(labels))
     g, mg, tb, tu, n1 = _batch_best_splits(
-        np.array([[b for b, _ in pairs]]), np.array([[u for _, u in pairs]]), label_idx, totals, h
+        np.array([[b for b, _ in pairs]]), np.array([[u for _, u in pairs]]), label_idx, totals
     )
     return g[0], mg[0], (tb[0], tu[0]), n1[0]
 
@@ -296,10 +292,10 @@ class TestBatchKernels:
             seen = {}
             lock = threading.Lock()
 
-            def collect(part, share):
+            def collect(part):
                 # one worker's kernel call over its slice of the sources, keyed by global source
                 for l, offsets, sources, min_b, min_u in _grid_min_dissims(
-                    src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u, share
+                    src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u
                 ):
                     offs, srcs = range(len(ends))[offsets], range(len(src_b))[part][sources]
                     assert min_b.shape == min_u.shape == (len(offs), len(srcs), len(ser_b))
@@ -401,6 +397,34 @@ class TestBatchKernels:
             extract_shapelets(overflow, ExtractionConfig(min_len=2))
         assert threading.active_count() == before
 
+    def test_workers_run_in_the_callers_context(self, monkeypatch):
+        # a task sharing 4 CPUs with one other task runs two workers, and each sees that share
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 4)
+        caller, seen = threading.get_ident(), []
+
+        def work(part):
+            seen.append((part.start, part.stop, ust.shapelet._worker_count(), threading.get_ident() != caller))
+
+        token = ust.shapelet._concurrent_tasks.set(2)
+        try:
+            ust.shapelet._in_slices(4, work)
+        finally:
+            ust.shapelet._concurrent_tasks.reset(token)
+        assert sorted(seen) == [(0, 2, 2, True), (2, 4, 2, True)]
+
+    def test_worker_count_without_an_affinity_mask(self, monkeypatch):
+        # platforms without os.sched_getaffinity count os.cpu_count(), or one CPU if it is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert ust.shapelet._worker_count() == 4
+        token = ust.shapelet._concurrent_tasks.set(2)
+        try:
+            assert ust.shapelet._worker_count() == 2
+        finally:
+            ust.shapelet._concurrent_tasks.reset(token)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ust.shapelet._worker_count() == 1
+
     def test_batch_splits_match_scalar_best_split(self):
         rng = np.random.default_rng(13)
         n = 12
@@ -416,8 +440,7 @@ class TestBatchKernels:
             + [rng.choice([0.0, 0.5], n) for _ in range(8)]
         )
         totals = np.bincount(label_idx, minlength=2)
-        h = entropy_from_counts(totals.tolist(), n)
-        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, label_idx, totals, h)
+        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, label_idx, totals)
         for row in range(dist_b.shape[0]):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
             gain, margin, thr, near = oracles.split_quality(pairs, labels, ["A", "B"])
@@ -539,7 +562,7 @@ class TestExtraction:
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
         d = random_dataset(rng, n=8, m=10)
-        bound = math.log2(len(d.class_set))
+        bound = math.log2(len(set(d.labels)))
         for sh in extract_shapelets(d, ExtractionConfig(min_len=3, max_len=8, k=20)):
             assert 0.0 <= sh.quality <= bound + 1e-12
 
@@ -584,10 +607,8 @@ class TestTransform:
         d = random_dataset(rng, n=5, m=9)
         shapelets = extract_shapelets(d, ExtractionConfig(min_len=3, max_len=5, k=4))
         mat = shapelet_transform(d, shapelets)
-        bests = [inst.values.best.tolist() for inst in d]
-        uncs = [inst.values.uncertainty.tolist() for inst in d]
         values = [(sh.values.best.tolist(), sh.values.uncertainty.tolist()) for sh in shapelets]
-        expected = oracles.transform(bests, uncs, values)
+        expected = oracles.transform(d.best.tolist(), d.uncertainty.tolist(), values)
         for i in range(len(d)):
             for j in range(len(shapelets)):
                 assert (mat.best[i, j], mat.uncertainty[i, j]) == expected[i][j]
