@@ -85,12 +85,12 @@ def _entropy_term(count: int, total: int) -> float:
     return -p * math.log2(p)
 
 
-# ``_split_gains`` ranks cuts by an approximation within about
-# (2K+2)*4*eps*log2(n) of the exact scalar gain (K classes, eps = 2**-53):
-# below 4e-12 for K <= 100 and n <= 2**40.  Every position whose approximate
-# gain is within this far larger margin of its row's approximate maximum is
-# rescored exactly, so the exact maximum and all of its exact ties are among
-# the rescored positions.
+# ``_split_gains`` ranks cuts by ``acc``: 2K+2 values ``x*log2(x) <= n*log2(n)``
+# (K classes), each within 3*eps (eps = 2**-53), paired into K+1 sums and folded
+# in K steps that round by eps/2 each, so ``acc/n`` is within (2K+2)*4*eps*log2(n)
+# of the exact ``h_full - gain``: below 4e-12 for K <= 100 and n <= 2**40.  Every
+# position whose approximate gain is within this far larger margin of its row's
+# approximate maximum is rescored exactly, so all exact row maxima are rescored.
 _RESCORE_EPS = 1e-9
 
 
@@ -98,52 +98,51 @@ def _split_gains(
     sorted_labels: np.ndarray,
     valid: np.ndarray,
     class_totals: np.ndarray,
-) -> np.ndarray:
-    """Information gain of cutting each row after each position: (R, n).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains of the cuts that can be their row's maximum, as ``(rows, pos, gains)`` in row-major order.
 
-    Row ``r`` holds class indices in sorted order; cutting after position
-    ``i`` puts the first ``n1 = i + 1`` on the near side.  Every position that
-    is ``valid`` and can be its row's maximum holds exactly
+    Row ``r`` of ``sorted_labels`` holds class indices in sorted order; cutting
+    after position ``i`` puts the first ``n1 = i + 1`` on the near side.  Kept
+    cuts are ``valid`` and include all that attain their row's maximum over its
+    valid cuts (none for a row without one).  Each kept gain is exactly
     ``(h_full - (n1/n)*entropy_from_counts(near, n1)) - (n2/n)*entropy_from_counts(far, n2)``,
-    where ``h_full`` is ``entropy_from_counts(class_totals, n)``; all other
-    positions are ``-inf``.
+    where ``h_full`` is ``entropy_from_counts(class_totals, n)``.
     """
     r, n = sorted_labels.shape
     n_classes = len(class_totals)
     h_full = entropy_from_counts(class_totals.tolist(), n)
-    one_hot = sorted_labels == np.arange(n_classes)[:, None, None]
-    cum = np.cumsum(one_hot, axis=2, dtype=np.int32)  # (K, R, n) near-side counts
     n1 = np.arange(1, n + 1)
     n2 = n - n1
+    # near-side counts: cumulative for all classes but the last, which has the rest
+    cum = np.cumsum(sorted_labels == np.arange(n_classes - 1)[:, None, None], axis=2, dtype=np.int32)
+    last = n1 - cum.sum(axis=0, dtype=np.int32)
 
     # approximate pass on acc = n*(h_full - gain), which is smallest at the
-    # best cut: size*H(side) = size*log2(size) - sum_k c_k*log2(c_k)
+    # best cut: size*H(side) = size*log2(size) - sum_k c_k*log2(c_k), one
+    # lookup per class in its table xl[c] + xl[total - c]
     xl = np.zeros(n + 1)
     xl[1:] = n1 * np.log2(n1)
-    acc = xl[n1] + xl[n2]
-    for total, ck in zip(class_totals, cum):
-        acc = acc - xl[ck]
-        acc -= xl[total - ck]
-    acc = np.where(valid, acc, np.inf)
+    acc = np.tile(xl[n1] + xl[n2], (r, 1))
+    for total, ck in zip(class_totals.tolist(), [*cum, last]):
+        acc -= (xl[: total + 1] + xl[total::-1])[ck]
+    np.putmask(acc, ~valid, np.inf)
+    # ``valid &``: a row with no valid cut has an infinite minimum that every position would meet
     keep = valid & (acc <= acc.min(axis=1, keepdims=True) + n * _RESCORE_EPS)
 
     # exact pass on the survivors, one math.log2 per distinct (count, size)
     rows, pos = np.nonzero(keep)
-    near = cum[:, rows, pos].astype(np.int64)
+    near = np.concatenate([cum[:, rows, pos], last[None, rows, pos]], dtype=np.int64)
     far = class_totals[:, None] - near
     keys = np.concatenate([near * (n + 1) + n1[pos], far * (n + 1) + n2[pos]])
     uniq, inv = np.unique(keys.ravel(), return_inverse=True)
     terms = np.array(
         [_entropy_term(*divmod(key, n + 1)) if key > n else 0.0 for key in uniq.tolist()]
     )[inv].reshape(keys.shape)
-    h1 = np.zeros(len(rows))
-    h2 = np.zeros(len(rows))
+    h1, h2 = np.zeros((2, len(rows)))
     for k in range(n_classes):
         h1 = h1 + terms[k]
         h2 = h2 + terms[n_classes + k]
-    gains = np.full((r, n), -np.inf)
-    gains[rows, pos] = (h_full - (n1[pos] / n) * h1) - (n2[pos] / n) * h2
-    return gains
+    return rows, pos, (h_full - (n1[pos] / n) * h1) - (n2[pos] / n) * h2
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +277,11 @@ def _best_node_split(
     valid = np.zeros(sv.shape, dtype=bool)
     valid[:, :-1] = sv[:, :-1] != sv[:, 1:]
     valid &= (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-    gains = _split_gains(label_idx[order], valid, class_counts)
-    feature, i = divmod(int(np.argmax(gains)), n)
-    if gains[feature, i] == -np.inf:
+    rows, pos, gains = _split_gains(label_idx[order], valid, class_counts)
+    if not len(gains):
         return None
+    best = int(np.argmax(gains))  # kept cuts come row-major, i.e. in (feature, threshold) order
+    feature, i = int(rows[best]), int(pos[best])
     lo, hi = float(sv[feature, i]), float(sv[feature, i + 1])
     threshold = (lo + hi) / 2.0
     if not lo <= threshold < hi:  # rounding between adjacent floats, or overflow

@@ -215,11 +215,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     train = read_feature_csv(args.train_features)
     test = read_feature_csv(args.test_features)
     if args.mode == "st" and (train.uncertainty.any() or test.uncertainty.any()):
-        warnings.warn(
-            "mode st ignores uncertainties: best estimates used, deltas dropped",
-            RuntimeWarning,
-            stacklevel=1,
-        )
+        warnings.warn("mode st ignores uncertainties: best estimates used, deltas dropped", RuntimeWarning)
     result = _classify(Features(train, test), args.mode, _tree_from_args(args))
     if args.model_out:
         save_model(result.model, args.model_out)
@@ -288,25 +284,13 @@ def _format_row(row: BenchmarkRow, with_timings: bool) -> list[str]:
 
 
 def _pairwise_summary(rows: list[BenchmarkRow], modes: Sequence[str]) -> list[list[str]]:
-    acc: dict[tuple[str, str], float] = {
-        (r.dataset, r.mode): r.result.accuracy for r in rows if r.result is not None
-    }
-    datasets = sorted({r.dataset for r in rows})
+    acc = {(r.dataset, r.mode): r.result.accuracy for r in rows if r.result is not None}
     table = []
-    for i in range(len(modes)):
-        for j in range(i + 1, len(modes)):
-            a, b = modes[i], modes[j]
-            wins_a = ties = wins_b = 0
-            for name in datasets:
-                if (name, a) not in acc or (name, b) not in acc:
-                    continue
-                if acc[name, a] > acc[name, b]:
-                    wins_a += 1
-                elif acc[name, a] < acc[name, b]:
-                    wins_b += 1
-                else:
-                    ties += 1
-            table.append([a, b, str(wins_a), str(ties), str(wins_b)])
+    for i, a in enumerate(modes):
+        for b in modes[i + 1 :]:
+            pairs = [(x, acc[name, b]) for (name, mode), x in acc.items() if mode == a and (name, b) in acc]
+            wins_a, wins_b = sum(x > y for x, y in pairs), sum(x < y for x, y in pairs)
+            table.append([a, b, str(wins_a), str(len(pairs) - wins_a - wins_b), str(wins_b)])
     return table
 
 
@@ -339,6 +323,12 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
     # one task per dataset view: st featurizes without uncertainties, the ust-* modes share one featurization
     tasks = list(dict.fromkeys((name, mode == "st") for name, _, _ in datasets for mode in modes))
+
+    # largest first, so that no thread idles while the last large task runs alone: by the kernel's
+    # O(n²·m³) on the train split, the uncertain view before the certain one, a failed dataset last
+    cost = {name: 0 if isinstance(d, Exception) else len(d[0]) ** 2 * d[0].series_length ** 3
+            for name, d in prepared.items()}
+    tasks.sort(key=lambda task: (-cost[task[0]], task[1]))
 
     def run_view(task: tuple[str, bool]) -> list[BenchmarkRow]:
         name, certain = task

@@ -333,8 +333,9 @@ def read_feature_csv(path: str | Path) -> UncertainDataset:
 
 
 def dataset_std(d: UncertainDataset) -> float:
-    """Population standard deviation of all best values pooled together."""
-    return float(np.std(d.best))
+    """Population standard deviation of all best values pooled together; ``inf`` or ``nan`` if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.std(d.best))
 
 
 def _instance_noise(seed: int, instance_index: int, size: int) -> np.ndarray:
@@ -367,6 +368,8 @@ def inject_noise(d: UncertainDataset, spec: NoiseSpec) -> UncertainDataset:
     if d.uncertainty.any():
         raise ValueError("noise injection expects a certain dataset (all uncertainties zero)")
     sigma = spec.fixed_scale if spec.fixed_scale is not None else dataset_std(d)
+    if not math.isfinite(sigma):
+        raise ValueError("default noise scale (the dataset's pooled standard deviation) is not finite; pass --sigma")
     if sigma == 0.0:
         warnings.warn(
             "dataset standard deviation is 0: no noise injected, output equals input",
@@ -376,8 +379,9 @@ def inject_noise(d: UncertainDataset, spec: NoiseSpec) -> UncertainDataset:
         return d
 
     n, m = d.best.shape
-    noisy = sigma * np.stack([_instance_noise(spec.seed, i, m) for i in range(n)])
-    noisy += d.best
+    with np.errstate(over="ignore"):  # an overflowed value is refused below as not finite
+        noisy = sigma * np.stack([_instance_noise(spec.seed, i, m) for i in range(n)])
+        noisy += d.best
     return UncertainDataset.from_arrays(noisy, np.abs(noisy - d.best), d.labels)
 
 

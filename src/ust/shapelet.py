@@ -15,12 +15,13 @@ rows it computes every pairwise term once into a term table, then grows every
 window sum of the tile by one index-ascending term per length, as ``udissim``
 folds them, from a shifted view of that table.  The tiles' per-length minima
 fill a staging block of stems, which is scored at every length it reaches.
-Split gains come from the sweep shared with the decision tree, which ranks
-every cut approximately and rescores the cuts that can be a row's maximum with
-the scalar expression of :func:`ust.classify.entropy_from_counts`.  On certain
-data (the ``st`` view, or no uncertainty file) the kernel sums only
-``(a - b)**2``, which has the bits of ``|a - b|**2``, and leaves every
-uncertainty minimum at the ``+0.0`` the full path gives there.
+The split sweep, shared with the decision tree, sorts rows on their real best
+estimates (on the uncertainties too only in rows with an exact tie), ranks every
+cut approximately and rescores the cuts that can be a row's maximum with the
+scalar expression of :func:`ust.classify.entropy_from_counts`.  On certain data
+(the ``st`` view, or no uncertainty file) the kernel sums only ``(a - b)**2``,
+which has the bits of ``|a - b|**2``, and leaves every uncertainty minimum at
+the ``+0.0`` the full path gives there.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -283,27 +284,32 @@ def _batch_best_splits(
     """
     c_total, n = dist_best.shape
 
-    # Sort under the uncertain order, i.e. lexicographic (best, uncertainty);
-    # complex argsort is lexicographic.  Entries equal in both components may
-    # come out in any order: they share every valid cut.
-    order = np.argsort(dist_best + 1j * dist_unc, axis=1)
-    sb = np.take_along_axis(dist_best, order, axis=1)
-    su = np.take_along_axis(dist_unc, order, axis=1)
+    # Sort under the uncertain order (best, then uncertainty): argsort the best
+    # estimates, and lexsort only the rows with an exact best tie.  Entries
+    # equal in both components may come out in any order: they share every valid cut.
+    order = np.argsort(dist_best, axis=1)
+    sorted_labels = label_idx[order]
+    order += np.arange(0, c_total * n, n)[:, None]  # flat indices into the ravelled inputs
+    best, unc = dist_best.ravel(), dist_unc.ravel()
+    valid = np.ones((c_total, n), dtype=bool)
+    sb = best[order]
+    np.not_equal(sb[:, :-1], sb[:, 1:], out=valid[:, :-1])
+    del sb  # margins and thresholds are read through ``order``
+    tied = np.flatnonzero(~valid[:, :-1].all(axis=1))
+    if len(tied):
+        resort = np.lexsort((dist_unc[tied], dist_best[tied]))
+        sorted_labels[tied] = label_idx[resort]
+        order[tied] = resort + (tied * n)[:, None]
+        su = unc[order[tied]]
+        valid[tied, :-1] |= su[:, :-1] != su[:, 1:]
+    rows, pos, gain = _split_gains(sorted_labels, valid, class_totals)
 
-    valid = np.empty((c_total, n), dtype=bool)
-    valid[:, -1] = True
-    valid[:, :-1] = (sb[:, :-1] != sb[:, 1:]) | (su[:, :-1] != su[:, 1:])
-    gain = _split_gains(label_idx[order], valid, class_totals)
-
-    margin = np.zeros((c_total, n))
-    margin[:, :-1] = sb[:, 1:] - sb[:, :-1]
-
-    gain_max = gain.max(axis=1)
-    # argmax takes the first of equal margins, i.e. the smallest threshold
-    pick = np.where(gain == gain_max[:, None], margin, -np.inf).argmax(axis=1)
-
-    rows = np.arange(c_total)
-    return gain_max, margin[rows, pick], sb[rows, pick], su[rows, pick], pick + 1
+    # per row, the first cut by larger gain, then larger margin, then smaller
+    # threshold; every row keeps its last cut, which is always valid
+    at = order[rows, pos]
+    margin = best[order[rows, np.minimum(pos + 1, n - 1)]] - best[at]  # 0.0 at the last cut
+    first = np.lexsort((pos, -margin, -gain, rows))[np.searchsorted(rows, np.arange(c_total))]
+    return gain[first], margin[first], best[at[first]], unc[at[first]], pos[first] + 1
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from ust import (
     tree_predict,
     write_feature_csv,
 )
-from ust.classify import model_to_json
+from ust.classify import _split_gains, model_to_json
 
 
 def matrix(best, unc, labels):
@@ -241,6 +241,19 @@ class TestTreeOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # an (n+1)**2 float64 table alone would be 288 MB
+
+
+class TestSplitGains:
+    def test_row_without_valid_cut_keeps_none(self):
+        # were it to keep its cuts, the tree would split such a node without end
+        labels = np.array([[0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0]])
+        valid = np.array([[False] * 4, [True] * 4, [True, True, True, False]])
+        rows, pos, gains = _split_gains(labels, valid, np.array([2, 2]))
+        assert (rows.tolist(), pos.tolist()) == ([1, 2, 2], [1, 0, 2])  # row 2 ties at its first and third cut
+        assert gains[0] == 1.0 and gains[1] == gains[2]
+        for row in (1, 2):  # the other rows of the call are unaffected
+            alone = _split_gains(labels[row : row + 1], valid[row : row + 1], np.array([2, 2]))
+            assert (pos[rows == row].tolist(), gains[rows == row].tolist()) == (alone[1].tolist(), alone[2].tolist())
 
 
 class TestTreePredict:

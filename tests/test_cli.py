@@ -50,6 +50,9 @@ SHAPELET_DOC = {
 }
 
 
+OVERFLOWING_SCALE = "default noise scale (the dataset's pooled standard deviation) is not finite; pass --sigma"
+
+
 @pytest.fixture()
 def tiny_dataset(tmp_path):
     rng = np.random.default_rng(77)
@@ -121,6 +124,17 @@ class TestAddNoise:
         assert capsys.readouterr().err == "error: fixed scale must be a finite number > 0, got inf\n"
         assert not (tmp_path / "v.tsv").exists()
 
+
+    def test_overflowing_default_scale_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "big.tsv"
+        data.write_text("1\t1e300\t-1e300\n")
+        rc = main([
+            "add-noise", "--input", str(data),
+            "--out-values", str(tmp_path / "v.tsv"), "--out-uncertainties", str(tmp_path / "u.tsv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {OVERFLOWING_SCALE}\n"
+        assert not (tmp_path / "v.tsv").exists() and not (tmp_path / "u.tsv").exists()
 
 class TestStepComposition:
     def test_files_equal_in_process_pipeline(self, tiny_dataset, tmp_path, capsys):
@@ -515,6 +529,52 @@ class TestBenchmark:
         healthy = [r for r in rows if r["dataset"] != "broken"]
         assert broken and all(r["error"] != "" for r in broken)
         assert healthy and all(r["error"] == "" for r in healthy)
+
+    def test_overflowing_noise_scale_is_a_dataset_error(self, tmp_path, capsys):
+        root = make_benchmark_dir(tmp_path, n_datasets=1)
+        write_tsv(root / "big" / "big_TRAIN.tsv", [("1", [1e300, -1e300]), ("2", [1.0, 2.0])])
+        write_tsv(root / "big" / "big_TEST.tsv", [("1", [1.0, 2.0])])
+        out = tmp_path / "report.csv"
+        assert main([
+            "benchmark", "--data-dir", str(root), "--k", "2", "--min-len", "3", "--max-len", "5",
+            "--no-timings", "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            errors = {(r["dataset"], r["mode"]): r["error"] for r in csv.DictReader(fh)}
+        assert errors == {
+            (name, mode): f"ValueError: {OVERFLOWING_SCALE}" if name == "big" else ""
+            for name in ("big", "ds0") for mode in MODES
+        }
+        assert capsys.readouterr().err == ""
+
+    def test_views_start_largest_first(self, tmp_path, monkeypatch):
+        # at --jobs 1 the views run in task order: by n²·m³ of the train split, the uncertain view
+        # first, a failed dataset last; the report keeps dataset order, then --modes order
+        featurize, error, seen = ust.cli._featurize, ust.cli._error, []
+
+        def spy(train, test, certain, extraction):
+            seen.append((train.best.shape, certain))
+            return featurize(train, test, certain, extraction)
+
+        monkeypatch.setattr(ust.cli, "_featurize", spy)
+        monkeypatch.setattr(ust.cli, "_error", lambda exc: seen.append("failed") or error(exc))
+        root = make_benchmark_dir(tmp_path, n_datasets=0, corrupt=("a",))
+        rng = np.random.default_rng(4)
+        for name, per_class, m in (("b", 4, 10), ("c", 6, 8), ("d", 5, 12)):  # n²·m³: 64000, 73728, 172800
+            write_tsv(root / name / f"{name}_TRAIN.tsv", synth_rows(rng, per_class, m))
+            write_tsv(root / name / f"{name}_TEST.tsv", synth_rows(rng, 2, m))
+        out = tmp_path / "r.csv"
+        modes = ["st", "ust-gauss", "ust-flat"]
+        assert main([
+            "benchmark", "--data-dir", str(root), "--modes", ",".join(modes), "--k", "2", "--min-len", "3",
+            "--max-len", "5", "--jobs", "1", "--no-timings", "--out", str(out),
+        ]) == 0
+        views = [(shape, certain) for shape in ((10, 12), (12, 8), (8, 10)) for certain in (False, True)]
+        assert seen == views + ["failed"] * 3  # dataset a: one row per mode
+        with open(out) as fh:
+            assert [(r["dataset"], r["mode"]) for r in csv.DictReader(fh)] == [
+                (name, mode) for name in "abcd" for mode in modes
+            ]
 
     def test_all_failures_exit_nonzero(self, tmp_path):
         root = make_benchmark_dir(tmp_path, n_datasets=0, corrupt=("x", "y"))

@@ -155,6 +155,37 @@ def row_split(pairs, labels):
     return g[0], mg[0], (tb[0], tu[0]), n1[0]
 
 
+@st.composite
+def split_sweeps(draw):
+    """One ``_batch_best_splits`` call: K classes, and rows of mixed tie patterns.
+
+    A row is distinct reals; or reals whose only ties are exact best ties with
+    different uncertainties; or all-equal pairs; or a small grid tied in both
+    components.
+    """
+    k = draw(st.integers(2, 5))
+    n = k if draw(st.booleans()) else draw(st.integers(k, 12))  # one instance per class, or more
+    extra = draw(st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k))
+    labels = draw(st.permutations(list(range(k)) + extra))
+    rows = []
+    kinds = st.sampled_from(["distinct", "best-tie", "equal", "grid"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=12)):
+        if kind == "grid":
+            b = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+            u = draw(st.lists(st.sampled_from([0.0, 0.5]), min_size=n, max_size=n))
+        elif kind == "equal":
+            b, u = [draw(st.floats(0, 4))] * n, [draw(st.floats(0, 1))] * n
+        else:
+            tie = kind == "best-tie"
+            b = draw(st.lists(st.integers(0, 400), min_size=n - tie, max_size=n - tie, unique=True))
+            b = [x / 8 for x in b + b[-1:] * tie]
+            u = [x / 8 for x in draw(st.lists(st.integers(0, 80), min_size=n, max_size=n, unique=True))]
+            order = draw(st.permutations(range(n)))
+            b, u = [b[i] for i in order], [u[i] for i in order]
+        rows.append((b, u))
+    return np.array([r[0] for r in rows], dtype=float), np.array([r[1] for r in rows], dtype=float), labels
+
+
 class TestSubsequenceDistance:
     """The window minimum of ``_grid_min_dissims`` against ``oracles.min_dissim``."""
 
@@ -237,6 +268,19 @@ class TestBestSplit:
             else:
                 pairs = [(float(rng.normal()), float(rng.uniform(0, 1))) for _ in range(n)]
             assert row_split(pairs, labels) == oracles.split_quality(pairs, labels, sorted(set(labels)))
+
+    @given(split_sweeps())
+    @example((np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0]]), np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.25]]), [0, 1, 0]))
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_matches_oracle_per_row(self, case):
+        # rows are independent: each equals the scalar oracle, whichever rows of the call hold ties
+        dist_b, dist_u, labels = case
+        totals = np.bincount(labels)
+        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, np.array(labels), totals)
+        for row in range(len(dist_b)):
+            pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
+            expected = oracles.split_quality(pairs, labels, sorted(set(labels)))
+            assert (g[row], mg[row], (tb[row], tu[row]), n1[row]) == expected
 
     def test_needs_two_instances_and_classes(self):
         with pytest.raises(ValueError):
