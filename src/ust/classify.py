@@ -350,13 +350,16 @@ def tree_predict(model: DecisionTreeModel, e: EncodedMatrix) -> list[str]:
         raise DimensionMismatchError(
             f"matrix has {features.shape[1]} features, model expects {model.n_features}"
         )
-    out = []
-    for row in features:
-        node = model.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        out.append(node.label)
-    return out
+    out = np.empty(features.shape[0], dtype=object)
+    stack = [(model.root, np.arange(features.shape[0]))]  # explicit, so depth is not bounded by recursion
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            out[rows] = node.label
+            continue
+        go_left = features[rows, node.feature] <= node.threshold
+        stack += [(node.left, rows[go_left]), (node.right, rows[~go_left])]
+    return out.tolist()
 
 
 def evaluate(predictions: Sequence[str], truth: Sequence[str]) -> float:

@@ -188,8 +188,12 @@ def _tree_from_args(args: argparse.Namespace) -> TreeParams:
 
 def cmd_add_noise(args: argparse.Namespace) -> int:
     data = load_dataset(args.input)
-    spec = NoiseSpec(seed=args.seed, fixed_scale=args.sigma)
-    noisy = inject_noise(data, spec)
+    try:
+        noisy = inject_noise(data, NoiseSpec(seed=args.seed, fixed_scale=args.sigma))
+    except ValueError as exc:  # only add-noise has a --sigma to offer
+        if args.sigma is None and str(exc).startswith("default noise scale"):
+            raise ValueError(f"{exc}; pass --sigma") from None
+        raise
     save_dataset(noisy, args.out_values, args.out_uncertainties)
     return 0
 

@@ -13,29 +13,24 @@ A dataset is stored as one or two TSV files, or as one feature CSV:
 
 All three hold finite reals with 17 significant digits (a bit-exact round
 trip for binary64), uncertainties >= 0 and non-empty labels without tab,
-CR or LF.  A malformed number raises ``<file>:<line>: column <c>: ...``.
-
-In memory a dataset is two read-only ``(n, m)`` float64 matrices, ``best``
-and ``uncertainty``, plus one label per row; every stage after loading
-works on those matrices.  The shapelet transform returns a dataset too:
-row ``i`` holds the k uncertain distances from instance ``i`` to the k
-shapelets, so ``m`` is k there.
-
-Noise injection turns a certain dataset into an uncertain one: every value
-gets an additive draw from ``N(0, sigma)`` and its recorded uncertainty is
-the absolute difference between the noisy and the original value.  The
-generator is pinned for reproducibility, see :func:`inject_noise`.
+CR or LF.  A number is any string Python's ``float`` accepts.  A reader
+checks each row's shape, then parses all numbers of a table in one pass;
+only when that fails does it rescan the rows in order, so that a malformed
+number raises ``<file>:<line>: column <c>: ...`` for the first bad one.
+A writer formats each row with one ``%`` operation.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -234,6 +229,30 @@ def _read_rows(path: str) -> list[tuple[int, list[str]]]:
     return [(line_no, line.split("\t")) for line_no, line in lines if line]
 
 
+def _parse_table(rows: list[tuple[int, list[str]]], skip: int, width: int, nonneg_from: int,
+                 check_row: Callable[[int, list[str]], None], ok: bool = True) -> np.ndarray:
+    """Fields ``skip:`` of the ``(line_no, fields)`` rows as one ``(n, width)`` float64 matrix.
+
+    All numbers go through Python's own ``float`` in one pass, so a number is
+    accepted exactly when :func:`_reals` accepts it; columns from ``nonneg_from``
+    on must be >= 0.  If a row is not ``skip + width`` fields wide, ``ok`` (the
+    caller's other checks) is false or a value is refused, ``check_row`` runs on
+    the rows in line order to raise the first error.
+    """
+    values = None
+    if ok and width >= 1 and all(len(fields) == skip + width for _, fields in rows):
+        tokens = itertools.chain.from_iterable(fields[skip:] for _, fields in rows)
+        try:
+            values = np.fromiter(map(float, tokens), np.float64, len(rows) * width).reshape(-1, width)
+        except ValueError:
+            pass
+    if values is None or not np.isfinite(values).all() or (values[:, nonneg_from:] < 0).any():
+        for line_no, fields in rows:
+            check_row(line_no, fields)
+        raise AssertionError("the bulk parse refused a table whose rows all pass their checks")
+    return values
+
+
 def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = None) -> UncertainDataset:
     """Load a dataset from a values TSV and an optional uncertainty TSV.
 
@@ -246,26 +265,22 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
     vrows = _read_rows(vpath)
     if not vrows:
         raise DatasetFormatError(f"{vpath}: no instances found")
-
-    labels: list[str] = []
-    bests: list[list[float]] = []
     m = len(vrows[0][1]) - 1
-    for line_no, fields in vrows:
+
+    def check_values(line_no: int, fields: list[str]) -> None:
         if len(fields) < 2:
-            raise DatasetFormatError(
-                f"{vpath}:{line_no}: expected a label followed by at least one value"
-            )
+            raise DatasetFormatError(f"{vpath}:{line_no}: expected a label followed by at least one value")
         if not fields[0]:
             raise DatasetFormatError(f"{vpath}:{line_no}: column 1: missing label")
         if len(fields) - 1 != m:
-            raise DatasetFormatError(
-                f"{vpath}:{line_no}: ragged row: {len(fields) - 1} values, expected {m}"
-            )
-        labels.append(fields[0])
-        bests.append(_reals(f"{vpath}:{line_no}", fields[1:], 2))
+            raise DatasetFormatError(f"{vpath}:{line_no}: ragged row: {len(fields) - 1} values, expected {m}")
+        _reals(f"{vpath}:{line_no}", fields[1:], 2)
+
+    labels = [fields[0] for _, fields in vrows]
+    best = _parse_table(vrows, 1, m, m, check_values, ok=all(labels))  # best estimates may be negative
 
     if uncertainty_path is None:
-        uncs = np.zeros((len(bests), m))
+        unc = np.zeros_like(best)
     else:
         upath = str(uncertainty_path)
         urows = _read_rows(upath)
@@ -273,38 +288,53 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
             raise DatasetFormatError(
                 f"{upath}: {len(urows)} rows but {vpath} has {len(vrows)}: shape mismatch"
             )
-        uncs = []
-        for line_no, fields in urows:
-            if len(fields) != m:
-                raise DatasetFormatError(
-                    f"{upath}:{line_no}: {len(fields)} values, expected {m}: shape mismatch"
-                )
-            uncs.append(_reals(f"{upath}:{line_no}", fields, 1, nonneg=True))
 
-    return UncertainDataset.from_arrays(bests, uncs, labels)
+        def check_uncertainties(line_no: int, fields: list[str]) -> None:
+            if len(fields) != m:
+                raise DatasetFormatError(f"{upath}:{line_no}: {len(fields)} values, expected {m}: shape mismatch")
+            _reals(f"{upath}:{line_no}", fields, 1, nonneg=True)
+
+        unc = _parse_table(urows, 0, m, 0, check_uncertainties)
+
+    return UncertainDataset.from_arrays(best, unc, labels)
+
+
+def _write_rows(path: str | Path, matrix: np.ndarray, labels: Sequence[str] | None, sep: str, header: str = "") -> None:
+    """Write ``header``, then per row of ``matrix`` its label (if any) and its reals, joined by ``sep``.
+
+    Each row is one ``%`` operation; ``"%.17g"`` gives the bytes of :func:`format_real`.
+    """
+    row_format = sep.join(["%.17g"] * matrix.shape[1]) + "\n"
+    lines = (row_format % tuple(row) for row in matrix.tolist())
+    if labels is not None:
+        lines = (label + sep + line for label, line in zip(labels, lines))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header)
+        fh.writelines(lines)
 
 
 def save_dataset(d: UncertainDataset, values_path: str | Path, uncertainty_path: str | Path) -> None:
     """Write a values TSV and an uncertainty TSV that :func:`load_dataset` reads back."""
-    with open(values_path, "w", encoding="utf-8", newline="") as fh:
-        for label, row in zip(d.labels, d.best.tolist()):
-            fh.write("\t".join([label] + [format_real(x) for x in row]) + "\n")
-    with open(uncertainty_path, "w", encoding="utf-8", newline="") as fh:
-        for row in d.uncertainty.tolist():
-            fh.write("\t".join(format_real(x) for x in row) + "\n")
+    _write_rows(values_path, d.best, d.labels, "\t")
+    _write_rows(uncertainty_path, d.uncertainty, None, "\t")
 
 
 def _feature_header(k: int) -> list[str]:
     return ["label"] + [f"f{j + 1}" for j in range(2 * k)]
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one field of a feature CSV row, quoted as :mod:`csv` quotes it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
+
+
 def write_feature_csv(f: UncertainDataset, path: str | Path) -> None:
     """Write ``label,f1..f2k`` rows, best estimates then uncertainties (lossless)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_feature_header(f.series_length))
-        for label, row in zip(f.labels, np.hstack([f.best, f.uncertainty]).tolist()):
-            writer.writerow([label] + [format_real(x) for x in row])
+    quoted = {label: _csv_field(label) for label in set(f.labels)}
+    header = ",".join(_feature_header(f.series_length)) + "\n"
+    _write_rows(path, np.hstack([f.best, f.uncertainty]), [quoted[label] for label in f.labels], ",", header)
 
 
 def read_feature_csv(path: str | Path) -> UncertainDataset:
@@ -319,15 +349,17 @@ def read_feature_csv(path: str | Path) -> UncertainDataset:
     k = (len(rows[0]) - 1) // 2 if rows else 0
     if len(rows) < 2 or k < 1 or rows[0] != _feature_header(k):
         raise DatasetFormatError(f"{path}: expected header 'label,f1..f2k' and at least one row")
-    bests, uncs = [], []
-    for line_no, row in enumerate(rows[1:], start=2):
+
+    def check_row(line_no: int, row: list[str]) -> None:
         at = f"{path}:{line_no}"
         if len(row) != 2 * k + 1:
             raise DatasetFormatError(f"{at}: expected {2 * k + 1} fields, got {len(row)}")
-        bests.append(_reals(at, row[1 : k + 1], 2))
-        uncs.append(_reals(at, row[k + 1 :], k + 2, nonneg=True))
+        _reals(at, row[1 : k + 1], 2)
+        _reals(at, row[k + 1 :], k + 2, nonneg=True)
+
+    values = _parse_table(list(enumerate(rows[1:], start=2)), 1, 2 * k, k, check_row)
     try:
-        return UncertainDataset.from_arrays(bests, uncs, [row[0] for row in rows[1:]])
+        return UncertainDataset.from_arrays(values[:, :k], values[:, k:], [row[0] for row in rows[1:]])
     except ValueError as exc:  # a label the format cannot hold
         raise DatasetFormatError(f"{path}: {exc}") from None
 
@@ -369,7 +401,7 @@ def inject_noise(d: UncertainDataset, spec: NoiseSpec) -> UncertainDataset:
         raise ValueError("noise injection expects a certain dataset (all uncertainties zero)")
     sigma = spec.fixed_scale if spec.fixed_scale is not None else dataset_std(d)
     if not math.isfinite(sigma):
-        raise ValueError("default noise scale (the dataset's pooled standard deviation) is not finite; pass --sigma")
+        raise ValueError("default noise scale (the dataset's pooled standard deviation) is not finite")
     if sigma == 0.0:
         warnings.warn(
             "dataset standard deviation is 0: no noise injected, output equals input",

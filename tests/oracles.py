@@ -8,6 +8,7 @@ contract being checked and are therefore implemented twice on purpose.
 
 from __future__ import annotations
 
+import csv
 import math
 
 
@@ -177,3 +178,118 @@ def grow_tree(rows, labels, max_depth, min_samples_leaf, classes=None, depth=0):
         )
 
     return {"feature": j, "threshold": threshold, "left": child(True), "right": child(False)}
+
+
+def walk_tree(root, rows) -> list:
+    """One leaf label per row, each row routed alone from ``root`` (left when ``x <= threshold``)."""
+    out = []
+    for row in rows:
+        node = root
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        out.append(node.label)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# text tables: the per-token reader and per-value writers
+# ---------------------------------------------------------------------------
+
+def _table_reals(at, tokens, first_col, nonneg=False):
+    out = []
+    for col, tok in enumerate(tokens, start=first_col):
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ValueError(f"{at}: column {col}: not a decimal real: {tok!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{at}: column {col}: value must be finite, got {tok!r}")
+        if nonneg and value < 0:
+            raise ValueError(f"{at}: column {col}: negative uncertainty {tok}, must be >= 0")
+        out.append(value)
+    return out
+
+
+def _tsv_rows(path):
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [(line_no, line.rstrip("\r\n")) for line_no, line in enumerate(fh, start=1)]
+    return [(line_no, line.split("\t")) for line_no, line in lines if line]
+
+
+def read_tsv(values_path, uncertainty_path=None):
+    """``(labels, best rows, uncertainty rows)`` of a values TSV and optional uncertainty TSV.
+
+    Every token is parsed on its own, row by row; the first bad row or token
+    raises ``ValueError`` with the ``<file>:<line>: column <c>: ...`` message.
+    """
+    vpath = str(values_path)
+    vrows = _tsv_rows(vpath)
+    if not vrows:
+        raise ValueError(f"{vpath}: no instances found")
+    labels, bests = [], []
+    m = len(vrows[0][1]) - 1
+    for line_no, fields in vrows:
+        if len(fields) < 2:
+            raise ValueError(f"{vpath}:{line_no}: expected a label followed by at least one value")
+        if not fields[0]:
+            raise ValueError(f"{vpath}:{line_no}: column 1: missing label")
+        if len(fields) - 1 != m:
+            raise ValueError(f"{vpath}:{line_no}: ragged row: {len(fields) - 1} values, expected {m}")
+        labels.append(fields[0])
+        bests.append(_table_reals(f"{vpath}:{line_no}", fields[1:], 2))
+    if uncertainty_path is None:
+        return labels, bests, [[0.0] * m for _ in bests]
+    upath = str(uncertainty_path)
+    urows = _tsv_rows(upath)
+    if len(urows) != len(vrows):
+        raise ValueError(f"{upath}: {len(urows)} rows but {vpath} has {len(vrows)}: shape mismatch")
+    uncs = []
+    for line_no, fields in urows:
+        if len(fields) != m:
+            raise ValueError(f"{upath}:{line_no}: {len(fields)} values, expected {m}: shape mismatch")
+        uncs.append(_table_reals(f"{upath}:{line_no}", fields, 1, nonneg=True))
+    return labels, bests, uncs
+
+
+def read_feature_csv(path):
+    """``(labels, best rows, uncertainty rows)`` of a feature CSV, token by token like :func:`read_tsv`."""
+    path = str(path)
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.reader(fh))
+    k = (len(rows[0]) - 1) // 2 if rows else 0
+    if len(rows) < 2 or k < 1 or rows[0] != ["label"] + [f"f{j + 1}" for j in range(2 * k)]:
+        raise ValueError(f"{path}: expected header 'label,f1..f2k' and at least one row")
+    bests, uncs = [], []
+    for line_no, row in enumerate(rows[1:], start=2):
+        at = f"{path}:{line_no}"
+        if len(row) != 2 * k + 1:
+            raise ValueError(f"{at}: expected {2 * k + 1} fields, got {len(row)}")
+        bests.append(_table_reals(at, row[1 : k + 1], 2))
+        uncs.append(_table_reals(at, row[k + 1 :], k + 2, nonneg=True))
+    labels = [row[0] for row in rows[1:]]
+    for i, label in enumerate(labels):  # the labels a dataset refuses
+        if label == "":
+            raise ValueError(f"{path}: instance {i} has no label: dataset instances must be labeled")
+        if "\t" in label or "\r" in label or "\n" in label:
+            raise ValueError(f"{path}: instance {i} has label {label!r}: want a str without tab/CR/LF")
+    return labels, bests, uncs
+
+
+def write_tsv(labels, bests, uncs, values_path, uncertainty_path):
+    """A values TSV and an uncertainty TSV, every real written by ``format(x, ".17g")``."""
+    with open(values_path, "w", encoding="utf-8", newline="") as fh:
+        for label, row in zip(labels, bests):
+            fh.write("\t".join([label] + [format(float(x), ".17g") for x in row]) + "\n")
+    with open(uncertainty_path, "w", encoding="utf-8", newline="") as fh:
+        for row in uncs:
+            fh.write("\t".join(format(float(x), ".17g") for x in row) + "\n")
+
+
+def write_feature_csv(labels, bests, uncs, path):
+    """A feature CSV written row by row through ``csv.writer``."""
+    k = len(bests[0])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * k)])
+        for label, best, unc in zip(labels, bests, uncs):
+            writer.writerow([label] + [format(float(x), ".17g") for x in list(best) + list(unc)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 import oracles
@@ -188,6 +189,8 @@ class TestTreeFit:
             node = node.right if node.left.is_leaf else node.left
         assert depth == n - 1
         assert evaluate(tree_predict(model, e), e.labels) == 1.0
+        shuffled = EncodedMatrix(np.random.default_rng(8).uniform(-1, n, (n, 1)), None, "best")
+        assert tree_predict(model, shuffled) == oracles.walk_tree(model.root, shuffled.features)
 
     def test_requires_labels(self):
         with pytest.raises(ValueError):
@@ -256,7 +259,34 @@ class TestSplitGains:
             assert (pos[rows == row].tolist(), gains[rows == row].tolist()) == (alone[1].tolist(), alone[2].tolist())
 
 
+@st.composite
+def predict_cases(draw):
+    """A train and a test split of uncertain features, train labels and tree params."""
+    width = draw(st.integers(1, 3))
+    value = draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(-1e3, 1e3, allow_nan=False)]))
+
+    def split(n):
+        best = draw(arrays(np.float64, (n, width), elements=value))
+        return best, np.abs(draw(arrays(np.float64, (n, width), elements=value)))
+
+    train, test = split(draw(st.integers(2, 24))), split(draw(st.integers(1, 24)))
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=len(train[0]), max_size=len(train[0])))
+    params = TreeParams(draw(st.sampled_from([None, 0, 2])), draw(st.integers(1, 3)))
+    return matrix(*train, labels), matrix(*test, ["?"] * len(test[0])), params
+
+
 class TestTreePredict:
+    @given(predict_cases(), st.sampled_from(["best", "flatten", "gaussian"]))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_row_walk(self, case, encoding):
+        train, test, params = case
+        stats = fit_gaussian_stats(train)
+        encode = {"best": encode_best, "flatten": encode_flatten, "gaussian": lambda f: encode_gaussian(f, stats)}
+        model = tree_fit(encode[encoding](train), params)
+        for f in (train, test):
+            e = encode[encoding](f)
+            assert tree_predict(model, e) == oracles.walk_tree(model.root, e.features)
+
     def test_empty_matrix(self):
         e = EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best")
         model = tree_fit(e)

@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+import oracles
 
 from ust import (
     DatasetFormatError,
@@ -262,6 +266,157 @@ class TestFeatureCsvCodec:
     def test_form_feed_in_tsv_label_loads(self, tmp_path):
         d = load_dataset(write(tmp_path / "v.tsv", "a\x0cb\t1\n"))
         assert d.labels == ["a\x0cb"]
+
+
+# tokens Python's float accepts: 17-digit and shortest reals, integers, -0, digit
+# separators, non-ASCII digits and surrounding whitespace
+ACCEPTED_TOKENS = st.one_of(
+    finite.map(lambda x: format(x, ".17g")),
+    finite.map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["-0", "1_0", "١", "１", " 1", "1 ", "\xa01", "+.5e-3", "5e-324"]),
+)
+# tokens it refuses, or that parse to a value the tables refuse
+REFUSED_TOKENS = st.sampled_from(
+    ["1\x00", "nan", "-inf", "inf", "1e999", "abc", "", "0x10", "1__0", "--1", "-0.5", "-1e-300"]
+)
+TABLE_LABELS = st.sampled_from(["a", "b", "c d", "", "x,y", '"q"', "#c", "éß"])
+
+
+@st.composite
+def table_rows(draw, width, labeled, nonneg):
+    """Rows of tokens, mostly ``width`` wide and well formed, with drawn odds of
+    bad tokens and ragged rows; ``labeled`` rows start with a label."""
+    bad_odds = draw(st.sampled_from([0, 0, 1, 4]))  # in 20
+    ragged_odds = draw(st.sampled_from([0, 0, 1]))
+    good = ACCEPTED_TOKENS.map(lambda t: t.replace("-", "", 1) if nonneg else t)
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = width
+        if draw(st.integers(0, 19)) < ragged_odds:
+            n = draw(st.integers(0, width + 1))
+        row = [draw(TABLE_LABELS)] if labeled else []
+        for _ in range(n):
+            row.append(draw(REFUSED_TOKENS if draw(st.integers(0, 19)) < bad_odds else good))
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def tsv_tables(draw):
+    """Text of a values TSV and, half the time, an uncertainty TSV."""
+    width = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+
+    def text(rows):
+        return bom + "".join("\t".join(row) + newline for row in rows)
+
+    values = text(draw(table_rows(width, True, False)))
+    uncertainties = text(draw(table_rows(width, False, True))) if draw(st.booleans()) else None
+    return values, uncertainties
+
+
+@st.composite
+def feature_tables(draw):
+    """Text of a feature CSV written by ``csv.writer``."""
+    k = draw(st.integers(1, 3))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=newline)
+    writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * k)])
+    best = draw(table_rows(k, True, False))
+    unc = draw(table_rows(k, False, True))
+    writer.writerows(b + u for b, u in zip(best, unc))
+    return draw(st.sampled_from(["", "\ufeff"])) + out.getvalue()
+
+
+def assert_same_as_oracle(read, reference):
+    """``read()`` returns the dataset ``reference()`` describes, bit for bit, or raises its message."""
+    try:
+        labels, best, unc = reference()
+    except ValueError as exc:
+        with pytest.raises(DatasetFormatError) as info:
+            read()
+        assert str(info.value) == str(exc)
+        return
+    d = read()
+    assert d.labels == labels
+    assert d.best.view(np.uint64).tolist() == np.array(best, dtype=np.float64).view(np.uint64).tolist()
+    assert d.uncertainty.view(np.uint64).tolist() == np.abs(np.array(unc, dtype=np.float64)).view(np.uint64).tolist()
+
+
+class TestTableReader:
+    @given(tsv_tables())
+    @example(("a\t1\t2\nb\tx\t3\n\t1\t2\nc\t4\n", None))  # a bad number before a missing label and a ragged row
+    @example(("a\t1_0\t١\r\nb\t１\t\xa01\r\n", "0\t-0\r\n1e-300\t1\x00\r\n"))
+    @example(("\ufeffa\t1\n", "\ufeff-0.5\n"))
+    @settings(max_examples=300, deadline=None)
+    def test_tsv_matches_per_token_reader(self, tables):
+        values, uncertainties = tables
+        with tempfile.TemporaryDirectory() as tmp:
+            v, u = Path(tmp) / "v.tsv", Path(tmp) / "u.tsv"
+            v.write_bytes(values.encode("utf-8"))
+            if uncertainties is not None:
+                u.write_bytes(uncertainties.encode("utf-8"))
+            paths = (v, u if uncertainties is not None else None)
+            assert_same_as_oracle(lambda: load_dataset(*paths), lambda: oracles.read_tsv(*paths))
+
+    @given(feature_tables())
+    @example("label,f1,f2\nA,1,-0.5\n,abc,0\n")  # a negative uncertainty before a bad number and no label
+    @example('label,f1,f2\r\n"x,y",1_0,１\r\n#c,-0,\xa01\r\n')
+    @settings(max_examples=300, deadline=None)
+    def test_feature_csv_matches_per_token_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert_same_as_oracle(lambda: read_feature_csv(path), lambda: oracles.read_feature_csv(path))
+
+
+EDGE_REALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, -12.0, 0.1]
+CSV_LABELS = ["a,b", '"q"', " lead", "trail ", "#hash", "été", "中", "plain", '""', "x\x0cy"]
+
+
+@st.composite
+def written_tables(draw, label_pool):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    reals = st.one_of(st.sampled_from(EDGE_REALS), finite, st.integers(-(10**6), 10**6).map(float))
+    best = draw(arrays(np.float64, (n, m), elements=reals))
+    unc = np.abs(draw(arrays(np.float64, (n, m), elements=reals)))
+    return draw(st.lists(label_pool, min_size=n, max_size=n)), best, unc
+
+
+class TestTableWriter:
+    @given(written_tables(st.one_of(st.sampled_from(CSV_LABELS), labels)))
+    @example((CSV_LABELS[:3], np.array([EDGE_REALS[:3]] * 3), np.abs([EDGE_REALS[3:6]] * 3)))
+    @settings(max_examples=100, deadline=None)
+    def test_feature_csv_bytes_equal_csv_writer(self, table):
+        labels, best, unc = table
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, reference = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+            write_feature_csv(UncertainDataset.from_arrays(best, unc, labels), ours)
+            oracles.write_feature_csv(labels, best.tolist(), unc.tolist(), reference)
+            assert ours.read_bytes() == reference.read_bytes()
+
+    # no label starts with U+FEFF: a TSV reader skips one at the start of the file
+    @given(written_tables(st.sampled_from(CSV_LABELS) | st.text("ab ,#\"é中", min_size=1, max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_tsv_bytes_equal_per_value_format_and_round_trip(self, table):
+        labels, best, unc = table
+        d = UncertainDataset.from_arrays(best, unc, labels)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_dataset(d, tmp / "v.tsv", tmp / "u.tsv")
+            oracles.write_tsv(labels, best.tolist(), unc.tolist(), tmp / "rv.tsv", tmp / "ru.tsv")
+            assert (tmp / "v.tsv").read_bytes() == (tmp / "rv.tsv").read_bytes()
+            assert (tmp / "u.tsv").read_bytes() == (tmp / "ru.tsv").read_bytes()
+            loaded = load_dataset(tmp / "v.tsv", tmp / "u.tsv")
+            assert loaded.labels == labels
+            assert loaded.best.tobytes() == d.best.tobytes() and loaded.uncertainty.tobytes() == d.uncertainty.tobytes()
+            save_dataset(loaded, tmp / "v2.tsv", tmp / "u2.tsv")
+            assert (tmp / "v2.tsv").read_bytes() == (tmp / "v.tsv").read_bytes()
+            assert (tmp / "u2.tsv").read_bytes() == (tmp / "u.tsv").read_bytes()
 
 
 class TestDatasetInvariants:
