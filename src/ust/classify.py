@@ -94,6 +94,13 @@ def _entropy_term(count: int, total: int) -> float:
 _RESCORE_EPS = 1e-9
 
 
+def _class_index(labels: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted classes and every label's index: the one class order of extraction's and CART's gain folds."""
+    classes = tuple(sorted(set(labels)))
+    index = {c: i for i, c in enumerate(classes)}
+    return classes, np.array([index[lab] for lab in labels], dtype=np.int64)
+
+
 def _split_gains(
     sorted_labels: np.ndarray,
     valid: np.ndarray,
@@ -332,9 +339,7 @@ def tree_fit(e: EncodedMatrix, params: TreeParams = TreeParams()) -> DecisionTre
     features = np.asarray(e.features, dtype=np.float64)
     if features.shape[0] < 1:
         raise ValueError("cannot fit a tree on an empty matrix")
-    classes = tuple(sorted(set(e.labels)))
-    class_to_idx = {c: i for i, c in enumerate(classes)}
-    label_idx = np.array([class_to_idx[lab] for lab in e.labels], dtype=np.int64)
+    classes, label_idx = _class_index(e.labels)
     root = _grow(features, label_idx, classes, params)
     return DecisionTreeModel(root, params, features.shape[1], classes, e.encoding, e.stats)
 

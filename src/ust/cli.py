@@ -71,6 +71,7 @@ REPORT_HEADER = [
     "predict_s",
     "error",
 ]
+SUMMARY_HEADER = ["mode_a", "mode_b", "wins_a", "ties", "wins_b"]
 
 
 @dataclass(frozen=True)
@@ -108,10 +109,6 @@ class Features:
     transform_s: float = 0.0
 
 
-def _strip_uncertainty(d: UncertainDataset) -> UncertainDataset:
-    return UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels)
-
-
 def _encode_for_mode(
     mode: str, train: UncertainDataset, test: UncertainDataset
 ) -> tuple[EncodedMatrix, EncodedMatrix]:
@@ -128,8 +125,7 @@ def _featurize(
 ) -> Features:
     """Extract shapelets from ``train`` and transform both splits, without uncertainties if ``certain``."""
     if certain:
-        train = _strip_uncertainty(train)
-        test = _strip_uncertainty(test)
+        train, test = (UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels) for d in (train, test))
     t0 = time.perf_counter()
     shapelets = extract_shapelets(train, extraction)
     t1 = time.perf_counter()
@@ -338,10 +334,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         name, certain = task
         view = [mode for mode in modes if (mode == "st") == certain]
         data = prepared[name]
-        if isinstance(data, Exception):
-            return [BenchmarkRow(name, mode, args.seed, error=_error(data)) for mode in view]
         try:
-            features = _featurize(data[0], data[1], certain, extraction)
+            if isinstance(data, Exception):
+                raise data  # the dataset did not load: its error fills the view's rows
+            features = _featurize(*data, certain, extraction)
         except Exception as exc:  # noqa: BLE001 - per-view isolation by contract
             return [BenchmarkRow(name, mode, args.seed, error=_error(exc)) for mode in view]
         rows = []
@@ -357,17 +353,11 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         done = {(row.dataset, row.mode): row for view in pool.map(run_view, tasks) for row in view}
     rows = [done[name, mode] for name, _, _ in datasets for mode in modes]
 
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_HEADER)
-        for row in rows:
-            writer.writerow(_format_row(row, with_timings=not args.no_timings))
-
+    report = [REPORT_HEADER, *(_format_row(row, with_timings=not args.no_timings) for row in rows)]
     summary = _pairwise_summary(rows, modes)
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mode_a", "mode_b", "wins_a", "ties", "wins_b"])
-        writer.writerows(summary)
+    for path, table in ((out_path, report), (summary_path, [SUMMARY_HEADER, *summary])):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(table)
 
     for line in summary:
         print(f"{line[0]} vs {line[1]}: {line[2]} wins / {line[3]} ties / {line[4]} losses")
@@ -382,15 +372,16 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_extraction_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k", type=int, default=None, help="shapelet count (default: 10 per class, max 200)")
-    p.add_argument("--min-len", type=int, default=3, help="minimum candidate length")
-    p.add_argument("--max-len", type=int, default=None, help="maximum candidate length (default: series length)")
-    p.add_argument("--stride", type=int, default=1, help="candidate start-offset stride")
+    p.add_argument("--k", type=int, default=ExtractionConfig.k, help="shapelet count (default: 10 per class, max 200)")
+    p.add_argument("--min-len", type=int, default=ExtractionConfig.min_len, help="minimum candidate length")
+    p.add_argument("--max-len", type=int, default=ExtractionConfig.max_len,
+                   help="maximum candidate length (default: series length)")
+    p.add_argument("--stride", type=int, default=ExtractionConfig.candidate_stride, help="candidate start-offset stride")
 
 
 def _add_tree_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-depth", type=int, default=None, help="tree depth limit (default: unlimited)")
-    p.add_argument("--min-samples-leaf", type=int, default=1, help="minimum samples per leaf")
+    p.add_argument("--max-depth", type=int, default=TreeParams.max_depth, help="tree depth limit (default: unlimited)")
+    p.add_argument("--min-samples-leaf", type=int, default=TreeParams.min_samples_leaf, help="minimum samples per leaf")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -315,7 +315,8 @@ def _write_rows(path: str | Path, matrix: np.ndarray, labels: Sequence[str] | No
 
 def save_dataset(d: UncertainDataset, values_path: str | Path, uncertainty_path: str | Path) -> None:
     """Write a values TSV and an uncertainty TSV that :func:`load_dataset` reads back."""
-    _write_rows(values_path, d.best, d.labels, "\t")
+    # a first label that starts with U+FEFF follows a byte-order mark: the reader skips that mark, not the label's
+    _write_rows(values_path, d.best, d.labels, "\t", "\ufeff" if d.labels[0].startswith("\ufeff") else "")
     _write_rows(uncertainty_path, d.uncertainty, None, "\t")
 
 

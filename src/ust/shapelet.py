@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import _split_gains
+from .classify import _class_index, _split_gains
 from .core import DimensionMismatchError, NumericOverflowError, UncertainValue, UncertainVector
 from .series import UncertainDataset, _json_int, _json_real
 
@@ -157,6 +157,11 @@ def _in_slices(count: int, work: Callable[[slice], None], tiles: int | None = No
             future.result()
 
 
+def _pair_cells(m: int, min_len: int, span: int, stems: int) -> int:
+    """A kernel tile's term and accumulator cells per (source, row): ``stems`` stems over ``span`` points."""
+    return m * span + (m - min_len + 1) * stems
+
+
 def _grid_min_dissims(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     series_b: np.ndarray, series_u: np.ndarray,
@@ -197,7 +202,7 @@ def _grid_min_dissims(
         block_ends = ends[k0 : k0 + stage_offsets]
         p0 = stride * k0
         p1 = int((p0 + stride * np.arange(len(block_ends)) + block_ends).max())
-        pair_cells = m * (p1 - p0) + w0 * len(block_ends)  # one source against one row
+        pair_cells = _pair_cells(m, min_len, p1 - p0, len(block_ends))
         tile_rows = min(n, max(1, _TILE_ELEMS // pair_cells))
         tile_sources = min(stage_sources, len(src_b), max(1, _TILE_ELEMS // (pair_cells * tile_rows)))
         # tiles share these buffers: a fresh allocation per tile costs a page fault per page
@@ -336,8 +341,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
-    labels = train.labels
-    classes = sorted(set(labels))
+    classes, label_idx = _class_index(train.labels)
     if len(classes) < 2:
         raise ValueError("extraction needs at least two classes in the training set")
     if n < 2:
@@ -351,8 +355,6 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
         )
     k = config.k if config.k is not None else min(10 * len(classes), MAX_DEFAULT_K)
 
-    index = {c: i for i, c in enumerate(classes)}
-    label_idx = np.array([index[lab] for lab in labels], dtype=np.int64)
     class_totals = np.bincount(label_idx, minlength=len(classes))
 
     # the longest prefix ``ends`` of a stem is non-increasing in its offset
@@ -439,8 +441,7 @@ def shapelet_transform(
                 out_b[part, cols[s]] = dist_b[0].T
                 out_u[part, cols[s]] = dist_u[0].T
 
-    # term and accumulator cells of every (shapelet, row) pair, as the kernel's tiles count them
-    cells = n * sum(len(cols) * (m * l + m - l + 1) for l, cols, _, _ in groups)
+    cells = n * sum(len(cols) * _pair_cells(m, l, l, 1) for l, cols, _, _ in groups)
     _in_slices(n, fill, cells // _TILE_ELEMS)
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 

@@ -276,8 +276,13 @@ def read_feature_csv(path):
 
 
 def write_tsv(labels, bests, uncs, values_path, uncertainty_path):
-    """A values TSV and an uncertainty TSV, every real written by ``format(x, ".17g")``."""
+    """A values TSV and an uncertainty TSV, every real written by ``format(x, ".17g")``.
+
+    The values file starts with a byte-order mark exactly when the first label starts with U+FEFF.
+    """
     with open(values_path, "w", encoding="utf-8", newline="") as fh:
+        if labels[0].startswith("\ufeff"):
+            fh.write("\ufeff")
         for label, row in zip(labels, bests):
             fh.write("\t".join([label] + [format(float(x), ".17g") for x in row]) + "\n")
     with open(uncertainty_path, "w", encoding="utf-8", newline="") as fh:

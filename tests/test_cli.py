@@ -548,6 +548,24 @@ class TestBenchmark:
         }
         assert capsys.readouterr().err == ""
 
+    def test_constant_dataset_warns_once_and_ties(self, tmp_path, capsys):
+        # standard deviation 0: no noise on either split, one warning, and every mode sees one
+        # constant feature, so each tree is one leaf that predicts the smaller label
+        root = tmp_path / "bench"
+        rows = [(label, [2.5] * 6) for label in ("a", "b", "a", "b")]
+        write_tsv(root / "flat" / "flat_TRAIN.tsv", rows)
+        write_tsv(root / "flat" / "flat_TEST.tsv", rows)
+        out = tmp_path / "report.csv"
+        assert main(["benchmark", "--data-dir", str(root), "--no-timings", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: dataset standard deviation is 0: no noise injected, output equals input\n"
+        with open(out) as fh:
+            report = [(r["mode"], r["accuracy"], r["error"]) for r in csv.DictReader(fh)]
+        assert report == [(mode, "0.5", "") for mode in MODES]
+        with open(tmp_path / "report_summary.csv") as fh:
+            assert [(r["wins_a"], r["ties"], r["wins_b"]) for r in csv.DictReader(fh)] == [("0", "1", "0")] * 3
+        assert captured.out.count("0 wins / 1 ties / 0 losses") == 3
+
     def test_views_start_largest_first(self, tmp_path, monkeypatch):
         # at --jobs 1 the views run in task order: by n²·m³ of the train split, the uncertain view
         # first, a failed dataset last; the report keeps dataset order, then --modes order
@@ -654,3 +672,32 @@ def test_perfbench_traced_names_exist_in_cli(monkeypatch):
     spec.loader.exec_module(tracing)
     missing = [name for name in tracing.LAYERS if name != "load_model" and not hasattr(ust.cli, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("command, required", [
+    ("extract", ["--data", "v.tsv", "--out", "s.json"]),
+    ("classify", ["--train-features", "a.csv", "--test-features", "b.csv"]),
+    ("benchmark", ["--data-dir", "d", "--out", "r.csv"]),
+])
+def test_flag_defaults_are_the_library_defaults(command, required):
+    args = ust.cli.build_parser().parse_args([command, *required])
+    if command != "classify":
+        assert ust.cli._extraction_from_args(args) == ExtractionConfig()
+    if command != "extract":
+        assert ust.cli._tree_from_args(args) == TreeParams()
+
+
+def test_committed_fixtures_are_the_generator_output(tmp_path, monkeypatch):
+    # archive-cli and the acceptance tests read tests/fixtures/benchmark: it must be what the script writes
+    fixtures = Path(__file__).resolve().parent / "fixtures"
+    script = fixtures / "generate_benchmark_fixtures.py"
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    monkeypatch.setattr(generator, "OUT", tmp_path)
+    generator.main()
+    committed = sorted(p.relative_to(fixtures / "benchmark") for p in (fixtures / "benchmark").rglob("*.tsv"))
+    assert len(committed) == 6
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.tsv")) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (fixtures / "benchmark" / name).read_bytes(), name
