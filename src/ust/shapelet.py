@@ -21,7 +21,10 @@ cut approximately and rescores the cuts that can be a row's maximum with the
 scalar expression of :func:`ust.classify.entropy_from_counts`.  On certain data
 (the ``st`` view, or no uncertainty file) the kernel sums only ``(a - b)**2``,
 which has the bits of ``|a - b|**2``, and leaves every uncertainty minimum at
-the ``+0.0`` the full path gives there.
+the ``+0.0`` the full path gives there.  Extraction always scores on that
+best-only path: an uncertainty minimum changes an output only where it orders
+an exact best tie or is a selected shapelet's threshold, so only the sources
+with a tied row in a staging block, and the k thresholds, take the full path.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -173,7 +176,11 @@ def _grid_min_dissims(
     ``min_len`` to ``ends[k]``; ``ends`` is non-increasing, so the offsets of
     length ``l`` are a leading slice.  ``min_b`` and ``min_u`` are the
     ``(offsets, sources, n)`` minimum dissimilarities of those stems to each
-    series under the uncertain order.
+    series under the uncertain order.  When every uncertainty is zero the
+    kernel takes its certain path: it sums the best-estimate terms only, and
+    ``min_u`` is a read-only view of ``+0.0`` that takes no memory.  Zero
+    uncertainties therefore give the best-only path on any data, which is how
+    extraction scores.
 
     Stems are staged in blocks of offsets by sources of at most
     ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len + 1))`` stems, or
@@ -193,7 +200,7 @@ def _grid_min_dissims(
     if ends[0] > m:
         raise DimensionMismatchError(f"window length {ends[0]} exceeds series length {m}")
     w0 = m - min_len + 1
-    # with no uncertainty every term |a - b| * (u + v) is +0.0, so min_u is left at its zeros
+    # with no uncertainty every term |a - b| * (u + v) is +0.0: min_u is a read-only view of one zero
     certain = not (src_u.any() or series_u.any())
     stems = max(1, _KERNEL_CHUNK_ELEMS // (_worker_count() * n * w0))
     stage_offsets = min(len(ends), stems)
@@ -210,8 +217,9 @@ def _grid_min_dissims(
         acc = np.empty((2, w0, len(block_ends), tile_sources, tile_rows))
         for s0 in range(0, len(src_b), stage_sources):
             s1 = min(s0 + stage_sources, len(src_b))
-            shape = (2, block_ends[0] - min_len + 1, len(block_ends), s1 - s0, n)
-            min_b, min_u = np.zeros(shape) if certain else np.empty(shape)
+            shape = (block_ends[0] - min_len + 1, len(block_ends), s1 - s0, n)
+            min_b = np.empty(shape)
+            min_u = np.broadcast_to(0.0, shape) if certain else np.empty(shape)
             with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the minima
                 for a in range(s0, s1, tile_sources):
                     b = min(a + tile_sources, s1)
@@ -226,7 +234,7 @@ def _grid_min_dissims(
             for l in range(min_len, block_ends[0] + 1):
                 o = np.count_nonzero(block_ends >= l)
                 mb, mu = min_b[l - min_len, :o], min_u[l - min_len, :o]
-                if not (np.isfinite(mb).all() and np.isfinite(mu).all()):
+                if not (np.isfinite(mb).all() and (certain or np.isfinite(mu).all())):
                     raise NumericOverflowError("dissimilarity overflowed to non-finite values")
                 yield l, slice(k0, k0 + o), slice(s0, s1), mb, mu
 
@@ -275,17 +283,32 @@ def _fill_tile(
             mu *= 2.0
 
 
+def _window_minima(
+    cand_b: np.ndarray, cand_u: np.ndarray, ser_b: np.ndarray, ser_u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum dissimilarities ``(C, N)`` of equal-length candidates ``(C, l)`` to any window of rows ``(N, m)``."""
+    l = cand_b.shape[1]
+    out_b, out_u = np.empty((2, len(cand_b), len(ser_b)))
+    for _, _, s, dist_b, dist_u in _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, ser_b, ser_u):
+        out_b[s], out_u[s] = dist_b[0], dist_u[0]
+    return out_b, out_u
+
+
 def _batch_best_splits(
     dist_best: np.ndarray,
-    dist_unc: np.ndarray,
+    tied_unc: Callable[[np.ndarray], np.ndarray],
     label_idx: np.ndarray,
     class_totals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best split per candidate row: (gain, margin, thr_best, thr_unc, n_near).
+    """Best split per candidate row: (gain, margin, thr_best, thr_at, n_near).
 
     Thresholds are the distinct observed distances under the uncertain
     order, each landing on the near side; equal gains prefer the larger
-    margin, then the smaller threshold.
+    margin, then the smaller threshold.  ``thr_at`` is the column (series)
+    whose distance is the threshold.  Uncertainties only order exact best
+    ties: ``tied_unc`` is called once, with the ascending indices of the
+    rows that hold one, and returns their ``(len(rows), n)`` uncertainties.
+    It is not called when no row holds a tie.
     """
     c_total, n = dist_best.shape
 
@@ -294,18 +317,19 @@ def _batch_best_splits(
     # equal in both components may come out in any order: they share every valid cut.
     order = np.argsort(dist_best, axis=1)
     sorted_labels = label_idx[order]
-    order += np.arange(0, c_total * n, n)[:, None]  # flat indices into the ravelled inputs
-    best, unc = dist_best.ravel(), dist_unc.ravel()
+    order += np.arange(0, c_total * n, n)[:, None]  # flat indices into the ravelled input
+    best = dist_best.ravel()
     valid = np.ones((c_total, n), dtype=bool)
     sb = best[order]
     np.not_equal(sb[:, :-1], sb[:, 1:], out=valid[:, :-1])
     del sb  # margins and thresholds are read through ``order``
     tied = np.flatnonzero(~valid[:, :-1].all(axis=1))
     if len(tied):
-        resort = np.lexsort((dist_unc[tied], dist_best[tied]))
+        unc = tied_unc(tied)
+        resort = np.lexsort((unc, dist_best[tied]))
         sorted_labels[tied] = label_idx[resort]
         order[tied] = resort + (tied * n)[:, None]
-        su = unc[order[tied]]
+        su = np.take_along_axis(unc, resort, axis=1)
         valid[tied, :-1] |= su[:, :-1] != su[:, 1:]
     rows, pos, gain = _split_gains(sorted_labels, valid, class_totals)
 
@@ -314,7 +338,7 @@ def _batch_best_splits(
     at = order[rows, pos]
     margin = best[order[rows, np.minimum(pos + 1, n - 1)]] - best[at]  # 0.0 at the last cut
     first = np.lexsort((pos, -margin, -gain, rows))[np.searchsorted(rows, np.arange(c_total))]
-    return gain[first], margin[first], best[at[first]], unc[at[first]], pos[first] + 1
+    return gain[first], margin[first], best[at[first]], at[first] % n, pos[first] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +352,14 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     to ``min(max_len, m - offset)``.  The distance kernel yields a staging
     block of stems per length, and one split sweep per yield scores it into a
     ``(4, offsets, sources, lengths)`` table of ``quality``, ``margin``,
-    ``thr_b`` and ``thr_u``, flattened offset-major over the cells that fit.
+    ``thr_b`` and ``thr_at`` (the threshold's series), flattened offset-major
+    over the cells that fit.  The kernel runs its best-only path.  A source
+    with a row that holds an exact best tie gets one full-path pass over its
+    stems in the staging block, whose uncertainty minima order the tie; the
+    k selected thresholds take theirs from one full-path call per length.
+    When an uncertainty sum could overflow (the bound below), the whole
+    scoring runs the full path instead, so ``NumericOverflowError`` is raised
+    exactly where the full path raises it.
     Each worker takes a contiguous slice of the sources, runs the kernel and
     the split sweeps on it, and writes that slice's cells of the table.
     Tiles are bounded by ``_TILE_ELEMS`` per worker and staging blocks by
@@ -362,11 +393,44 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     ends = np.minimum(max_len, m - offsets)
     table = np.empty((4, len(offsets), n, max_len - min_len + 1))
 
+    # Scoring sums the best estimates only.  Every u + v is at most 2 * max(unc), and every sum
+    # 2 * sum(|d| * (u + v)) at most 8 * max_len * max|best| * max(unc): while both stay below 2**1000
+    # no uncertainty minimum can overflow, so the best-only path raises NumericOverflowError exactly
+    # when the full path would.  On certain data, and past that bound, scoring reads the real
+    # uncertainties, and its minima are exact.
+    bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())
+    exact = not unc.any() or bound >= 2.0**1000
+    scored_u = unc if exact else np.zeros_like(unc)
+
     def score(part: slice) -> None:
         for l, o, s, dist_b, dist_u in _grid_min_dissims(
-            best[part], unc[part], config.candidate_stride, ends, min_len, best, unc
+            best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
-            splits = _batch_best_splits(dist_b.reshape(-1, n), dist_u.reshape(-1, n), label_idx, class_totals)
+            if l == min_len:  # a staging block starts
+                passes = {}
+
+            def tied_unc(rows: np.ndarray) -> np.ndarray:
+                i, j = np.divmod(rows, dist_b.shape[1])
+                if exact:
+                    return dist_u[i, j]
+                # one full-path pass per tied source and block, over all of its stems in the block
+                # at this length and longer; the sources first tied at this length share one call
+                tied = np.unique(j).tolist()
+                new = [src for src in tied if src not in passes]
+                if new:
+                    g, p0 = part.start + s.start + np.array(new), config.candidate_stride * o.start
+                    for l2, _, s2, _, mu in _grid_min_dissims(
+                        best[g, p0:], unc[g, p0:], config.candidate_stride, ends[o], l, best, unc
+                    ):
+                        for t, src in enumerate(new[s2]):
+                            passes.setdefault(src, {})[l2] = mu[:, t]  # (offsets reaching l2, n)
+                out = np.empty((len(rows), n))
+                for src in tied:
+                    at = j == src
+                    out[at] = passes[src][l][i[at]]
+                return out
+
+            splits = _batch_best_splits(dist_b.reshape(-1, n), tied_unc, label_idx, class_totals)
             cells = slice(part.start + s.start, part.start + s.stop)
             table[:, o, cells, l - min_len] = np.reshape(splits[:4], (4, *dist_b.shape[:2]))
 
@@ -374,7 +438,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
     # stems offset-major, each with the lengths it reaches
     stem, column = np.nonzero(np.arange(min_len, max_len + 1) <= np.repeat(ends, n)[:, None])
-    quality, margin, thr_b, thr_u = table.reshape(4, len(offsets) * n, -1)[:, stem, column]
+    quality, margin, thr_b, thr_at = table.reshape(4, len(offsets) * n, -1)[:, stem, column]
     length, source, offset = column + min_len, stem % n, offsets[stem // n]
 
     order = np.lexsort((offset, source, length, -margin, -quality))
@@ -389,6 +453,16 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
         if len(selected) == k:
             break
 
+    # each threshold's uncertainty: the full-path minimum against its series, one call per length
+    sel = np.array(selected)
+    thr_u = np.empty(len(sel))
+    for l in np.unique(length[sel]).tolist():
+        at = length[sel] == l
+        rows, col = np.unique(thr_at[sel[at]].astype(int), return_inverse=True)
+        src, window = source[sel[at], None], offset[sel[at], None] + np.arange(l)
+        _, dist_u = _window_minima(best[src, window], unc[src, window], best[rows], unc[rows])
+        thr_u[at] = dist_u[np.arange(len(col)), col]
+
     return [
         UncertainShapelet(
             values=UncertainVector(
@@ -398,9 +472,9 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
             source_instance=int(source[i]),
             start_offset=int(offset[i]),
             quality=float(quality[i]),
-            split_threshold=UncertainValue(float(thr_b[i]), float(thr_u[i])),
+            split_threshold=UncertainValue(float(thr_b[i]), float(u)),
         )
-        for i in selected
+        for i, u in zip(selected, thr_u.tolist())
     ]
 
 
@@ -434,12 +508,10 @@ def shapelet_transform(
         groups.append((l, cols, cand_b, cand_u))
 
     def fill(part: slice) -> None:
-        for l, cols, cand_b, cand_u in groups:
-            for _, _, s, dist_b, dist_u in _grid_min_dissims(
-                cand_b, cand_u, 1, np.array([l]), l, best[part], unc[part]
-            ):
-                out_b[part, cols[s]] = dist_b[0].T
-                out_u[part, cols[s]] = dist_u[0].T
+        for _, cols, cand_b, cand_u in groups:
+            dist_b, dist_u = _window_minima(cand_b, cand_u, best[part], unc[part])
+            out_b[part, cols] = dist_b.T
+            out_u[part, cols] = dist_u.T
 
     cells = n * sum(len(cols) * _pair_cells(m, l, l, 1) for l, cols, _, _ in groups)
     _in_slices(n, fill, cells // _TILE_ELEMS)

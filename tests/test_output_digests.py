@@ -1,0 +1,55 @@
+"""Output bytes pinned to committed sha256 digests.
+
+``fixtures/output_sha256.json`` holds the digests of three CLI outputs:
+
+- the report and the summary of ``ust benchmark --data-dir
+  tests/fixtures/benchmark --no-timings --seed 0 --out report.csv``;
+- the shapelet JSON of ``ust extract --data v.tsv --uncertainties u.tsv``,
+  after ``ust add-noise --input tests/fixtures/benchmark/TriShape/TriShape_TRAIN.tsv
+  --seed 0 --out-values v.tsv --out-uncertainties u.tsv``.
+
+Every run must reproduce them at one and at two concurrent tasks or kernel
+workers.  A change that is meant to alter an output records its new digests
+here, and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+import ust.shapelet
+from ust.cli import main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+DIGESTS = json.loads((FIXTURES / "output_sha256.json").read_text())
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_benchmark_report_bytes(jobs, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert main([
+        "benchmark", "--data-dir", str(FIXTURES / "benchmark"), "--no-timings", "--seed", "0",
+        "--jobs", jobs, "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    assert sha256(out) == DIGESTS["benchmark_report"]
+    assert sha256(tmp_path / "report_summary.csv") == DIGESTS["benchmark_summary"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_bytes_on_noisy_data(workers, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+    values, uncertainties, out = tmp_path / "v.tsv", tmp_path / "u.tsv", tmp_path / "sh.json"
+    assert main([
+        "add-noise", "--input", str(FIXTURES / "benchmark" / "TriShape" / "TriShape_TRAIN.tsv"), "--seed", "0",
+        "--out-values", str(values), "--out-uncertainties", str(uncertainties),
+    ]) == 0
+    assert main(["extract", "--data", str(values), "--uncertainties", str(uncertainties), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out) == DIGESTS["extract_shapelets"]

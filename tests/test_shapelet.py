@@ -144,12 +144,27 @@ def window_min(cand_b, cand_u, ser_b, ser_u):
     return db[0, 0], du[0, 0]
 
 
+def sweep(dist_b, dist_u, label_idx, totals):
+    """``_batch_best_splits`` with each threshold read back as (best, uncertainty).
+
+    Also checks that the sweep asks for uncertainties once, for exactly the
+    rows with an exact best tie, and not at all when no row has one.
+    """
+    calls = []
+    g, mg, tb, at, n1 = _batch_best_splits(
+        dist_b, lambda rows: calls.append(rows.tolist()) or dist_u[rows], label_idx, totals
+    )
+    tied = [r for r, row in enumerate(dist_b.tolist()) if len(set(row)) < len(row)]
+    assert calls == ([tied] if tied else [])
+    return g, mg, tb, dist_u[np.arange(len(dist_b)), at], n1
+
+
 def row_split(pairs, labels):
     """One row of the batch split sweep: (gain, margin, (thr_b, thr_u), n_near)."""
     classes = sorted(set(labels))
     label_idx = np.array([classes.index(lab) for lab in labels])
     totals = np.bincount(label_idx, minlength=len(classes))
-    g, mg, tb, tu, n1 = _batch_best_splits(
+    g, mg, tb, tu, n1 = sweep(
         np.array([[b for b, _ in pairs]]), np.array([[u for _, u in pairs]]), label_idx, totals
     )
     return g[0], mg[0], (tb[0], tu[0]), n1[0]
@@ -276,11 +291,28 @@ class TestBestSplit:
         # rows are independent: each equals the scalar oracle, whichever rows of the call hold ties
         dist_b, dist_u, labels = case
         totals = np.bincount(labels)
-        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, np.array(labels), totals)
+        g, mg, tb, tu, n1 = sweep(dist_b, dist_u, np.array(labels), totals)
         for row in range(len(dist_b)):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
             expected = oracles.split_quality(pairs, labels, sorted(set(labels)))
             assert (g[row], mg[row], (tb[row], tu[row]), n1[row]) == expected
+
+    def test_uncertainties_are_read_only_for_rows_with_a_best_tie(self):
+        dist_b = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [0.5, 0.25, 4.0], [3.0, 3.0, 3.0]])
+        dist_u = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.0], [0.5, 0.25, 0.5]])
+        labels, totals = np.array([0, 1, 0]), np.array([2, 1])
+        calls = []
+        _batch_best_splits(dist_b, lambda rows: calls.append(rows.tolist()) or dist_u[rows], labels, totals)
+        assert calls == [[1, 3]]
+
+        def unread(rows):
+            raise AssertionError(f"uncertainties of rows {rows} read without a best tie")
+
+        g, mg, tb, at, n1 = _batch_best_splits(dist_b[[0, 2]], unread, labels, totals)
+        for i, row in enumerate([0, 2]):
+            pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
+            expected = oracles.split_quality(pairs, labels.tolist(), [0, 1])
+            assert (g[i], mg[i], (tb[i], dist_u[row, at[i]]), n1[i]) == expected
 
     def test_needs_two_instances_and_classes(self):
         with pytest.raises(ValueError):
@@ -484,7 +516,7 @@ class TestBatchKernels:
             + [rng.choice([0.0, 0.5], n) for _ in range(8)]
         )
         totals = np.bincount(label_idx, minlength=2)
-        g, mg, tb, tu, n1 = _batch_best_splits(dist_b, dist_u, label_idx, totals)
+        g, mg, tb, tu, n1 = sweep(dist_b, dist_u, label_idx, totals)
         for row in range(dist_b.shape[0]):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
             gain, margin, thr, near = oracles.split_quality(pairs, labels, ["A", "B"])
@@ -547,7 +579,11 @@ class TestExtraction:
         got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=6, k=4, candidate_stride=2))
         assert all(sh.start_offset % 2 == 0 for sh in got)
 
-    @given(extraction_cases())
+    @given(
+        extraction_cases(),
+        st.sampled_from([1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS]),
+        st.sampled_from([1, ust.shapelet._TILE_ELEMS]),
+    )
     @example(  # source 1 keeps the touching windows [0, 2) and [2, 5); an overlapping one is pruned
         (
             UncertainDataset.from_arrays(
@@ -556,7 +592,9 @@ class TestExtraction:
                 ["A", "B"],
             ),
             ExtractionConfig(min_len=2, max_len=3, k=3),
-        )
+        ),
+        ust.shapelet._KERNEL_CHUNK_ELEMS,
+        ust.shapelet._TILE_ELEMS,
     )
     @example(  # certain data with tied distances at stride 2
         (
@@ -566,18 +604,27 @@ class TestExtraction:
                 ["A", "B", "A"],
             ),
             ExtractionConfig(min_len=2, k=6, candidate_stride=2),
-        )
+        ),
+        ust.shapelet._KERNEL_CHUNK_ELEMS,
+        ust.shapelet._TILE_ELEMS,
     )
     @example(  # certain data, min_len == m
         (
             UncertainDataset.from_arrays([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [[0.0] * 3] * 3, ["A", "B", "A"]),
             ExtractionConfig(min_len=3, k=3),
-        )
+        ),
+        ust.shapelet._KERNEL_CHUNK_ELEMS,
+        ust.shapelet._TILE_ELEMS,
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_oracle_property(self, case):
+    def test_matches_oracle_property(self, case, budget, tile):
+        # one-stem blocks and one-cell tiles put each tied source's full-path pass at a block edge
         for workers in (1, 2):
-            with patch.object(ust.shapelet, "_CPUS", workers):
+            with (
+                patch.object(ust.shapelet, "_CPUS", workers),
+                patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget),
+                patch.object(ust.shapelet, "_TILE_ELEMS", tile),
+            ):
                 assert_matches_oracle(*case)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -602,6 +649,66 @@ class TestExtraction:
         d = UncertainDataset.from_arrays([[1e200, 0.0, 1.0], [-1e200, 1.0, 0.0]], [[0.0] * 3] * 2, ["A", "B"])
         with pytest.raises(NumericOverflowError):
             extract_shapelets(d, ExtractionConfig(min_len=2))
+
+    @pytest.mark.parametrize(
+        "best, unc, labels",
+        [
+            ([[0.0, 1.0, 0.5], [1.0, 0.0, 0.25]], [[1e308] * 3] * 2, "AB"),
+            # only sums against series 4 overflow; neither the selected shapelet (from a B series)
+            # nor its threshold reads one, but the full path raises on them all the same
+            (
+                [[0.0, 0.1, 0.2, 0.1], [0.05, 0.15, 0.1, 0.0], [0.9, 1.0, 0.95, 0.8], [1.0, 0.85, 0.9, 0.95],
+                 [5.0, 4.5, 4.75, 5.25]],
+                [[0.0] * 4] * 4 + [[1e308] * 4],
+                "AABBA",
+            ),
+            # the same at a scale where every |d| * (u + v) is finite but some u + v is not
+            (
+                [[x * 1e-150 for x in row] for row in [
+                    [0.0, 0.1, 0.2, 0.1], [0.05, 0.15, 0.1, 0.0], [0.9, 1.0, 0.95, 0.8], [1.0, 0.85, 0.9, 0.95],
+                    [5.0, 4.5, 4.75, 5.25]]],
+                [[0.0] * 4] * 4 + [[1e308] * 4],
+                "AABBA",
+            ),
+        ],
+        ids=["every-series", "one-far-series", "tiny-distances"],
+    )
+    def test_overflow_of_the_uncertainty_alone_raises(self, best, unc, labels):
+        # the best estimates never overflow, but sums of uncertainty terms do
+        d = UncertainDataset.from_arrays(best, unc, list(labels))
+        with pytest.raises(NumericOverflowError):
+            extract_shapelets(d, ExtractionConfig(min_len=2, k=1))
+
+    def test_scoring_sums_best_estimates_only(self, monkeypatch):
+        # real-valued uncertain data has no exact distance ties: every candidate is scored on the
+        # certain path, and the full path runs only for the k thresholds, one lookup each
+        d = random_dataset(np.random.default_rng(8), n=8, m=12)
+        fill, tiles = ust.shapelet._fill_tile, []
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: tiles.append(args) or fill(*args))
+        got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=8, k=6))
+        full = [row for args in tiles if not args[-1] for row in args[0].T.tolist()]
+        assert sorted(full) == sorted(sh.values.best.tolist() for sh in got)
+        assert any(args[-1] for args in tiles)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tied_sources_take_one_full_pass_per_block(self, workers, monkeypatch):
+        # on a {0, 1, 2} grid nearly every source has tied rows; the first one in a staging block
+        # runs one full-path pass over all of that source's stems in the block, from its length on
+        d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
+        cfg = ExtractionConfig(min_len=2, k=10)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        # staging blocks of 11 offsets by 5 sources at 1 worker, by 2 sources at 2 workers
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 2 * 8 * 11 * 30)
+        kernel, passes = ust.shapelet._grid_min_dissims, []
+
+        def spy(src_b, src_u, stride, ends, min_len, series_b, series_u):
+            if series_u is d.uncertainty:  # a pass for tied sources, from the block's first offset on
+                passes.extend((src_b.shape[1], row.tobytes()) for row in src_b)
+            return kernel(src_b, src_u, stride, ends, min_len, series_b, series_u)
+
+        monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy)
+        assert_matches_oracle(d, cfg)
+        assert passes and len(passes) == len(set(passes))  # (block, source) at most once
 
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
