@@ -348,8 +348,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
                 rows.append(BenchmarkRow(name, mode, args.seed, error=_error(exc)))
         return rows
 
-    # each task's kernel takes its share of the CPUs, so the pools together do not oversubscribe them
-    with ThreadPoolExecutor(args.jobs, initializer=_concurrent_tasks.set, initargs=(args.jobs,)) as pool:
+    # each task's kernel takes its share of the CPUs, so the pools together do not oversubscribe them;
+    # with fewer tasks than jobs, the tasks share the CPUs of the jobs that would idle
+    jobs = max(1, min(args.jobs, len(tasks)))
+    with ThreadPoolExecutor(jobs, initializer=_concurrent_tasks.set, initargs=(jobs,)) as pool:
         done = {(row.dataset, row.mode): row for view in pool.map(run_view, tasks) for row in view}
     rows = [done[name, mode] for name, _, _ in datasets for mode in modes]
 

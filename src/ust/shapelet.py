@@ -14,21 +14,28 @@ extraction and the transform.  For each cache-sized tile of sources by series
 rows it computes every pairwise term once into a term table, then grows every
 window sum of the tile by one index-ascending term per length, as ``udissim``
 folds them, from a shifted view of that table.  The tiles' per-length minima
-fill a staging block of stems, which is scored at every length it reaches.
+fill a staging block of stems, packed by length (a length holds only the
+offsets that reach it).  Consecutive lengths of a block share one split sweep
+of at most ``_SWEEP_ELEMS`` distances, or of one length that alone has more.
 The split sweep, shared with the decision tree, sorts rows on their real best
 estimates (on the uncertainties too only in rows with an exact tie), ranks every
 cut approximately and rescores the cuts that can be a row's maximum with the
-scalar expression of :func:`ust.classify.entropy_from_counts`.  On certain data
-(the ``st`` view, or no uncertainty file) the kernel sums only ``(a - b)**2``,
-which has the bits of ``|a - b|**2``, and leaves every uncertainty minimum at
-the ``+0.0`` the full path gives there.  Extraction always scores on that
+scalar expression of :func:`ust.classify.entropy_from_counts`; each row's best
+cut is then a segmented maximum of gain, then margin.  The greedy selection
+ranks only the leading candidates it reads, widening that prefix until it has
+its k picks.
+
+On certain data (the ``st`` view, or no uncertainty file) the kernel sums only
+``(a - b)**2``, which has the bits of ``|a - b|**2``, and leaves every
+uncertainty minimum at the ``+0.0`` the full path gives there.  Extraction always scores on that
 best-only path: an uncertainty minimum changes an output only where it orders
 an exact best tie or is a selected shapelet's threshold, so only the sources
 with a tied row in a staging block, and the k thresholds, take the full path.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
---jobs J`` each task's call gets ``1/J`` of them, at least one.  The kernel's
+--jobs J`` with T view tasks each task's call gets ``1/min(J, T)`` of them, at
+least one.  The kernel's
 independent axis is split into fixed contiguous slices, one per worker:
 extraction gives each worker a slice of sources, which it stages, scores and
 writes into its own cells of the candidate table, and the transform gives each
@@ -120,6 +127,7 @@ class ExtractionConfig:
 
 _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells per block
 _TILE_ELEMS = 300_000  # term and accumulator cells of one tile; the fastest measured of 100 K to 600 K
+_SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a run of lengths (or one longer length)
 _CPUS: int | None = None  # CPUs the kernel's workers use; None reads this process's affinity mask per call
 # pipeline runs sharing those CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
 _concurrent_tasks: contextvars.ContextVar[int] = contextvars.ContextVar("_concurrent_tasks", default=1)
@@ -184,11 +192,14 @@ def _grid_min_dissims(
 
     Stems are staged in blocks of offsets by sources of at most
     ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len + 1))`` stems, or
-    one, so that a block's minima at every length, and their split sweep at
-    one length, stay within the budget when ``workers`` calls run at once on
-    disjoint slices of the sources or series rows; ``workers`` is the
-    caller's :func:`_worker_count`.  Each call is serial and keeps its own
-    tile scratch.  A block is filled tile by tile.  A tile of
+    one, so that a block's minima at every length stay within the budget when
+    ``workers`` calls run at once on disjoint slices of the sources or series
+    rows; ``workers`` is the caller's :func:`_worker_count`.  The minima are
+    packed by length, so a length holds only the offsets that reach it, and
+    the yielded arrays are views into them.  A caller's own work on a block
+    comes on top (extraction: one split sweep of at most ``_SWEEP_ELEMS``
+    cells, or one length).  Each call is serial and keeps its own tile
+    scratch.  A block is filled tile by tile.  A tile of
     sources by series rows builds its term tables ``(x_src[p] - x_ser[q])**2``
     and ``|x_src[p] - x_ser[q]| * (u_src[p] + u_ser[q])`` once; each window
     accumulator then grows by one term per length, index-ascending exactly
@@ -215,11 +226,14 @@ def _grid_min_dissims(
         # tiles share these buffers: a fresh allocation per tile costs a page fault per page
         terms = np.empty((2, m, p1 - p0, tile_sources, tile_rows))
         acc = np.empty((2, w0, len(block_ends), tile_sources, tile_rows))
+        # the offsets reaching each length of the block: a leading slice, since ends are non-increasing
+        reach = np.count_nonzero(block_ends[:, None] >= np.arange(min_len, block_ends[0] + 1), axis=0)
         for s0 in range(0, len(src_b), stage_sources):
             s1 = min(s0 + stage_sources, len(src_b))
-            shape = (block_ends[0] - min_len + 1, len(block_ends), s1 - s0, n)
-            min_b = np.empty(shape)
-            min_u = np.broadcast_to(0.0, shape) if certain else np.empty(shape)
+            # the block's minima packed by length: length l holds only its (offsets, sources, n)
+            shapes = [(o, s1 - s0, n) for o in reach.tolist()]
+            min_b = _packed(shapes)
+            min_u = [np.broadcast_to(0.0, shape) for shape in shapes] if certain else _packed(shapes)
             with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the minima
                 for a in range(s0, s1, tile_sources):
                     b = min(a + tile_sources, s1)
@@ -227,27 +241,33 @@ def _grid_min_dissims(
                         r = slice(r0, r0 + tile_rows)
                         _fill_tile(
                             src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, block_ends, min_len,
-                            series_b[r].T, series_u[r].T,
-                            min_b[:, :, a - s0 : b - s0, r], min_u[:, :, a - s0 : b - s0, r], terms, acc,
+                            series_b[r].T, series_u[r].T, min_b, min_u, (slice(a - s0, b - s0), r), terms, acc,
                             certain,
                         )
-            for l in range(min_len, block_ends[0] + 1):
-                o = np.count_nonzero(block_ends >= l)
-                mb, mu = min_b[l - min_len, :o], min_u[l - min_len, :o]
+            for l, mb, mu in zip(range(min_len, block_ends[0] + 1), min_b, min_u):
                 if not (np.isfinite(mb).all() and (certain or np.isfinite(mu).all())):
                     raise NumericOverflowError("dissimilarity overflowed to non-finite values")
-                yield l, slice(k0, k0 + o), slice(s0, s1), mb, mu
+                yield l, slice(k0, k0 + len(mb)), slice(s0, s1), mb, mu
+
+
+def _packed(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Uninitialized arrays of the given shapes, back to back in one buffer."""
+    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes]).tolist()
+    buf = np.empty(bounds[-1])
+    return [buf[a:b].reshape(shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
 
 
 def _fill_tile(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
-    ser_b: np.ndarray, ser_u: np.ndarray, min_b: np.ndarray, min_u: np.ndarray,
-    terms: np.ndarray, acc: np.ndarray, certain: bool,
+    ser_b: np.ndarray, ser_u: np.ndarray, min_b: list[np.ndarray], min_u: list[np.ndarray],
+    tile: tuple[slice, slice], terms: np.ndarray, acc: np.ndarray, certain: bool,
 ) -> None:
-    """Write one tile's ``(lengths, offsets, sources, rows)`` minima into ``min_b``, ``min_u``.
+    """Write one tile's minima into the ``tile`` (sources, rows) of ``min_b``, ``min_u``.
 
-    ``src`` is ``(positions, sources)`` from the tile's first offset on and
-    ``ser`` is ``(m, rows)``.  Term ``[q, p, s, j]`` pairs series position
+    ``min_b[l - min_len]`` and ``min_u[l - min_len]`` are the block's
+    ``(offsets reaching l, sources, n)`` minima at length ``l``.  ``src`` is
+    ``(positions, sources)`` from the tile's first offset on and ``ser`` is
+    ``(m, rows)``.  Term ``[q, p, s, j]`` pairs series position
     ``q`` with source position ``p`` and accumulator ``[t, k, s, j]`` is window
     ``t`` of offset ``k``, so step ``i`` adds one strided view of the terms.
     The minimum under the uncertain order reduces over the leading window
@@ -276,9 +296,10 @@ def _fill_tile(
             au += term_u[at]
         if i + 1 < min_len:
             continue
-        mb, mu = min_b[i + 1 - min_len, :o], min_u[i + 1 - min_len, :o]
+        mb = min_b[i + 1 - min_len][:, tile[0], tile[1]]
         np.min(ab, axis=0, out=mb)
         if not certain:
+            mu = min_u[i + 1 - min_len][:, tile[0], tile[1]]
             np.min(au, axis=0, out=mu, where=ab == mb, initial=np.inf)
             mu *= 2.0
 
@@ -333,12 +354,56 @@ def _batch_best_splits(
         valid[tied, :-1] |= su[:, :-1] != su[:, 1:]
     rows, pos, gain = _split_gains(sorted_labels, valid, class_totals)
 
-    # per row, the first cut by larger gain, then larger margin, then smaller
-    # threshold; every row keeps its last cut, which is always valid
+    # per row, the first cut by larger gain, then larger margin, then smaller threshold: the
+    # segmented maxima of each key in turn, since kept cuts are row-major with ascending positions
+    # and every row keeps at least one cut (its last is always valid)
     at = order[rows, pos]
     margin = best[order[rows, np.minimum(pos + 1, n - 1)]] - best[at]  # 0.0 at the last cut
-    first = np.lexsort((pos, -margin, -gain, rows))[np.searchsorted(rows, np.arange(c_total))]
+    starts = np.searchsorted(rows, np.arange(c_total))
+    top = gain == np.maximum.reduceat(gain, starts)[rows]
+    top &= margin == np.maximum.reduceat(np.where(top, margin, -np.inf), starts)[rows]
+    first = np.flatnonzero(top)
+    first = first[np.searchsorted(rows[first], np.arange(c_total))]
     return gain[first], margin[first], best[at[first]], at[first] % n, pos[first] + 1
+
+
+def _select(table: np.ndarray, offsets: np.ndarray, min_len: int, m: int, k: int, w: int) -> np.ndarray:
+    """Flat cell indices of the ``k`` selected candidates of an extraction table, in selection order.
+
+    ``table`` is ``extract_shapelets``' ``(4, offsets, sources, lengths)``
+    table; a cell that holds no candidate has quality ``-inf``.  The greedy
+    walks the candidates by quality descending, then larger margin, shorter
+    length, smaller source and offset, and skips one that overlaps a pick from
+    its source.  Only a prefix of that order is ranked: the candidates whose
+    quality is at least the ``w``-th best, ties included, which are exactly the
+    first of the full order.  When the walk ends short of ``k`` picks, the next
+    band, down to the ``4 * w``-th best, is ranked and walked, until every
+    candidate has been.
+    """
+    n, lengths = table.shape[2], table.shape[3]
+    quality, margin = table[0].ravel(), table[1].ravel()
+    ranked = quality[quality > -np.inf]  # the candidates' qualities
+    taken = np.zeros((n, m), dtype=bool)  # cells of each source inside a selected window
+    selected: list[int] = []
+    above = np.inf
+    while True:
+        w = min(w, len(ranked))
+        edge = np.partition(ranked, len(ranked) - w)[len(ranked) - w]  # the w-th best quality
+        band = np.flatnonzero((quality >= edge) & (quality < above))
+        stem, column = np.divmod(band, lengths)
+        length, source, offset = column + min_len, stem % n, offsets[stem // n]
+        order = np.lexsort((offset, source, length, -margin[band], -quality[band]))
+        for i, l, s, o in zip(*(x[order].tolist() for x in (band, length, source, offset))):
+            cells = taken[s, o : o + l]
+            if cells.any():
+                continue
+            cells[:] = True
+            selected.append(i)
+            if len(selected) == k:
+                break
+        if len(selected) == k or w == len(ranked):
+            return np.array(selected, dtype=np.intp)
+        above, w = edge, 4 * w
 
 
 # ---------------------------------------------------------------------------
@@ -350,24 +415,31 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
     Candidates are the prefixes of stems ``(offset, source)`` of length up
     to ``min(max_len, m - offset)``.  The distance kernel yields a staging
-    block of stems per length, and one split sweep per yield scores it into a
-    ``(4, offsets, sources, lengths)`` table of ``quality``, ``margin``,
-    ``thr_b`` and ``thr_at`` (the threshold's series), flattened offset-major
-    over the cells that fit.  The kernel runs its best-only path.  A source
+    block of stems per length.  Consecutive lengths of one block are scored
+    together, by one split sweep over at most ``_SWEEP_ELEMS`` distance cells,
+    or over one length that alone has more, into a ``(4, offsets, sources,
+    lengths)`` table of ``quality``, ``margin``, ``thr_b`` and ``thr_at`` (the
+    threshold's series); a cell past its stem's end keeps quality ``-inf``.
+    The kernel runs its best-only path.  A source
     with a row that holds an exact best tie gets one full-path pass over its
-    stems in the staging block, whose uncertainty minima order the tie; the
-    k selected thresholds take theirs from one full-path call per length.
+    stems in the staging block, from the first length it ties at, whose
+    uncertainty minima order the tie; the pass is kept until the block ends,
+    across sweeps.  The k selected thresholds take theirs from one full-path
+    call per length.
     When an uncertainty sum could overflow (the bound below), the whole
     scoring runs the full path instead, so ``NumericOverflowError`` is raised
     exactly where the full path raises it.
     Each worker takes a contiguous slice of the sources, runs the kernel and
     the split sweeps on it, and writes that slice's cells of the table.
-    Tiles are bounded by ``_TILE_ELEMS`` per worker and staging blocks by
-    ``_KERNEL_CHUNK_ELEMS`` over all workers.  The output follows the
-    selection key, not the table order: quality descending, ties broken by
-    larger split margin, shorter length, then smaller (source, offset).  A
-    candidate overlapping an already-selected candidate from the same source
-    series is pruned.
+    Tiles are bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or
+    one length) per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over
+    all workers; a worker sweeps a block's last run before the kernel stages
+    its next block.  The output follows the selection key, not the table
+    order: quality descending, ties broken by larger split margin, shorter
+    length, then smaller (source, offset).  A candidate overlapping an
+    already-selected candidate from the same source series is pruned.
+    :func:`_select` ranks only the candidates down to the k-th best quality,
+    and widens that prefix while the greedy has fewer than k picks.
     Output is deterministic and independent of the worker count.
     """
     best, unc = train.best, train.uncertainty
@@ -392,6 +464,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     offsets = np.arange(0, m - min_len + 1, config.candidate_stride)
     ends = np.minimum(max_len, m - offsets)
     table = np.empty((4, len(offsets), n, max_len - min_len + 1))
+    table[0] = -np.inf  # the quality of a cell past its stem's end, which holds no candidate
 
     # Scoring sums the best estimates only.  Every u + v is at most 2 * max(unc), and every sum
     # 2 * sum(|d| * (u + v)) at most 8 * max_len * max|best| * max(unc): while both stay below 2**1000
@@ -403,78 +476,87 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     scored_u = unc if exact else np.zeros_like(unc)
 
     def score(part: slice) -> None:
+        run: list[tuple[int, slice, slice, np.ndarray, np.ndarray]] = []  # lengths of one staging block
+        passes: dict[int, dict[int, np.ndarray]] = {}  # a tied source's full-path minima, per length
+
+        def sweep() -> None:
+            width = run[0][3].shape[1]  # the block's sources
+            starts = np.cumsum([0] + [dist_b.shape[0] * width for _, _, _, dist_b, _ in run])
+
+            def tied_unc(rows: np.ndarray) -> np.ndarray:
+                out = np.empty((len(rows), n))
+                seg = np.searchsorted(starts, rows, side="right") - 1
+                for g in np.unique(seg).tolist():
+                    l, o, s, _, dist_u = run[g]
+                    at = np.flatnonzero(seg == g)
+                    i, j = np.divmod(rows[at] - starts[g], width)
+                    if exact:
+                        out[at] = dist_u[i, j]
+                        continue
+                    # one full-path pass per tied source and block, over all of its stems in the block
+                    # at this length and longer; the sources first tied at this length share one call
+                    tied = np.unique(j).tolist()
+                    new = [src for src in tied if src not in passes]
+                    if new:
+                        gs, p0 = part.start + s.start + np.array(new), config.candidate_stride * o.start
+                        for l2, _, s2, _, mu in _grid_min_dissims(
+                            best[gs, p0:], unc[gs, p0:], config.candidate_stride, ends[o], l, best, unc
+                        ):
+                            for t, src in enumerate(new[s2]):
+                                passes.setdefault(src, {})[l2] = mu[:, t]  # (offsets reaching l2, n)
+                    for src in tied:
+                        rows_src = j == src
+                        out[at[rows_src]] = passes[src][l][i[rows_src]]
+                return out
+
+            dist = [dist_b.reshape(-1, n) for _, _, _, dist_b, _ in run]
+            splits = np.array(_batch_best_splits(
+                dist[0] if len(run) == 1 else np.concatenate(dist), tied_unc, label_idx, class_totals
+            )[:4])
+            for (l, o, s, dist_b, _), a, b in zip(run, starts, starts[1:]):
+                cells = slice(part.start + s.start, part.start + s.stop)
+                table[:, o, cells, l - min_len] = splits[:, a:b].reshape(4, *dist_b.shape[:2])
+            run.clear()
+
+        # consecutive lengths of a staging block share one sweep of at most _SWEEP_ELEMS cells, or of
+        # one length when it alone has more; a block's last length ends its run and its tied passes
         for l, o, s, dist_b, dist_u in _grid_min_dissims(
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
-            if l == min_len:  # a staging block starts
-                passes = {}
-
-            def tied_unc(rows: np.ndarray) -> np.ndarray:
-                i, j = np.divmod(rows, dist_b.shape[1])
-                if exact:
-                    return dist_u[i, j]
-                # one full-path pass per tied source and block, over all of its stems in the block
-                # at this length and longer; the sources first tied at this length share one call
-                tied = np.unique(j).tolist()
-                new = [src for src in tied if src not in passes]
-                if new:
-                    g, p0 = part.start + s.start + np.array(new), config.candidate_stride * o.start
-                    for l2, _, s2, _, mu in _grid_min_dissims(
-                        best[g, p0:], unc[g, p0:], config.candidate_stride, ends[o], l, best, unc
-                    ):
-                        for t, src in enumerate(new[s2]):
-                            passes.setdefault(src, {})[l2] = mu[:, t]  # (offsets reaching l2, n)
-                out = np.empty((len(rows), n))
-                for src in tied:
-                    at = j == src
-                    out[at] = passes[src][l][i[at]]
-                return out
-
-            splits = _batch_best_splits(dist_b.reshape(-1, n), tied_unc, label_idx, class_totals)
-            cells = slice(part.start + s.start, part.start + s.stop)
-            table[:, o, cells, l - min_len] = np.reshape(splits[:4], (4, *dist_b.shape[:2]))
+            if run and sum(r[3].size for r in run) + dist_b.size > _SWEEP_ELEMS:
+                sweep()
+            run.append((l, o, s, dist_b, dist_u))
+            if l == ends[o.start]:
+                sweep()
+                passes.clear()
 
     _in_slices(n, score)
 
-    # stems offset-major, each with the lengths it reaches
-    stem, column = np.nonzero(np.arange(min_len, max_len + 1) <= np.repeat(ends, n)[:, None])
-    quality, margin, thr_b, thr_at = table.reshape(4, len(offsets) * n, -1)[:, stem, column]
+    # the greedy selection, then each threshold's uncertainty: the full-path minimum against its
+    # series, one call per length
+    sel = _select(table, offsets, min_len, m, k, k)
+    stem, column = np.divmod(sel, table.shape[3])
     length, source, offset = column + min_len, stem % n, offsets[stem // n]
-
-    order = np.lexsort((offset, source, length, -margin, -quality))
-    taken = np.zeros((n, m), dtype=bool)  # cells of each source inside a selected window
-    selected: list[int] = []
-    for i in order.tolist():
-        cells = taken[source[i], offset[i] : offset[i] + length[i]]
-        if cells.any():
-            continue
-        cells[:] = True
-        selected.append(i)
-        if len(selected) == k:
-            break
-
-    # each threshold's uncertainty: the full-path minimum against its series, one call per length
-    sel = np.array(selected)
+    quality, thr_b, thr_at = (table[p].ravel()[sel] for p in (0, 2, 3))
     thr_u = np.empty(len(sel))
-    for l in np.unique(length[sel]).tolist():
-        at = length[sel] == l
-        rows, col = np.unique(thr_at[sel[at]].astype(int), return_inverse=True)
-        src, window = source[sel[at], None], offset[sel[at], None] + np.arange(l)
+    for l in np.unique(length).tolist():
+        at = length == l
+        rows, col = np.unique(thr_at[at].astype(int), return_inverse=True)
+        src, window = source[at, None], offset[at, None] + np.arange(l)
         _, dist_u = _window_minima(best[src, window], unc[src, window], best[rows], unc[rows])
         thr_u[at] = dist_u[np.arange(len(col)), col]
 
     return [
         UncertainShapelet(
-            values=UncertainVector(
-                best[source[i], offset[i] : offset[i] + length[i]],
-                unc[source[i], offset[i] : offset[i] + length[i]],
-            ),
-            source_instance=int(source[i]),
-            start_offset=int(offset[i]),
-            quality=float(quality[i]),
-            split_threshold=UncertainValue(float(thr_b[i]), float(u)),
+            values=UncertainVector(best[s, o : o + l], unc[s, o : o + l]),
+            source_instance=s,
+            start_offset=o,
+            quality=q,
+            split_threshold=UncertainValue(tb, tu),
         )
-        for i, u in zip(selected, thr_u.tolist())
+        for l, s, o, q, tb, tu in zip(
+            length.tolist(), source.tolist(), offset.tolist(), quality.tolist(), thr_b.tolist(), thr_u.tolist()
+        )
     ]
 
 

@@ -245,19 +245,30 @@ class TestStepComposition:
         assert "sh.json: malformed shapelet file" in err
 
     @pytest.mark.parametrize(
-        "command, certain",
-        [("extract", True), ("transform", True), ("extract", False), ("transform", False)],
-        ids=["extract", "transform", "extract-uncertain", "transform-uncertain"],
+        "command, certain, huge, paths_run",
+        [
+            ("extract", True, "best", {True}),
+            ("transform", True, "best", {True}),
+            ("extract", False, "uncertainty", {False}),
+            ("transform", False, "best", {False}),
+            ("extract", False, "best", {True}),
+        ],
+        ids=["extract", "transform", "extract-uncertain", "transform-uncertain", "extract-uncertain-huge-best"],
     )
-    def test_overflow_is_one_error_line(self, command, certain, tmp_path, capsys, monkeypatch):
-        # the error is raised on a kernel worker thread, on either kernel path; extraction scores on
-        # the certain path and takes the sources with tied distances through the full path
+    def test_overflow_is_one_error_line(self, command, certain, huge, paths_run, tmp_path, capsys, monkeypatch):
+        # the error is raised on a kernel worker thread, on either kernel path.  Extraction scores on the
+        # certain path, which raises first when the best-estimate sums overflow; when only uncertainty
+        # sums can overflow it scores on the full path, which raises
         monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
         monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)  # the 2-row transform is then two tiles
         fill, paths = ust.shapelet._fill_tile, set()
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.add(args[-1]) or fill(*args))
-        data = write_tsv(tmp_path / "v.tsv", [("1", [1e200, -1e200, 1e200]), ("2", [-1e200, 1e200, -1e200])])
-        (tmp_path / "u.tsv").write_text("0.5\t0.5\t0.5\n" * 2)
+        if huge == "best":
+            rows, u = [("1", [1e200, -1e200, 1e200]), ("2", [-1e200, 1e200, -1e200])], "0.5"
+        else:
+            rows, u = [("1", [0.0, 1.0, 0.5]), ("2", [1.0, 0.0, 0.25])], "1e308"
+        data = write_tsv(tmp_path / "v.tsv", rows)
+        (tmp_path / "u.tsv").write_text(("\t".join([u] * 3) + "\n") * 2)
         unc = [] if certain else ["--uncertainties", str(tmp_path / "u.tsv")]
         if command == "extract":
             argv = ["extract", "--data", str(data), *unc, "--min-len", "2", "--out", str(tmp_path / "sh.json")]
@@ -268,7 +279,7 @@ class TestStepComposition:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == "error: dissimilarity overflowed to non-finite values\n"
-        assert paths == ({True, certain} if command == "extract" else {certain})
+        assert paths == paths_run
 
     @pytest.mark.parametrize(
         "name, content",
@@ -479,6 +490,25 @@ class TestBenchmark:
             "--jobs", jobs, "--no-timings", "--out", str(tmp_path / "r.csv"),
         ]) == 0
         assert seen == workers
+
+    def test_fewer_tasks_than_jobs_share_the_cpus_of_the_idle_jobs(self, tmp_path, monkeypatch):
+        # one dataset is two view tasks: at --jobs 4 on 4 CPUs each task's kernel gets 2 workers, not 1
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 4)
+        kernel, seen = ust.shapelet._grid_min_dissims, set()
+
+        def spy(*args):
+            seen.add(ust.shapelet._worker_count())
+            return kernel(*args)
+
+        monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy)
+        root = make_benchmark_dir(tmp_path, n_datasets=1)
+        base = ["benchmark", "--data-dir", str(root), "--k", "2", "--min-len", "3", "--max-len", "5", "--no-timings"]
+        for jobs in ("4", "1"):
+            assert main(base + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}.csv")]) == 0
+            if jobs == "4":
+                assert seen == {2}
+        assert (tmp_path / "j4.csv").read_bytes() == (tmp_path / "j1.csv").read_bytes()
+        assert (tmp_path / "j4_summary.csv").read_bytes() == (tmp_path / "j1_summary.csv").read_bytes()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_rejects_jobs_below_one(self, jobs, tmp_path, capsys):

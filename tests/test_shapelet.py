@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from ust import (
     save_shapelets,
     shapelet_transform,
 )
-from ust.shapelet import _batch_best_splits, _grid_min_dissims, shapelets_to_json
+from ust.shapelet import _batch_best_splits, _grid_min_dissims, _select, shapelets_to_json
 
 
 def dataset(rows):
@@ -583,6 +584,7 @@ class TestExtraction:
         extraction_cases(),
         st.sampled_from([1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS]),
         st.sampled_from([1, ust.shapelet._TILE_ELEMS]),
+        st.sampled_from([1, 37, ust.shapelet._SWEEP_ELEMS]),
     )
     @example(  # source 1 keeps the touching windows [0, 2) and [2, 5); an overlapping one is pruned
         (
@@ -595,6 +597,7 @@ class TestExtraction:
         ),
         ust.shapelet._KERNEL_CHUNK_ELEMS,
         ust.shapelet._TILE_ELEMS,
+        ust.shapelet._SWEEP_ELEMS,
     )
     @example(  # certain data with tied distances at stride 2
         (
@@ -607,6 +610,7 @@ class TestExtraction:
         ),
         ust.shapelet._KERNEL_CHUNK_ELEMS,
         ust.shapelet._TILE_ELEMS,
+        ust.shapelet._SWEEP_ELEMS,
     )
     @example(  # certain data, min_len == m
         (
@@ -615,15 +619,18 @@ class TestExtraction:
         ),
         ust.shapelet._KERNEL_CHUNK_ELEMS,
         ust.shapelet._TILE_ELEMS,
+        ust.shapelet._SWEEP_ELEMS,
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_oracle_property(self, case, budget, tile):
-        # one-stem blocks and one-cell tiles put each tied source's full-path pass at a block edge
+    def test_matches_oracle_property(self, case, budget, tile, cap):
+        # one-stem blocks and one-cell tiles put each tied source's full-path pass at a block edge;
+        # small sweep caps end runs of lengths inside blocks, so tied rows of one source span runs
         for workers in (1, 2):
             with (
                 patch.object(ust.shapelet, "_CPUS", workers),
                 patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget),
                 patch.object(ust.shapelet, "_TILE_ELEMS", tile),
+                patch.object(ust.shapelet, "_SWEEP_ELEMS", cap),
             ):
                 assert_matches_oracle(*case)
 
@@ -644,6 +651,84 @@ class TestExtraction:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("max_len", [4, 20, 60])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_multi_length_memory_is_bounded_by_the_block_budget(self, workers, max_len, monkeypatch):
+        # a block's lengths are swept in runs of at most _SWEEP_ELEMS cells, so what extraction holds
+        # besides its candidate table (one cell per candidate) stays within the staging budget, the
+        # workers' tile scratch and a constant, however many lengths a block has
+        budget, n, m = 1_000_000, 30, 60
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        rng = np.random.default_rng(0)
+        d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
+        tracemalloc.start()
+        try:
+            extract_shapelets(d, ExtractionConfig(min_len=3, max_len=max_len, k=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = 4 * (m - 2) * n * (max_len - 2) * 8
+        assert peak - table < 8 * (budget + workers * ust.shapelet._TILE_ELEMS) + 4 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweeps_take_runs_of_lengths_within_the_cap(self, workers, monkeypatch):
+        # each scoring sweep holds consecutive lengths of one staging block, and at most _SWEEP_ELEMS
+        # cells unless it holds one length.  At (n, m) = (30, 50) and 2 workers the kernel yields 96
+        # (block, length) pairs, each of which took one sweep of its own; runs take at most half as
+        # many.  At 1 worker the short lengths each fill more than the cap and keep their own sweeps
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        n, m = 30, 50
+        rng = np.random.default_rng(4)
+        d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
+        kernel, split = ust.shapelet._grid_min_dissims, ust.shapelet._batch_best_splits
+        logs = collections.defaultdict(list)  # per thread, in order: yields (length, rows) and sweeps (rows,)
+
+        def spy_kernel(*args):
+            for out in kernel(*args):
+                if not args[-1].any():  # a scoring pass, on zero uncertainties
+                    logs[threading.get_ident()].append((out[0], out[3].shape[0] * out[3].shape[1]))
+                yield out
+
+        def spy_split(dist_best, *rest):
+            logs[threading.get_ident()].append((len(dist_best),))
+            return split(dist_best, *rest)
+
+        monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy_kernel)
+        monkeypatch.setattr(ust.shapelet, "_batch_best_splits", spy_split)
+        extract_shapelets(d, ExtractionConfig())
+        yields = sweeps = 0
+        for log in logs.values():
+            pending = []
+            for entry in log:
+                if len(entry) == 2:
+                    pending.append(entry)
+                    yields += 1
+                    continue
+                sweeps += 1
+                rows, lengths = 0, []
+                while rows < entry[0]:
+                    l, r = pending.pop(0)
+                    rows, lengths = rows + r, lengths + [l]
+                assert rows == entry[0]
+                assert lengths == list(range(lengths[0], lengths[0] + len(lengths)))
+                assert len(lengths) == 1 or rows * n <= ust.shapelet._SWEEP_ELEMS
+            assert pending == []
+        assert sweeps < yields
+        if workers == 2:
+            assert yields == 96 and 2 * sweeps <= yields
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_selection_from_a_prefix_of_one_matches_oracle(self, workers, monkeypatch):
+        # integer-valued data ties many qualities exactly, so with w = 1 the first band is all the
+        # candidates tied at the best quality, and overlaps leave bands short of k picks
+        select = ust.shapelet._select
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(ust.shapelet, "_select", lambda *args: select(*args[:-1], 1))
+        d = random_dataset(np.random.default_rng(11), n=8, m=12, integer_grid=True)
+        got = assert_matches_oracle(d, ExtractionConfig(min_len=2, k=12))
+        assert len({sh.quality for sh in got}) < len(got)  # picks tied in quality
 
     def test_overflow_raises_without_a_warning(self):
         d = UncertainDataset.from_arrays([[1e200, 0.0, 1.0], [-1e200, 1.0, 0.0]], [[0.0] * 3] * 2, ["A", "B"])
@@ -693,7 +778,8 @@ class TestExtraction:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tied_sources_take_one_full_pass_per_block(self, workers, monkeypatch):
         # on a {0, 1, 2} grid nearly every source has tied rows; the first one in a staging block
-        # runs one full-path pass over all of that source's stems in the block, from its length on
+        # runs one full-path pass over all of that source's stems in the block, from its length on,
+        # and later sweeps of the block reuse it (a one-cell cap gives each length its own sweep)
         d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
         cfg = ExtractionConfig(min_len=2, k=10)
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
@@ -707,8 +793,11 @@ class TestExtraction:
             return kernel(src_b, src_u, stride, ends, min_len, series_b, series_u)
 
         monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy)
-        assert_matches_oracle(d, cfg)
-        assert passes and len(passes) == len(set(passes))  # (block, source) at most once
+        for cap in (1, ust.shapelet._SWEEP_ELEMS):
+            passes.clear()
+            with patch.object(ust.shapelet, "_SWEEP_ELEMS", cap):
+                assert_matches_oracle(d, cfg)
+            assert passes and len(passes) == len(set(passes))  # (block, source) at most once
 
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
@@ -727,6 +816,55 @@ class TestExtraction:
         # the oracle reduces to plain ED when deltas are zero
         got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=5, k=4))
         assert all(sh.split_threshold.uncertainty == 0.0 for sh in got)
+
+
+@st.composite
+def selection_tables(draw):
+    """An extraction table of few distinct qualities and margins, cells without a candidate, k and w."""
+    n_off, n, lengths = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    stride, min_len = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    offsets = stride * np.arange(n_off)
+    cells = n_off * n * lengths
+    table = np.zeros((4, n_off, n, lengths))
+    quality = st.sampled_from([0.0, 0.5, 1.0, -np.inf])
+    table[0].flat = draw(st.lists(quality, min_size=cells, max_size=cells))
+    table[0, 0, 0, 0] = draw(st.sampled_from([0.0, 1.0]))  # at least one candidate
+    table[1].flat = draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=cells, max_size=cells))
+    m = int(offsets[-1]) + min_len + lengths - 1
+    return table, offsets, min_len, m, draw(st.integers(1, 12)), draw(st.integers(1, 3))
+
+
+def full_order_greedy(table, offsets, min_len, m, k):
+    """The greedy over every candidate in selection order: quality and margin descending, then length,
+    source and offset ascending; a pick overlapping an earlier one of its source is skipped."""
+    _, n_off, n, lengths = table.shape
+    keys = sorted(
+        (-table[0, o, s, c], -table[1, o, s, c], c + min_len, s, int(offsets[o]), (o * n + s) * lengths + c)
+        for o in range(n_off) for s in range(n) for c in range(lengths) if table[0, o, s, c] > -np.inf
+    )
+    taken, picks = np.zeros((n, m), dtype=bool), []
+    for _, _, l, s, o, flat in keys:
+        if len(picks) < k and not taken[s, o : o + l].any():
+            taken[s, o : o + l] = True
+            picks.append(flat)
+    return picks
+
+
+class TestSelection:
+    @given(selection_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_selection_equals_the_full_order_greedy(self, case):
+        table, offsets, min_len, m, k, w = case
+        assert _select(table, offsets, min_len, m, k, w).tolist() == full_order_greedy(table, offsets, min_len, m, k)
+
+    def test_ties_at_the_prefix_edge_are_ranked_with_it(self):
+        # w = 1: the first band is the three candidates of quality 1.0, which overlap on source 0 and
+        # give one pick, so the next band ranks the rest
+        table = np.zeros((4, 3, 1, 2))
+        table[0] = [[[1.0, 1.0]], [[1.0, 0.5]], [[0.5, -np.inf]]]
+        table[1] = [[[0.0, 0.25]], [[0.0, 0.0]], [[0.25, 0.0]]]
+        picks = _select(table, np.arange(3), 1, 3, 3, 1).tolist()
+        assert picks == full_order_greedy(table, np.arange(3), 1, 3, 3) == [1, 4]
 
 
 class TestTransform:
