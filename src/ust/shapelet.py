@@ -27,10 +27,13 @@ its k picks.
 
 On certain data (the ``st`` view, or no uncertainty file) the kernel sums only
 ``(a - b)**2``, which has the bits of ``|a - b|**2``, and leaves every
-uncertainty minimum at the ``+0.0`` the full path gives there.  Extraction always scores on that
-best-only path: an uncertainty minimum changes an output only where it orders
-an exact best tie or is a selected shapelet's threshold, so only the sources
-with a tied row in a staging block, and the k thresholds, take the full path.
+uncertainty minimum at the ``+0.0`` the full path gives there.  Extraction scores
+on that best-only path, since an uncertainty minimum changes an output only
+where it orders an exact best tie or is a selected shapelet's threshold.  The
+full path scores when the data are certain, when an uncertainty sum could
+overflow, or after a best-only tie: a sweep that meets an exact best tie stops
+the scoring, which is then done once more on the full path.  The k thresholds
+take the full path too.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -76,6 +79,10 @@ MAX_DEFAULT_K = 200
 
 class ConfigurationError(ValueError):
     """An extraction configuration admits no candidates for the given data."""
+
+
+class _ExactTie(Exception):
+    """A best-only scoring met an exact best tie, which only the uncertainty minima order."""
 
 
 @dataclass(frozen=True)
@@ -320,8 +327,8 @@ def _batch_best_splits(
     tied_unc: Callable[[np.ndarray], np.ndarray],
     label_idx: np.ndarray,
     class_totals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best split per candidate row: (gain, margin, thr_best, thr_at, n_near).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Best split per candidate row: (gain, margin, thr_best, thr_at).
 
     Thresholds are the distinct observed distances under the uncertain
     order, each landing on the near side; equal gains prefer the larger
@@ -364,7 +371,7 @@ def _batch_best_splits(
     top &= margin == np.maximum.reduceat(np.where(top, margin, -np.inf), starts)[rows]
     first = np.flatnonzero(top)
     first = first[np.searchsorted(rows[first], np.arange(c_total))]
-    return gain[first], margin[first], best[at[first]], at[first] % n, pos[first] + 1
+    return gain[first], margin[first], best[at[first]], at[first] % n
 
 
 def _select(table: np.ndarray, offsets: np.ndarray, min_len: int, m: int, k: int, w: int) -> np.ndarray:
@@ -420,15 +427,14 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     or over one length that alone has more, into a ``(4, offsets, sources,
     lengths)`` table of ``quality``, ``margin``, ``thr_b`` and ``thr_at`` (the
     threshold's series); a cell past its stem's end keeps quality ``-inf``.
-    The kernel runs its best-only path.  A source
-    with a row that holds an exact best tie gets one full-path pass over its
-    stems in the staging block, from the first length it ties at, whose
-    uncertainty minima order the tie; the pass is kept until the block ends,
-    across sweeps.  The k selected thresholds take theirs from one full-path
-    call per length.
-    When an uncertainty sum could overflow (the bound below), the whole
-    scoring runs the full path instead, so ``NumericOverflowError`` is raised
-    exactly where the full path raises it.
+    The kernel runs its best-only path.  A sweep that meets an exact best tie,
+    which only uncertainty minima order, stops the scoring, and every cell is
+    scored once more on the full path; at worst, a tie in the last sweep, that
+    costs one best-only and one full-path scoring.  When an uncertainty sum
+    could overflow (the bound below), the scoring runs the full path from the
+    start, so ``NumericOverflowError`` is raised exactly where the full path
+    raises it.  The k selected thresholds take their uncertainties from one
+    full-path call per length.
     Each worker takes a contiguous slice of the sources, runs the kernel and
     the split sweeps on it, and writes that slice's cells of the table.
     Tiles are bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or
@@ -466,60 +472,35 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     table = np.empty((4, len(offsets), n, max_len - min_len + 1))
     table[0] = -np.inf  # the quality of a cell past its stem's end, which holds no candidate
 
-    # Scoring sums the best estimates only.  Every u + v is at most 2 * max(unc), and every sum
-    # 2 * sum(|d| * (u + v)) at most 8 * max_len * max|best| * max(unc): while both stay below 2**1000
-    # no uncertainty minimum can overflow, so the best-only path raises NumericOverflowError exactly
-    # when the full path would.  On certain data, and past that bound, scoring reads the real
-    # uncertainties, and its minima are exact.
+    # The full path scores when the data are certain, when an uncertainty sum could overflow, or after
+    # a best-only tie.  Every u + v is at most 2 * max(unc), and every sum 2 * sum(|d| * (u + v)) at
+    # most 8 * max_len * max|best| * max(unc): while both stay below 2**1000 no uncertainty minimum can
+    # overflow, so the best-only path raises NumericOverflowError exactly when the full path would.
     bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())
-    exact = not unc.any() or bound >= 2.0**1000
-    scored_u = unc if exact else np.zeros_like(unc)
+    scored_u = unc if not unc.any() or bound >= 2.0**1000 else np.zeros_like(unc)
 
     def score(part: slice) -> None:
         run: list[tuple[int, slice, slice, np.ndarray, np.ndarray]] = []  # lengths of one staging block
-        passes: dict[int, dict[int, np.ndarray]] = {}  # a tied source's full-path minima, per length
 
         def sweep() -> None:
-            width = run[0][3].shape[1]  # the block's sources
-            starts = np.cumsum([0] + [dist_b.shape[0] * width for _, _, _, dist_b, _ in run])
+            def stacked(field: int) -> np.ndarray:  # the run's minima (3: best, 4: uncertainty) as (rows, n)
+                parts = [r[field].reshape(-1, n) for r in run]
+                return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
             def tied_unc(rows: np.ndarray) -> np.ndarray:
-                out = np.empty((len(rows), n))
-                seg = np.searchsorted(starts, rows, side="right") - 1
-                for g in np.unique(seg).tolist():
-                    l, o, s, _, dist_u = run[g]
-                    at = np.flatnonzero(seg == g)
-                    i, j = np.divmod(rows[at] - starts[g], width)
-                    if exact:
-                        out[at] = dist_u[i, j]
-                        continue
-                    # one full-path pass per tied source and block, over all of its stems in the block
-                    # at this length and longer; the sources first tied at this length share one call
-                    tied = np.unique(j).tolist()
-                    new = [src for src in tied if src not in passes]
-                    if new:
-                        gs, p0 = part.start + s.start + np.array(new), config.candidate_stride * o.start
-                        for l2, _, s2, _, mu in _grid_min_dissims(
-                            best[gs, p0:], unc[gs, p0:], config.candidate_stride, ends[o], l, best, unc
-                        ):
-                            for t, src in enumerate(new[s2]):
-                                passes.setdefault(src, {})[l2] = mu[:, t]  # (offsets reaching l2, n)
-                    for src in tied:
-                        rows_src = j == src
-                        out[at[rows_src]] = passes[src][l][i[rows_src]]
-                return out
+                if scored_u is not unc:  # best-only minima cannot order an exact best tie
+                    raise _ExactTie
+                return stacked(4)[rows]
 
-            dist = [dist_b.reshape(-1, n) for _, _, _, dist_b, _ in run]
-            splits = np.array(_batch_best_splits(
-                dist[0] if len(run) == 1 else np.concatenate(dist), tied_unc, label_idx, class_totals
-            )[:4])
+            splits = np.array(_batch_best_splits(stacked(3), tied_unc, label_idx, class_totals))
+            starts = np.cumsum([0] + [dist_b.shape[0] * dist_b.shape[1] for _, _, _, dist_b, _ in run])
             for (l, o, s, dist_b, _), a, b in zip(run, starts, starts[1:]):
                 cells = slice(part.start + s.start, part.start + s.stop)
                 table[:, o, cells, l - min_len] = splits[:, a:b].reshape(4, *dist_b.shape[:2])
             run.clear()
 
         # consecutive lengths of a staging block share one sweep of at most _SWEEP_ELEMS cells, or of
-        # one length when it alone has more; a block's last length ends its run and its tied passes
+        # one length when it alone has more; a block's last length ends its run
         for l, o, s, dist_b, dist_u in _grid_min_dissims(
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
@@ -528,9 +509,12 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
             run.append((l, o, s, dist_b, dist_u))
             if l == ends[o.start]:
                 sweep()
-                passes.clear()
 
-    _in_slices(n, score)
+    try:
+        _in_slices(n, score)
+    except _ExactTie:  # every cell is scored again
+        scored_u = unc
+        _in_slices(n, score)
 
     # the greedy selection, then each threshold's uncertainty: the full-path minimum against its
     # series, one call per length

@@ -1,12 +1,15 @@
 """Output bytes pinned to committed sha256 digests.
 
-``fixtures/output_sha256.json`` holds the digests of three CLI outputs:
+``fixtures/output_sha256.json`` holds the digests of four CLI outputs:
 
 - the report and the summary of ``ust benchmark --data-dir
   tests/fixtures/benchmark --no-timings --seed 0 --out report.csv``;
 - the shapelet JSON of ``ust extract --data v.tsv --uncertainties u.tsv``,
   after ``ust add-noise --input tests/fixtures/benchmark/TriShape/TriShape_TRAIN.tsv
-  --seed 0 --out-values v.tsv --out-uncertainties u.tsv``.
+  --seed 0 --out-values v.tsv --out-uncertainties u.tsv``;
+- the shapelet JSON of ``ust extract`` on the tie-heavy data of
+  :func:`write_tied_grid`, whose distances hold exact best ties that only
+  their uncertainties order.
 
 Every run must reproduce them at one and at two concurrent tasks or kernel
 workers.  A change that is meant to alter an output records its new digests
@@ -53,3 +56,21 @@ def test_extract_bytes_on_noisy_data(workers, tmp_path, capsys, monkeypatch):
     assert main(["extract", "--data", str(values), "--uncertainties", str(uncertainties), "--out", str(out)]) == 0
     capsys.readouterr()
     assert sha256(out) == DIGESTS["extract_shapelets"]
+
+
+def write_tied_grid(values, uncertainties):
+    """A 16 x 24 two-class dataset of values in {0, 1, 2} and uncertainties in {0, 0.5}, by formula."""
+    with open(values, "w", encoding="utf-8") as v, open(uncertainties, "w", encoding="utf-8") as u:
+        for i in range(16):
+            v.write("\t".join(["AB"[i % 2]] + [str((j * j + i * (j // 2) + i) % 3) for j in range(24)]) + "\n")
+            u.write("\t".join("0.5" if (i * j + i) % 4 == 0 else "0" for j in range(24)) + "\n")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_bytes_on_tied_data(workers, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+    values, uncertainties, out = tmp_path / "v.tsv", tmp_path / "u.tsv", tmp_path / "sh.json"
+    write_tied_grid(values, uncertainties)
+    assert main(["extract", "--data", str(values), "--uncertainties", str(uncertainties), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out) == DIGESTS["extract_shapelets_tied"]

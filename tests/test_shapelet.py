@@ -152,23 +152,28 @@ def sweep(dist_b, dist_u, label_idx, totals):
     rows with an exact best tie, and not at all when no row has one.
     """
     calls = []
-    g, mg, tb, at, n1 = _batch_best_splits(
+    g, mg, tb, at = _batch_best_splits(
         dist_b, lambda rows: calls.append(rows.tolist()) or dist_u[rows], label_idx, totals
     )
     tied = [r for r, row in enumerate(dist_b.tolist()) if len(set(row)) < len(row)]
     assert calls == ([tied] if tied else [])
-    return g, mg, tb, dist_u[np.arange(len(dist_b)), at], n1
+    return g, mg, tb, dist_u[np.arange(len(dist_b)), at]
 
 
 def row_split(pairs, labels):
-    """One row of the batch split sweep: (gain, margin, (thr_b, thr_u), n_near)."""
+    """One row of the batch split sweep: (gain, margin, (thr_b, thr_u))."""
     classes = sorted(set(labels))
     label_idx = np.array([classes.index(lab) for lab in labels])
     totals = np.bincount(label_idx, minlength=len(classes))
-    g, mg, tb, tu, n1 = sweep(
+    g, mg, tb, tu = sweep(
         np.array([[b for b, _ in pairs]]), np.array([[u for _, u in pairs]]), label_idx, totals
     )
-    return g[0], mg[0], (tb[0], tu[0]), n1[0]
+    return g[0], mg[0], (tb[0], tu[0])
+
+
+def oracle_split(pairs, labels, classes):
+    """``oracles.split_quality`` without its near-side count, which the batch sweep does not report."""
+    return oracles.split_quality(pairs, labels, classes)[:3]
 
 
 @st.composite
@@ -243,16 +248,14 @@ class TestInformationGain:
     """Gains of the cuts that ``_batch_best_splits`` picks."""
 
     def test_perfect_balanced_split(self):
-        gain, _, thr, n1 = row_split([(1, 0), (2, 0), (3, 0), (4, 0)], list("AABB"))
+        gain, _, thr = row_split([(1, 0), (2, 0), (3, 0), (4, 0)], list("AABB"))
         assert gain == 1.0
         assert thr == (2.0, 0.0)
-        assert n1 == 2
 
     def test_threshold_comparison_uses_uncertain_order(self):
         # 2 ± 0.1 sorts below 2 ± 0.3, so the cut between them separates A from B
-        gain, _, thr, n1 = row_split([(2, 0.3), (2, 0.1)], list("AB"))
+        gain, _, thr = row_split([(2, 0.3), (2, 0.1)], list("AB"))
         assert thr == (2.0, 0.1)
-        assert n1 == 1
         assert gain == 1.0
 
 
@@ -260,16 +263,16 @@ class TestBestSplit:
     """Best cut per row of ``_batch_best_splits`` against ``oracles.split_quality``."""
 
     def test_two_singleton_classes(self):
-        gain, margin, thr, _ = row_split([(1, 0), (5, 0)], list("AB"))
+        gain, margin, thr = row_split([(1, 0), (5, 0)], list("AB"))
         assert gain == 1.0
         assert thr == (1.0, 0.0)
         assert margin == 4.0
 
     def test_all_equal_distances(self):
-        gain, margin, thr, n1 = row_split([(2, 0.5)] * 4, list("AABB"))
+        gain, margin, thr = row_split([(2, 0.5)] * 4, list("AABB"))
         assert gain == 0.0
         assert margin == 0.0
-        assert n1 == 4
+        assert thr == (2.0, 0.5)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
@@ -283,7 +286,7 @@ class TestBestSplit:
                 pairs = [(float(rng.integers(0, 3)), float(rng.choice([0, 0.5]))) for _ in range(n)]
             else:
                 pairs = [(float(rng.normal()), float(rng.uniform(0, 1))) for _ in range(n)]
-            assert row_split(pairs, labels) == oracles.split_quality(pairs, labels, sorted(set(labels)))
+            assert row_split(pairs, labels) == oracle_split(pairs, labels, sorted(set(labels)))
 
     @given(split_sweeps())
     @example((np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0]]), np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.25]]), [0, 1, 0]))
@@ -292,11 +295,11 @@ class TestBestSplit:
         # rows are independent: each equals the scalar oracle, whichever rows of the call hold ties
         dist_b, dist_u, labels = case
         totals = np.bincount(labels)
-        g, mg, tb, tu, n1 = sweep(dist_b, dist_u, np.array(labels), totals)
+        g, mg, tb, tu = sweep(dist_b, dist_u, np.array(labels), totals)
         for row in range(len(dist_b)):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
-            expected = oracles.split_quality(pairs, labels, sorted(set(labels)))
-            assert (g[row], mg[row], (tb[row], tu[row]), n1[row]) == expected
+            expected = oracle_split(pairs, labels, sorted(set(labels)))
+            assert (g[row], mg[row], (tb[row], tu[row])) == expected
 
     def test_uncertainties_are_read_only_for_rows_with_a_best_tie(self):
         dist_b = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [0.5, 0.25, 4.0], [3.0, 3.0, 3.0]])
@@ -309,11 +312,11 @@ class TestBestSplit:
         def unread(rows):
             raise AssertionError(f"uncertainties of rows {rows} read without a best tie")
 
-        g, mg, tb, at, n1 = _batch_best_splits(dist_b[[0, 2]], unread, labels, totals)
+        g, mg, tb, at = _batch_best_splits(dist_b[[0, 2]], unread, labels, totals)
         for i, row in enumerate([0, 2]):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
-            expected = oracles.split_quality(pairs, labels.tolist(), [0, 1])
-            assert (g[i], mg[i], (tb[i], dist_u[row, at[i]]), n1[i]) == expected
+            expected = oracle_split(pairs, labels.tolist(), [0, 1])
+            assert (g[i], mg[i], (tb[i], dist_u[row, at[i]])) == expected
 
     def test_needs_two_instances_and_classes(self):
         with pytest.raises(ValueError):
@@ -517,11 +520,10 @@ class TestBatchKernels:
             + [rng.choice([0.0, 0.5], n) for _ in range(8)]
         )
         totals = np.bincount(label_idx, minlength=2)
-        g, mg, tb, tu, n1 = sweep(dist_b, dist_u, label_idx, totals)
+        g, mg, tb, tu = sweep(dist_b, dist_u, label_idx, totals)
         for row in range(dist_b.shape[0]):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
-            gain, margin, thr, near = oracles.split_quality(pairs, labels, ["A", "B"])
-            assert (g[row], mg[row], (tb[row], tu[row]), n1[row]) == (gain, margin, thr, near)
+            assert (g[row], mg[row], (tb[row], tu[row])) == oracle_split(pairs, labels, ["A", "B"])
 
 
 def planted_motif_dataset():
@@ -623,8 +625,8 @@ class TestExtraction:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_property(self, case, budget, tile, cap):
-        # one-stem blocks and one-cell tiles put each tied source's full-path pass at a block edge;
-        # small sweep caps end runs of lengths inside blocks, so tied rows of one source span runs
+        # one-stem blocks and one-cell tiles put block edges everywhere; small sweep caps end runs of
+        # lengths inside blocks, so a tie can stop the best-only scoring at any sweep
         for workers in (1, 2):
             with (
                 patch.object(ust.shapelet, "_CPUS", workers),
@@ -775,29 +777,69 @@ class TestExtraction:
         assert sorted(full) == sorted(sh.values.best.tolist() for sh in got)
         assert any(args[-1] for args in tiles)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_tied_sources_take_one_full_pass_per_block(self, workers, monkeypatch):
-        # on a {0, 1, 2} grid nearly every source has tied rows; the first one in a staging block
-        # runs one full-path pass over all of that source's stems in the block, from its length on,
-        # and later sweeps of the block reuse it (a one-cell cap gives each length its own sweep)
-        d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
-        cfg = ExtractionConfig(min_len=2, k=10)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
-        # staging blocks of 11 offsets by 5 sources at 1 worker, by 2 sources at 2 workers
-        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 2 * 8 * 11 * 30)
+    @staticmethod
+    def scoring_passes(d, monkeypatch):
+        """Spy on the kernel: per scoring call, whether it ran the full path, and the sources it scored.
+
+        Scoring calls take every training series; the threshold calls take only the series they read.
+        """
         kernel, passes = ust.shapelet._grid_min_dissims, []
 
         def spy(src_b, src_u, stride, ends, min_len, series_b, series_u):
-            if series_u is d.uncertainty:  # a pass for tied sources, from the block's first offset on
-                passes.extend((src_b.shape[1], row.tobytes()) for row in src_b)
+            if series_b is d.best:
+                passes.append((series_u is d.uncertainty, [row.tobytes() for row in src_b]))
             return kernel(src_b, src_u, stride, ends, min_len, series_b, series_u)
 
         monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy)
-        for cap in (1, ust.shapelet._SWEEP_ELEMS):
-            passes.clear()
-            with patch.object(ust.shapelet, "_SWEEP_ELEMS", cap):
-                assert_matches_oracle(d, cfg)
-            assert passes and len(passes) == len(set(passes))  # (block, source) at most once
+        return passes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_tie_restarts_the_scoring_once_on_the_full_path(self, workers, monkeypatch):
+        # on a {0, 1, 2} grid a sweep meets an exact best tie: the best-only scoring stops, and the full
+        # path scores every source exactly once, its uncertainty minima ordering the ties
+        d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        passes = self.scoring_passes(d, monkeypatch)
+        assert_matches_oracle(d, ExtractionConfig(min_len=2, k=10))
+        every_source = sorted(row.tobytes() for row in d.best)
+        assert [full for full, _ in passes] == [False] * workers + [True] * workers
+        assert sorted(row for full, rows in passes if full for row in rows) == every_source
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_certain_ties_are_scored_once(self, workers, monkeypatch):
+        # with zero uncertainties the first scoring already runs the full path (the kernel's certain
+        # path), whose +0.0 uncertainty minima order every tie, so nothing is scored twice
+        d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
+        d = UncertainDataset.from_arrays(d.best, np.zeros_like(d.uncertainty), d.labels)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        passes = self.scoring_passes(d, monkeypatch)
+        assert_matches_oracle(d, ExtractionConfig(min_len=2, k=10))
+        assert [full for full, _ in passes] == [True] * workers
+        assert sorted(row for _, rows in passes for row in rows) == sorted(row.tobytes() for row in d.best)
+
+    @pytest.mark.parametrize(
+        "workers, budget, paths_run",
+        [(1, 1, {True, False}), (1, None, {True}), (2, None, {True, False})],
+        ids=["tie-first", "overflow-first", "tie-in-the-first-slice"],
+    )
+    def test_a_tie_and_an_overflow_raise_the_overflow(self, workers, budget, paths_run, monkeypatch):
+        # every sweep of source 0 ties, and source 2's window [1, 5) overflows against the other series.
+        # One-stem blocks sweep offset 0 before the kernel reaches offset 1, so the tie comes first and
+        # the full path raises; one block meets the overflow first; at 2 workers the first slice ties
+        # while the second overflows.  Extraction raises NumericOverflowError in every case
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        if budget is not None:
+            monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+        fill, paths = ust.shapelet._fill_tile, set()
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.add(args[-1]) or fill(*args))
+        d = UncertainDataset.from_arrays(
+            [[0.0, 1.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1e200]],
+            [[0.5, 0.0, 0.5, 0.0, 0.5]] * 3,
+            ["A", "B", "A"],
+        )
+        with pytest.raises(NumericOverflowError):
+            extract_shapelets(d, ExtractionConfig(min_len=2, max_len=4))
+        assert paths == paths_run
 
     def test_quality_bounds(self):
         rng = np.random.default_rng(21)
