@@ -200,13 +200,15 @@ def _json_int(x, name: str, lo: int, hi: float = math.inf) -> int:
     return x
 
 
-def _json_real(x, name: str) -> float:
-    """``x`` as a float if it is a finite JSON number; raises naming ``name`` otherwise."""
+def _json_real(x, name: str, lo: float = -math.inf) -> float:
+    """``x`` as a float if it is a finite JSON number ``>= lo``; raises naming ``name`` otherwise."""
     if type(x) not in (int, float):
         raise TypeError(f"{name} must be a number, got {x!r}")
     value = float(x)  # OverflowError for an integer beyond binary64
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {x!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {x!r}")
     return value
 
 

@@ -13,10 +13,11 @@ the prefixes of stems (a source and a start offset).  One kernel serves
 extraction and the transform.  For each cache-sized tile of sources by series
 rows it computes every pairwise term once into a term table, then grows every
 window sum of the tile by one index-ascending term per length, as ``udissim``
-folds them, from a shifted view of that table.  The tiles' per-length minima
-fill a staging block of stems, packed by length (a length holds only the
-offsets that reach it).  Consecutive lengths of a block share one split sweep
-of at most ``_SWEEP_ELEMS`` distances, or of one length that alone has more.
+folds them, from a shifted view of that table.  The tiles fill a staging
+block of stems, which the kernel yields whole: one ``(rows, n)`` array of
+minima, length after length, each holding only the offsets that reach it.
+Consecutive lengths of a block, a slice of its rows, share one split sweep of
+at most ``_SWEEP_ELEMS`` distances, or of one length that alone has more.
 The split sweep, shared with the decision tree, sorts rows on their real best
 estimates (on the uncertainties too only in rows with an exact tie), ranks every
 cut approximately and rescores the cuts that can be a row's maximum with the
@@ -183,30 +184,30 @@ def _pair_cells(m: int, min_len: int, span: int, stems: int) -> int:
 def _grid_min_dissims(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     series_b: np.ndarray, series_u: np.ndarray,
-) -> Iterator[tuple[int, slice, slice, np.ndarray, np.ndarray]]:
-    """Yield ``(l, offsets, sources, min_b, min_u)`` for every stem prefix length ``l``.
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(offsets, sources, reach, min_b, min_u)`` once per staging block of stems.
 
     Stems are the grid of start offsets ``stride * k`` (``k < len(ends)``) by
     rows of ``src``.  The stems at offset ``k`` are scored at every length from
     ``min_len`` to ``ends[k]``; ``ends`` is non-increasing, so the offsets of
-    length ``l`` are a leading slice.  ``min_b`` and ``min_u`` are the
-    ``(offsets, sources, n)`` minimum dissimilarities of those stems to each
-    series under the uncertain order.  When every uncertainty is zero the
-    kernel takes its certain path: it sums the best-estimate terms only, and
-    ``min_u`` is a read-only view of ``+0.0`` that takes no memory.  Zero
-    uncertainties therefore give the best-only path on any data, which is how
-    extraction scores.
+    a length are a leading slice.  A block is the stems of the ``offsets`` by
+    ``sources`` slices; ``reach[i]`` counts its offsets that reach length
+    ``min_len + i``.  ``min_b`` and ``min_u`` are the block's ``(rows, n)``
+    minimum dissimilarities to each series under the uncertain order: length
+    ``min_len + i`` holds the next ``reach[i] * len(sources)`` rows, in
+    (offset, source) order, so a run of consecutive lengths is a slice of rows.
+    When every uncertainty is zero the kernel takes its certain path: it sums
+    the best-estimate terms only, and ``min_u`` is a read-only view of ``+0.0``
+    that takes no memory.  Zero uncertainties therefore give the best-only path
+    on any data, which is how extraction scores.
 
-    Stems are staged in blocks of offsets by sources of at most
-    ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len + 1))`` stems, or
-    one, so that a block's minima at every length stay within the budget when
+    Blocks hold at most ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len
+    + 1))`` stems, or one, so that a block's minima stay within the budget when
     ``workers`` calls run at once on disjoint slices of the sources or series
-    rows; ``workers`` is the caller's :func:`_worker_count`.  The minima are
-    packed by length, so a length holds only the offsets that reach it, and
-    the yielded arrays are views into them.  A caller's own work on a block
-    comes on top (extraction: one split sweep of at most ``_SWEEP_ELEMS``
-    cells, or one length).  Each call is serial and keeps its own tile
-    scratch.  A block is filled tile by tile.  A tile of
+    rows; ``workers`` is the caller's :func:`_worker_count`.  A caller's own
+    work on a block comes on top (extraction: one split sweep of at most
+    ``_SWEEP_ELEMS`` cells, or one length).  Each call is serial and keeps its
+    own tile scratch.  A block is filled tile by tile.  A tile of
     sources by series rows builds its term tables ``(x_src[p] - x_ser[q])**2``
     and ``|x_src[p] - x_ser[q]| * (u_src[p] + u_ser[q])`` once; each window
     accumulator then grows by one term per length, index-ascending exactly
@@ -237,10 +238,12 @@ def _grid_min_dissims(
         reach = np.count_nonzero(block_ends[:, None] >= np.arange(min_len, block_ends[0] + 1), axis=0)
         for s0 in range(0, len(src_b), stage_sources):
             s1 = min(s0 + stage_sources, len(src_b))
-            # the block's minima packed by length: length l holds only its (offsets, sources, n)
-            shapes = [(o, s1 - s0, n) for o in reach.tolist()]
-            min_b = _packed(shapes)
-            min_u = [np.broadcast_to(0.0, shape) for shape in shapes] if certain else _packed(shapes)
+            shape = (int(reach.sum()) * (s1 - s0), n)
+            min_b = np.empty(shape)
+            min_u = np.broadcast_to(0.0, shape) if certain else np.empty(shape)
+            cuts = np.cumsum(reach[:-1]) * (s1 - s0)
+            # each length's (offsets, sources, n) view, into which the tiles write
+            views = [[x.reshape(-1, s1 - s0, n) for x in np.split(buf, cuts)] for buf in (min_b, min_u)]
             with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the minima
                 for a in range(s0, s1, tile_sources):
                     b = min(a + tile_sources, s1)
@@ -248,20 +251,12 @@ def _grid_min_dissims(
                         r = slice(r0, r0 + tile_rows)
                         _fill_tile(
                             src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, block_ends, min_len,
-                            series_b[r].T, series_u[r].T, min_b, min_u, (slice(a - s0, b - s0), r), terms, acc,
+                            series_b[r].T, series_u[r].T, *views, (slice(a - s0, b - s0), r), terms, acc,
                             certain,
                         )
-            for l, mb, mu in zip(range(min_len, block_ends[0] + 1), min_b, min_u):
-                if not (np.isfinite(mb).all() and (certain or np.isfinite(mu).all())):
-                    raise NumericOverflowError("dissimilarity overflowed to non-finite values")
-                yield l, slice(k0, k0 + len(mb)), slice(s0, s1), mb, mu
-
-
-def _packed(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Uninitialized arrays of the given shapes, back to back in one buffer."""
-    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes]).tolist()
-    buf = np.empty(bounds[-1])
-    return [buf[a:b].reshape(shape) for shape, a, b in zip(shapes, bounds, bounds[1:])]
+            if not (np.isfinite(min_b).all() and (certain or np.isfinite(min_u).all())):
+                raise NumericOverflowError("dissimilarity overflowed to non-finite values")
+            yield slice(k0, k0 + len(block_ends)), slice(s0, s1), reach, min_b, min_u
 
 
 def _fill_tile(
@@ -271,8 +266,9 @@ def _fill_tile(
 ) -> None:
     """Write one tile's minima into the ``tile`` (sources, rows) of ``min_b``, ``min_u``.
 
-    ``min_b[l - min_len]`` and ``min_u[l - min_len]`` are the block's
-    ``(offsets reaching l, sources, n)`` minima at length ``l``.  ``src`` is
+    ``min_b[l - min_len]`` and ``min_u[l - min_len]`` are the ``(offsets
+    reaching l, sources, n)`` views of a staging block's minima at length ``l``
+    (the block layout of :func:`_grid_min_dissims`).  ``src`` is
     ``(positions, sources)`` from the tile's first offset on and ``ser`` is
     ``(m, rows)``.  Term ``[q, p, s, j]`` pairs series position
     ``q`` with source position ``p`` and accumulator ``[t, k, s, j]`` is window
@@ -317,14 +313,14 @@ def _window_minima(
     """Minimum dissimilarities ``(C, N)`` of equal-length candidates ``(C, l)`` to any window of rows ``(N, m)``."""
     l = cand_b.shape[1]
     out_b, out_u = np.empty((2, len(cand_b), len(ser_b)))
-    for _, _, s, dist_b, dist_u in _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, ser_b, ser_u):
-        out_b[s], out_u[s] = dist_b[0], dist_u[0]
+    for _, s, _, dist_b, dist_u in _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, ser_b, ser_u):
+        out_b[s], out_u[s] = dist_b, dist_u
     return out_b, out_u
 
 
 def _batch_best_splits(
     dist_best: np.ndarray,
-    tied_unc: Callable[[np.ndarray], np.ndarray],
+    dist_unc: np.ndarray | None,
     label_idx: np.ndarray,
     class_totals: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -334,9 +330,8 @@ def _batch_best_splits(
     order, each landing on the near side; equal gains prefer the larger
     margin, then the smaller threshold.  ``thr_at`` is the column (series)
     whose distance is the threshold.  Uncertainties only order exact best
-    ties: ``tied_unc`` is called once, with the ascending indices of the
-    rows that hold one, and returns their ``(len(rows), n)`` uncertainties.
-    It is not called when no row holds a tie.
+    ties, so only the rows of ``dist_unc`` that hold one are read.  With
+    ``dist_unc=None`` (best-only minima) such a row raises ``_ExactTie``.
     """
     c_total, n = dist_best.shape
 
@@ -353,7 +348,9 @@ def _batch_best_splits(
     del sb  # margins and thresholds are read through ``order``
     tied = np.flatnonzero(~valid[:, :-1].all(axis=1))
     if len(tied):
-        unc = tied_unc(tied)
+        if dist_unc is None:
+            raise _ExactTie
+        unc = dist_unc[tied]
         resort = np.lexsort((unc, dist_best[tied]))
         sorted_labels[tied] = label_idx[resort]
         order[tied] = resort + (tied * n)[:, None]
@@ -421,12 +418,13 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     """Score every candidate window and return the top k after pruning.
 
     Candidates are the prefixes of stems ``(offset, source)`` of length up
-    to ``min(max_len, m - offset)``.  The distance kernel yields a staging
-    block of stems per length.  Consecutive lengths of one block are scored
-    together, by one split sweep over at most ``_SWEEP_ELEMS`` distance cells,
-    or over one length that alone has more, into a ``(4, offsets, sources,
-    lengths)`` table of ``quality``, ``margin``, ``thr_b`` and ``thr_at`` (the
-    threshold's series); a cell past its stem's end keeps quality ``-inf``.
+    to ``min(max_len, m - offset)``.  The distance kernel yields staging
+    blocks of stems (the layout of :func:`_grid_min_dissims`).  Consecutive
+    lengths of one block are scored together, by one split sweep of a slice of
+    its rows, at most ``_SWEEP_ELEMS`` distance cells or one length that alone
+    has more, into a ``(4, offsets, sources, lengths)`` table of ``quality``,
+    ``margin``, ``thr_b`` and ``thr_at`` (the threshold's series); a cell past
+    its stem's end keeps quality ``-inf``.
     The kernel runs its best-only path.  A sweep that meets an exact best tie,
     which only uncertainty minima order, stops the scoring, and every cell is
     scored once more on the full path; at worst, a tie in the last sweep, that
@@ -480,35 +478,23 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     scored_u = unc if not unc.any() or bound >= 2.0**1000 else np.zeros_like(unc)
 
     def score(part: slice) -> None:
-        run: list[tuple[int, slice, slice, np.ndarray, np.ndarray]] = []  # lengths of one staging block
-
-        def sweep() -> None:
-            def stacked(field: int) -> np.ndarray:  # the run's minima (3: best, 4: uncertainty) as (rows, n)
-                parts = [r[field].reshape(-1, n) for r in run]
-                return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-            def tied_unc(rows: np.ndarray) -> np.ndarray:
-                if scored_u is not unc:  # best-only minima cannot order an exact best tie
-                    raise _ExactTie
-                return stacked(4)[rows]
-
-            splits = np.array(_batch_best_splits(stacked(3), tied_unc, label_idx, class_totals))
-            starts = np.cumsum([0] + [dist_b.shape[0] * dist_b.shape[1] for _, _, _, dist_b, _ in run])
-            for (l, o, s, dist_b, _), a, b in zip(run, starts, starts[1:]):
-                cells = slice(part.start + s.start, part.start + s.stop)
-                table[:, o, cells, l - min_len] = splits[:, a:b].reshape(4, *dist_b.shape[:2])
-            run.clear()
-
-        # consecutive lengths of a staging block share one sweep of at most _SWEEP_ELEMS cells, or of
-        # one length when it alone has more; a block's last length ends its run
-        for l, o, s, dist_b, dist_u in _grid_min_dissims(
+        for o, s, reach, min_b, min_u in _grid_min_dissims(
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
-            if run and sum(r[3].size for r in run) + dist_b.size > _SWEEP_ELEMS:
-                sweep()
-            run.append((l, o, s, dist_b, dist_u))
-            if l == ends[o.start]:
-                sweep()
+            # a block's consecutive lengths share one sweep of at most _SWEEP_ELEMS cells, or of one
+            # length when it alone has more: a run of lengths is a slice of the block's rows
+            bounds = [0] + (np.cumsum(reach) * (s.stop - s.start)).tolist()
+            cells = slice(part.start + s.start, part.start + s.stop)
+            i = 0
+            while i < len(reach):
+                j = max(i + 1, int(np.searchsorted(bounds, bounds[i] + _SWEEP_ELEMS // n, "right")) - 1)
+                run = slice(bounds[i], bounds[j])
+                dist_u = min_u[run] if scored_u is unc else None  # best-only minima order no best tie
+                splits = np.array(_batch_best_splits(min_b[run], dist_u, label_idx, class_totals))
+                for t in range(i, j):
+                    rows = splits[:, bounds[t] - run.start : bounds[t + 1] - run.start]
+                    table[:, o.start : o.start + reach[t], cells, t] = rows.reshape(4, reach[t], -1)
+                i = j
 
     try:
         _in_slices(n, score)
@@ -615,7 +601,7 @@ def shapelets_from_json(text: str) -> list[UncertainShapelet]:
     for doc in docs:
         values = UncertainVector(
             [_json_real(v["best"], "values[].best") for v in doc["values"]],
-            [_json_real(v["uncertainty"], "values[].uncertainty") for v in doc["values"]],
+            [_json_real(v["uncertainty"], "values[].uncertainty", 0) for v in doc["values"]],
         )
         length = _json_int(doc["length"], "length", 1)
         if len(values) != length:
@@ -630,7 +616,7 @@ def shapelets_from_json(text: str) -> list[UncertainShapelet]:
                 quality=_json_real(doc["quality"], "quality"),
                 split_threshold=UncertainValue(
                     _json_real(doc["threshold"]["best"], "threshold.best"),
-                    _json_real(doc["threshold"]["uncertainty"], "threshold.uncertainty"),
+                    _json_real(doc["threshold"]["uncertainty"], "threshold.uncertainty", 0),
                 ),
             )
         )

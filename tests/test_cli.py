@@ -223,11 +223,14 @@ class TestStepComposition:
             json.dumps([dict(SHAPELET_DOC, quality=True)]),
             json.dumps([dict(SHAPELET_DOC, quality=10**400)]),
             json.dumps([dict(SHAPELET_DOC, values=[{"best": "1.0", "uncertainty": 0.0}] * 2)]),
+            json.dumps([dict(SHAPELET_DOC, values=[{"best": 1.0, "uncertainty": -0.5}] * 2)]),
+            json.dumps([dict(SHAPELET_DOC, threshold={"best": 1.0, "uncertainty": -0.25})]),
         ],
         ids=[
             "missing-values", "scalar-threshold", "object-not-list", "string-best",
             "invalid-json", "too-deep", "not-utf8", "float-offset", "negative-source",
             "string-threshold", "bool-quality", "huge-quality", "numeric-string-best",
+            "negative-value-uncertainty", "negative-threshold-uncertainty",
         ],
     )
     def test_transform_rejects_malformed_shapelet_file(self, text, tiny_dataset, tmp_path, capsys):

@@ -28,7 +28,7 @@ from ust import (
     save_shapelets,
     shapelet_transform,
 )
-from ust.shapelet import _batch_best_splits, _grid_min_dissims, _select, shapelets_to_json
+from ust.shapelet import _ExactTie, _batch_best_splits, _grid_min_dissims, _select, shapelets_to_json
 
 
 def dataset(rows):
@@ -111,7 +111,23 @@ def sliding_min(cand_b, cand_u, ser_b, ser_u):
             np.asarray(ser_b, dtype=float), np.asarray(ser_u, dtype=float),
         )
     )
-    return np.concatenate([b[0] for *_, b, _ in blocks]), np.concatenate([u[0] for *_, u in blocks])
+    return np.concatenate([b for *_, b, _ in blocks]), np.concatenate([u for *_, u in blocks])
+
+
+def by_length(blocks, min_len):
+    """The kernel's blocks split by ``reach``: ``(l, offsets, sources, min_b, min_u)`` per length.
+
+    ``offsets`` is the leading slice of a block's offsets that reach ``l``,
+    and the minima are their ``(offsets, sources, n)`` views.
+    """
+    for offsets, sources, reach, min_b, min_u in blocks:
+        width, n = sources.stop - sources.start, min_b.shape[1]
+        assert reach[0] == offsets.stop - offsets.start and (np.diff(reach) <= 0).all()
+        assert min_b.shape == min_u.shape == (reach.sum() * width, n)
+        cuts = np.cumsum(reach[:-1]) * width
+        for i, (mb, mu) in enumerate(zip(np.split(min_b, cuts), np.split(min_u, cuts))):
+            o = slice(offsets.start, offsets.start + reach[i])
+            yield min_len + i, o, sources, mb.reshape(reach[i], width, n), mu.reshape(reach[i], width, n)
 
 
 @st.composite
@@ -148,15 +164,19 @@ def window_min(cand_b, cand_u, ser_b, ser_u):
 def sweep(dist_b, dist_u, label_idx, totals):
     """``_batch_best_splits`` with each threshold read back as (best, uncertainty).
 
-    Also checks that the sweep asks for uncertainties once, for exactly the
-    rows with an exact best tie, and not at all when no row has one.
+    The sweep is given NaN uncertainties in the rows without an exact best
+    tie, so outputs that match the oracle show it reads only the tied rows.
+    Also checks that without uncertainties it raises ``_ExactTie`` exactly
+    when some row holds a best tie, and otherwise gives the same outputs.
     """
-    calls = []
-    g, mg, tb, at = _batch_best_splits(
-        dist_b, lambda rows: calls.append(rows.tolist()) or dist_u[rows], label_idx, totals
-    )
-    tied = [r for r, row in enumerate(dist_b.tolist()) if len(set(row)) < len(row)]
-    assert calls == ([tied] if tied else [])
+    tied = np.array([len(set(row)) < len(row) for row in dist_b.tolist()])
+    out = _batch_best_splits(dist_b, np.where(tied[:, None], dist_u, np.nan), label_idx, totals)
+    if tied.any():
+        with pytest.raises(_ExactTie):
+            _batch_best_splits(dist_b, None, label_idx, totals)
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(_batch_best_splits(dist_b, None, label_idx, totals), out))
+    g, mg, tb, at = out
     return g, mg, tb, dist_u[np.arange(len(dist_b)), at]
 
 
@@ -305,18 +325,17 @@ class TestBestSplit:
         dist_b = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 2.0], [0.5, 0.25, 4.0], [3.0, 3.0, 3.0]])
         dist_u = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.0], [0.5, 0.25, 0.5]])
         labels, totals = np.array([0, 1, 0]), np.array([2, 1])
-        calls = []
-        _batch_best_splits(dist_b, lambda rows: calls.append(rows.tolist()) or dist_u[rows], labels, totals)
-        assert calls == [[1, 3]]
-
-        def unread(rows):
-            raise AssertionError(f"uncertainties of rows {rows} read without a best tie")
-
-        g, mg, tb, at = _batch_best_splits(dist_b[[0, 2]], unread, labels, totals)
-        for i, row in enumerate([0, 2]):
+        for rows in ([1], [0, 3], [0, 1, 2, 3]):  # rows 1 and 3 hold a best tie
+            with pytest.raises(_ExactTie):
+                _batch_best_splits(dist_b[rows], None, labels, totals)
+        untied = _batch_best_splits(dist_b[[0, 2]], None, labels, totals)
+        tied = np.array([False, True, False, True])
+        g, mg, tb, at = _batch_best_splits(dist_b, np.where(tied[:, None], dist_u, np.nan), labels, totals)
+        for row in range(len(dist_b)):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
             expected = oracle_split(pairs, labels.tolist(), [0, 1])
-            assert (g[i], mg[i], (tb[i], dist_u[row, at[i]])) == expected
+            assert (g[row], mg[row], (tb[row], dist_u[row, at[row]])) == expected
+        assert all(np.array_equal(a, b[[0, 2]]) for a, b in zip(untied, (g, mg, tb, at)))
 
     def test_needs_two_instances_and_classes(self):
         with pytest.raises(ValueError):
@@ -374,8 +393,8 @@ class TestBatchKernels:
 
             def collect(part):
                 # one worker's kernel call over its slice of the sources, keyed by global source
-                for l, offsets, sources, min_b, min_u in _grid_min_dissims(
-                    src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u
+                for l, offsets, sources, min_b, min_u in by_length(
+                    _grid_min_dissims(src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u), min_len
                 ):
                     offs, srcs = range(len(ends))[offsets], range(len(src_b))[part][sources]
                     assert min_b.shape == min_u.shape == (len(offs), len(srcs), len(ser_b))
@@ -413,7 +432,7 @@ class TestBatchKernels:
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args))
         monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 50)  # several tiles
         ends = np.array([6, 5, 3])
-        for l, offsets, sources, min_b, min_u in _grid_min_dissims(src_b, src_u, 2, ends, 2, ser_b, ser_u):
+        for l, offsets, sources, min_b, min_u in by_length(_grid_min_dissims(src_b, src_u, 2, ends, 2, ser_b, ser_u), 2):
             if nonzero is None:
                 assert min_u.tobytes() == np.zeros_like(min_u).tobytes()
             for i, k in enumerate(range(len(ends))[offsets]):
@@ -676,50 +695,48 @@ class TestExtraction:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweeps_take_runs_of_lengths_within_the_cap(self, workers, monkeypatch):
-        # each scoring sweep holds consecutive lengths of one staging block, and at most _SWEEP_ELEMS
-        # cells unless it holds one length.  At (n, m) = (30, 50) and 2 workers the kernel yields 96
-        # (block, length) pairs, each of which took one sweep of its own; runs take at most half as
-        # many.  At 1 worker the short lengths each fill more than the cap and keep their own sweeps
+        # each scoring sweep reads a slice of one staging block's minima, no copy, that holds whole
+        # consecutive lengths of the block, and at most _SWEEP_ELEMS cells unless it holds one length.
+        # At (n, m) = (30, 50) and 2 workers the blocks hold 96 (block, length) pairs, each of which
+        # once took a sweep of its own; runs take at most half as many.  At 1 worker the short lengths
+        # each fill more than the cap and keep their own sweeps
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
         n, m = 30, 50
         rng = np.random.default_rng(4)
         d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
         kernel, split = ust.shapelet._grid_min_dissims, ust.shapelet._batch_best_splits
-        logs = collections.defaultdict(list)  # per thread, in order: yields (length, rows) and sweeps (rows,)
+        blocks, swept = [], []  # the scoring blocks, kept alive so that no later block reuses their memory
 
         def spy_kernel(*args):
-            for out in kernel(*args):
+            for block in kernel(*args):
                 if not args[-1].any():  # a scoring pass, on zero uncertainties
-                    logs[threading.get_ident()].append((out[0], out[3].shape[0] * out[3].shape[1]))
-                yield out
+                    blocks.append(block)
+                yield block
 
         def spy_split(dist_best, *rest):
-            logs[threading.get_ident()].append((len(dist_best),))
+            (i,) = [i for i, block in enumerate(blocks) if np.shares_memory(dist_best, block[3])]
+            min_b = blocks[i][3]
+            first = (dist_best.__array_interface__["data"][0] - min_b.__array_interface__["data"][0]) // min_b.strides[0]
+            swept.append((i, first, first + len(dist_best), dist_best.size))
             return split(dist_best, *rest)
 
         monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy_kernel)
         monkeypatch.setattr(ust.shapelet, "_batch_best_splits", spy_split)
         extract_shapelets(d, ExtractionConfig())
-        yields = sweeps = 0
-        for log in logs.values():
-            pending = []
-            for entry in log:
-                if len(entry) == 2:
-                    pending.append(entry)
-                    yields += 1
-                    continue
-                sweeps += 1
-                rows, lengths = 0, []
-                while rows < entry[0]:
-                    l, r = pending.pop(0)
-                    rows, lengths = rows + r, lengths + [l]
-                assert rows == entry[0]
-                assert lengths == list(range(lengths[0], lengths[0] + len(lengths)))
-                assert len(lengths) == 1 or rows * n <= ust.shapelet._SWEEP_ELEMS
-            assert pending == []
-        assert sweeps < yields
+        covered = collections.defaultdict(list)  # per block, the lengths of each of its sweeps
+        for i, start, stop, size in swept:
+            _, sources, reach, _, _ = blocks[i]
+            bounds = np.concatenate([[0], np.cumsum(reach) * (sources.stop - sources.start)]).tolist()
+            lengths = list(range(bounds.index(start), bounds.index(stop)))  # whole lengths, or ValueError
+            assert len(lengths) == 1 or size <= ust.shapelet._SWEEP_ELEMS
+            covered[i] += lengths
+        assert {i: sorted(lengths) for i, lengths in covered.items()} == {
+            i: list(range(len(block[2]))) for i, block in enumerate(blocks)
+        }
+        pairs = sum(len(block[2]) for block in blocks)
+        assert len(swept) < pairs
         if workers == 2:
-            assert yields == 96 and 2 * sweeps <= yields
+            assert pairs == 96 and 2 * len(swept) <= pairs
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_selection_from_a_prefix_of_one_matches_oracle(self, workers, monkeypatch):
