@@ -13,18 +13,22 @@ the prefixes of stems (a source and a start offset).  One kernel serves
 extraction and the transform.  For each cache-sized tile of sources by series
 rows it computes every pairwise term once into a term table, then grows every
 window sum of the tile by one index-ascending term per length, as ``udissim``
-folds them, from a shifted view of that table.  The tiles fill a staging
-block of stems, which the kernel yields whole: one ``(rows, n)`` array of
-minima, length after length, each holding only the offsets that reach it.
-Consecutive lengths of a block, a slice of its rows, share one split sweep of
-at most ``_SWEEP_ELEMS`` distances, or of one length that alone has more.
-The split sweep, shared with the decision tree, sorts rows on their real best
-estimates (on the uncertainties too only in rows with an exact tie), ranks every
-cut approximately and rescores the cuts that can be a row's maximum with the
-scalar expression of :func:`ust.classify.entropy_from_counts`; each row's best
-cut is then a segmented maximum of gain, then margin.  The greedy selection
-ranks only the leading candidates it reads, widening that prefix until it has
-its k picks.
+folds them, from a shifted view of that table.  The tiles fill staging blocks
+of stems, which the kernel yields whole and source-major: one ``(rows, n)``
+array of minima per block, length after length, each holding only the offsets
+that reach it.  Consecutive lengths of a block, a slice of its rows, share one
+split sweep of at most ``_SWEEP_ELEMS`` distances, or of one length that alone
+has more.  The split sweep, shared with the decision tree, sorts rows on their
+real best estimates (on the uncertainties too only in rows with an exact tie),
+ranks every cut approximately and rescores the cuts that can be a row's
+maximum with the scalar expression of :func:`ust.classify.entropy_from_counts`;
+each row's best cut is then a segmented maximum of gain, then margin.
+
+The selection is per source, as in Hills et al. (DMKD 2014): once a block of
+sources is scored, each keeps only its own greedy picks, up to k.  That is
+exact.  The greedy skips a candidate only for overlapping an earlier pick of
+its own source, so the global picks are the first k, in key order, of the
+union of every source's own picks.
 
 On certain data (the ``st`` view, or no uncertainty file) the kernel sums only
 ``(a - b)**2``, which has the bits of ``|a - b|**2``, and leaves every
@@ -39,19 +43,19 @@ take the full path too.
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
 --jobs J`` with T view tasks each task's call gets ``1/min(J, T)`` of them, at
-least one.  The kernel's
-independent axis is split into fixed contiguous slices, one per worker:
-extraction gives each worker a slice of sources, which it stages, scores and
-writes into its own cells of the candidate table, and the transform gives each
-a slice of series rows, but no worker less than one tile of work.  No entry
-depends on the slicing, so the worker count never changes an output byte.  One
-worker, or one unit of work, runs inline on the calling thread.
+least one.  The kernel's independent axis is split into fixed contiguous
+slices, one per worker: extraction gives each worker a slice of sources, which
+it stages, scores and selects from, and the transform gives each a slice of
+series rows, but no worker less than one tile of work.  No entry depends on the
+slicing, so the worker count never changes an output byte.  One worker, or one
+unit of work, runs inline on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -134,7 +138,9 @@ class ExtractionConfig:
 # ---------------------------------------------------------------------------
 
 _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells per block
-_TILE_ELEMS = 300_000  # term and accumulator cells of one tile; the fastest measured of 100 K to 600 K
+# term and accumulator cells of one tile per plane, the fastest measured of 100 K to 600 K; with a best and an
+# uncertainty plane each (the best-only path allocates both), a call's tile scratch is up to 16 * this bytes
+_TILE_ELEMS = 300_000
 _SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a run of lengths (or one longer length)
 _CPUS: int | None = None  # CPUs the kernel's workers use; None reads this process's affinity mask per call
 # pipeline runs sharing those CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
@@ -177,7 +183,7 @@ def _in_slices(count: int, work: Callable[[slice], None], tiles: int | None = No
 
 
 def _pair_cells(m: int, min_len: int, span: int, stems: int) -> int:
-    """A kernel tile's term and accumulator cells per (source, row): ``stems`` stems over ``span`` points."""
+    """A tile's term and accumulator cells per (source, row) and plane: ``stems`` stems over ``span`` points."""
     return m * span + (m - min_len + 1) * stems
 
 
@@ -191,9 +197,11 @@ def _grid_min_dissims(
     rows of ``src``.  The stems at offset ``k`` are scored at every length from
     ``min_len`` to ``ends[k]``; ``ends`` is non-increasing, so the offsets of
     a length are a leading slice.  A block is the stems of the ``offsets`` by
-    ``sources`` slices; ``reach[i]`` counts its offsets that reach length
-    ``min_len + i``.  ``min_b`` and ``min_u`` are the block's ``(rows, n)``
-    minimum dissimilarities to each series under the uncertain order: length
+    ``sources`` slices; each block of sources yields its offset blocks in
+    order, the last with ``offsets.stop == len(ends)``, before the next.
+    ``reach[i]`` counts a block's offsets that reach length ``min_len + i``.
+    ``min_b`` and ``min_u`` are the block's ``(rows, n)`` minimum
+    dissimilarities to each series under the uncertain order: length
     ``min_len + i`` holds the next ``reach[i] * len(sources)`` rows, in
     (offset, source) order, so a run of consecutive lengths is a slice of rows.
     When every uncertainty is zero the kernel takes its certain path: it sums
@@ -206,14 +214,15 @@ def _grid_min_dissims(
     ``workers`` calls run at once on disjoint slices of the sources or series
     rows; ``workers`` is the caller's :func:`_worker_count`.  A caller's own
     work on a block comes on top (extraction: one split sweep of at most
-    ``_SWEEP_ELEMS`` cells, or one length).  Each call is serial and keeps its
-    own tile scratch.  A block is filled tile by tile.  A tile of
-    sources by series rows builds its term tables ``(x_src[p] - x_ser[q])**2``
-    and ``|x_src[p] - x_ser[q]| * (u_src[p] + u_ser[q])`` once; each window
-    accumulator then grows by one term per length, index-ascending exactly
-    like the scalar ``udissim`` fold, from a shifted view of the tables.
-    Tiles hold at most ``_TILE_ELEMS`` term and accumulator cells, or one
-    source against one row.  No entry depends on either blocking.
+    ``_SWEEP_ELEMS`` cells, or one length).  Each call is serial and
+    allocates its tile scratch once, two buffers sized for its largest tile.
+    A block is filled tile by tile.  A tile of sources by series rows builds
+    its term tables ``(x_src[p] - x_ser[q])**2`` and ``|x_src[p] - x_ser[q]| *
+    (u_src[p] + u_ser[q])`` once; each window accumulator then grows by one
+    term per length, index-ascending exactly like the scalar ``udissim`` fold,
+    from a shifted view of the tables.  Tiles hold at most ``_TILE_ELEMS`` term
+    and accumulator cells per plane, or one source against one row.  No entry
+    depends on either blocking.
     """
     n, m = series_b.shape
     if ends[0] > m:
@@ -224,20 +233,24 @@ def _grid_min_dissims(
     stems = max(1, _KERNEL_CHUNK_ELEMS // (_worker_count() * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
+    # each offset block's ends, source positions, term and accumulator tile shapes and reach, for every source block
+    blocks = []
     for k0 in range(0, len(ends), stage_offsets):
         block_ends = ends[k0 : k0 + stage_offsets]
         p0 = stride * k0
         p1 = int((p0 + stride * np.arange(len(block_ends)) + block_ends).max())
         pair_cells = _pair_cells(m, min_len, p1 - p0, len(block_ends))
         tile_rows = min(n, max(1, _TILE_ELEMS // pair_cells))
-        tile_sources = min(stage_sources, len(src_b), max(1, _TILE_ELEMS // (pair_cells * tile_rows)))
-        # tiles share these buffers: a fresh allocation per tile costs a page fault per page
-        terms = np.empty((2, m, p1 - p0, tile_sources, tile_rows))
-        acc = np.empty((2, w0, len(block_ends), tile_sources, tile_rows))
-        # the offsets reaching each length of the block: a leading slice, since ends are non-increasing
+        tile = min(stage_sources, len(src_b), max(1, _TILE_ELEMS // (pair_cells * tile_rows))), tile_rows
         reach = np.count_nonzero(block_ends[:, None] >= np.arange(min_len, block_ends[0] + 1), axis=0)
-        for s0 in range(0, len(src_b), stage_sources):
-            s1 = min(s0 + stage_sources, len(src_b))
+        blocks.append((k0, block_ends, p0, p1, [(2, m, p1 - p0, *tile), (2, w0, len(block_ends), *tile)], reach))
+    # every tile of the call shares these two buffers: a fresh allocation per tile costs a page fault per page
+    scratch = [np.empty(max(math.prod(block[4][i]) for block in blocks)) for i in (0, 1)]
+    for s0 in range(0, len(src_b), stage_sources):
+        s1 = min(s0 + stage_sources, len(src_b))
+        for k0, block_ends, p0, p1, shapes, reach in blocks:
+            terms, acc = (buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(scratch, shapes))
+            tile_sources, tile_rows = shapes[0][3:]
             shape = (int(reach.sum()) * (s1 - s0), n)
             min_b = np.empty(shape)
             min_u = np.broadcast_to(0.0, shape) if certain else np.empty(shape)
@@ -371,43 +384,25 @@ def _batch_best_splits(
     return gain[first], margin[first], best[at[first]], at[first] % n
 
 
-def _select(table: np.ndarray, offsets: np.ndarray, min_len: int, m: int, k: int, w: int) -> np.ndarray:
-    """Flat cell indices of the ``k`` selected candidates of an extraction table, in selection order.
+def _own_picks(quality: np.ndarray, margin: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
+    """Each row's own greedy picks, at most ``k``: a ``(2, picks)`` array of rows and columns, in no order.
 
-    ``table`` is ``extract_shapelets``' ``(4, offsets, sources, lengths)``
-    table; a cell that holds no candidate has quality ``-inf``.  The greedy
-    walks the candidates by quality descending, then larger margin, shorter
-    length, smaller source and offset, and skips one that overlaps a pick from
-    its source.  Only a prefix of that order is ranked: the candidates whose
-    quality is at least the ``w``-th best, ties included, which are exactly the
-    first of the full order.  When the walk ends short of ``k`` picks, the next
-    band, down to the ``4 * w``-th best, is ranked and walked, until every
-    candidate has been.
+    Row ``i`` holds a source's candidates and column ``j`` the window ``[start[j],
+    stop[j])``, in (length, offset) order.  Each round, every row with candidates
+    left picks its highest quality, then largest margin, then first column (the
+    selection key within one source), and drops every window overlapping the pick.
     """
-    n, lengths = table.shape[2], table.shape[3]
-    quality, margin = table[0].ravel(), table[1].ravel()
-    ranked = quality[quality > -np.inf]  # the candidates' qualities
-    taken = np.zeros((n, m), dtype=bool)  # cells of each source inside a selected window
-    selected: list[int] = []
-    above = np.inf
-    while True:
-        w = min(w, len(ranked))
-        edge = np.partition(ranked, len(ranked) - w)[len(ranked) - w]  # the w-th best quality
-        band = np.flatnonzero((quality >= edge) & (quality < above))
-        stem, column = np.divmod(band, lengths)
-        length, source, offset = column + min_len, stem % n, offsets[stem // n]
-        order = np.lexsort((offset, source, length, -margin[band], -quality[band]))
-        for i, l, s, o in zip(*(x[order].tolist() for x in (band, length, source, offset))):
-            cells = taken[s, o : o + l]
-            if cells.any():
-                continue
-            cells[:] = True
-            selected.append(i)
-            if len(selected) == k:
-                break
-        if len(selected) == k or w == len(ranked):
-            return np.array(selected, dtype=np.intp)
-        above, w = edge, 4 * w
+    left = quality.copy()  # -inf marks a dropped candidate
+    picks = []
+    for _ in range(k):
+        top = left.max(axis=1)
+        live = np.flatnonzero(top > -np.inf)
+        if not len(live):
+            break
+        col = np.argmax(np.where(left[live] == top[live, None], margin[live], -np.inf), axis=1)
+        left[live] = np.where((start < stop[col, None]) & (stop > start[col, None]), -np.inf, left[live])
+        picks.append((live, col))
+    return np.concatenate(picks, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,29 +417,30 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     blocks of stems (the layout of :func:`_grid_min_dissims`).  Consecutive
     lengths of one block are scored together, by one split sweep of a slice of
     its rows, at most ``_SWEEP_ELEMS`` distance cells or one length that alone
-    has more, into a ``(4, offsets, sources, lengths)`` table of ``quality``,
-    ``margin``, ``thr_b`` and ``thr_at`` (the threshold's series); a cell past
-    its stem's end keeps quality ``-inf``.
+    has more, into a ``(4, sources, candidates)`` table of ``quality``,
+    ``margin``, ``thr_b`` and ``thr_at`` (the threshold's series) per block of
+    sources.  It holds only real candidates, in (length, offset) order: 4/n of
+    a block's minima when a block holds every offset, about 4.0 MB at m = 500
+    with one source per block, whatever n is.  After a block's last offset
+    block, :func:`_own_picks` keeps its sources' own greedy picks.  One
+    lexsort of at most ``n * min(k, m // min_len)`` picks gives the output in
+    selection order: quality descending, ties broken by larger split margin,
+    shorter length, then smaller (source, offset).  A candidate overlapping an
+    already-selected candidate from the same source series is pruned.
     The kernel runs its best-only path.  A sweep that meets an exact best tie,
-    which only uncertainty minima order, stops the scoring, and every cell is
-    scored once more on the full path; at worst, a tie in the last sweep, that
+    which only uncertainty minima order, stops the scoring, and every candidate
+    is scored once more on the full path; at worst, a tie in the last sweep, that
     costs one best-only and one full-path scoring.  When an uncertainty sum
     could overflow (the bound below), the scoring runs the full path from the
     start, so ``NumericOverflowError`` is raised exactly where the full path
     raises it.  The k selected thresholds take their uncertainties from one
     full-path call per length.
-    Each worker takes a contiguous slice of the sources, runs the kernel and
-    the split sweeps on it, and writes that slice's cells of the table.
-    Tiles are bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or
-    one length) per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over
-    all workers; a worker sweeps a block's last run before the kernel stages
-    its next block.  The output follows the selection key, not the table
-    order: quality descending, ties broken by larger split margin, shorter
-    length, then smaller (source, offset).  A candidate overlapping an
-    already-selected candidate from the same source series is pruned.
-    :func:`_select` ranks only the candidates down to the k-th best quality,
-    and widens that prefix while the greedy has fewer than k picks.
-    Output is deterministic and independent of the worker count.
+    Each worker takes a contiguous slice of the sources and runs one kernel
+    call, the split sweeps and the per-source selection on it.  Tiles are
+    bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or one length)
+    per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over all
+    workers; a worker sweeps a block's last run before the kernel stages its
+    next block.  Output is deterministic and independent of the worker count.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -464,11 +460,14 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
     class_totals = np.bincount(label_idx, minlength=len(classes))
 
-    # the longest prefix ``ends`` of a stem is non-increasing in its offset
+    # the longest prefix ``ends`` of a stem is non-increasing in its offset.  A source's candidates, in
+    # (length, offset) order: length min_len + t takes reach[t] columns from col_at[t]
     offsets = np.arange(0, m - min_len + 1, config.candidate_stride)
     ends = np.minimum(max_len, m - offsets)
-    table = np.empty((4, len(offsets), n, max_len - min_len + 1))
-    table[0] = -np.inf  # the quality of a cell past its stem's end, which holds no candidate
+    reach = np.count_nonzero(ends[:, None] >= np.arange(min_len, max_len + 1), axis=0)
+    col_at = np.concatenate([[0], np.cumsum(reach)])
+    col_len = np.repeat(np.arange(min_len, max_len + 1), reach)
+    col_off = offsets[np.arange(col_at[-1]) - np.repeat(col_at[:-1], reach)]
 
     # The full path scores when the data are certain, when an uncertainty sum could overflow, or after
     # a best-only tie.  Every u + v is at most 2 * max(unc), and every sum 2 * sum(|d| * (u + v)) at
@@ -476,38 +475,45 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     # overflow, so the best-only path raises NumericOverflowError exactly when the full path would.
     bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())
     scored_u = unc if not unc.any() or bound >= 2.0**1000 else np.zeros_like(unc)
+    picks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per source block: table cells, sources, columns
 
     def score(part: slice) -> None:
-        for o, s, reach, min_b, min_u in _grid_min_dissims(
+        for o, s, block_reach, min_b, min_u in _grid_min_dissims(
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
+            if o.start == 0:  # a source block's first offset block
+                table = np.empty((4, s.stop - s.start, col_at[-1]))
             # a block's consecutive lengths share one sweep of at most _SWEEP_ELEMS cells, or of one
             # length when it alone has more: a run of lengths is a slice of the block's rows
-            bounds = [0] + (np.cumsum(reach) * (s.stop - s.start)).tolist()
-            cells = slice(part.start + s.start, part.start + s.stop)
+            bounds = [0] + (np.cumsum(block_reach) * (s.stop - s.start)).tolist()
             i = 0
-            while i < len(reach):
+            while i < len(block_reach):
                 j = max(i + 1, int(np.searchsorted(bounds, bounds[i] + _SWEEP_ELEMS // n, "right")) - 1)
                 run = slice(bounds[i], bounds[j])
                 dist_u = min_u[run] if scored_u is unc else None  # best-only minima order no best tie
                 splits = np.array(_batch_best_splits(min_b[run], dist_u, label_idx, class_totals))
                 for t in range(i, j):
                     rows = splits[:, bounds[t] - run.start : bounds[t + 1] - run.start]
-                    table[:, o.start : o.start + reach[t], cells, t] = rows.reshape(4, reach[t], -1)
+                    c = col_at[t] + o.start
+                    table[:, :, c : c + block_reach[t]] = rows.reshape(4, block_reach[t], -1).transpose(0, 2, 1)
                 i = j
+            if o.stop == len(ends):  # the source block is scored: keep only its sources' own picks
+                src, col = _own_picks(table[0], table[1], col_off, col_off + col_len, k)
+                picks.append((table[:, src, col], src + part.start + s.start, col))
 
     try:
         _in_slices(n, score)
-    except _ExactTie:  # every cell is scored again
+    except _ExactTie:  # every candidate is scored again
+        picks.clear()
         scored_u = unc
         _in_slices(n, score)
 
-    # the greedy selection, then each threshold's uncertainty: the full-path minimum against its
-    # series, one call per length
-    sel = _select(table, offsets, min_len, m, k, k)
-    stem, column = np.divmod(sel, table.shape[3])
-    length, source, offset = column + min_len, stem % n, offsets[stem // n]
-    quality, thr_b, thr_at = (table[p].ravel()[sel] for p in (0, 2, 3))
+    # the global greedy's picks are the first k, in key order, of every source's own picks; then each
+    # threshold's uncertainty: the full-path minimum against its series, one call per length
+    cells, source, column = (np.concatenate(x, axis=-1) for x in zip(*picks))
+    sel = np.lexsort((col_off[column], source, col_len[column], -cells[1], -cells[0]))[:k]
+    length, source, offset = col_len[column[sel]], source[sel], col_off[column[sel]]
+    quality, _, thr_b, thr_at = cells[:, sel]
     thr_u = np.empty(len(sel))
     for l in np.unique(length).tolist():
         at = length == l
@@ -517,16 +523,8 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
         thr_u[at] = dist_u[np.arange(len(col)), col]
 
     return [
-        UncertainShapelet(
-            values=UncertainVector(best[s, o : o + l], unc[s, o : o + l]),
-            source_instance=s,
-            start_offset=o,
-            quality=q,
-            split_threshold=UncertainValue(tb, tu),
-        )
-        for l, s, o, q, tb, tu in zip(
-            length.tolist(), source.tolist(), offset.tolist(), quality.tolist(), thr_b.tolist(), thr_u.tolist()
-        )
+        UncertainShapelet(UncertainVector(best[s, o : o + l], unc[s, o : o + l]), s, o, q, UncertainValue(tb, tu))
+        for l, s, o, q, tb, tu in zip(*(x.tolist() for x in (length, source, offset, quality, thr_b, thr_u)))
     ]
 
 

@@ -28,7 +28,7 @@ from ust import (
     save_shapelets,
     shapelet_transform,
 )
-from ust.shapelet import _ExactTie, _batch_best_splits, _grid_min_dissims, _select, shapelets_to_json
+from ust.shapelet import _ExactTie, _batch_best_splits, _grid_min_dissims, _own_picks, shapelets_to_json
 
 
 def dataset(rows):
@@ -419,6 +419,28 @@ class TestBatchKernels:
                 for r in range(len(ser_b)):
                     assert (b[r], u[r]) == oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
 
+    @pytest.mark.parametrize("budget", [1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS])
+    def test_one_tile_scratch_per_call_in_source_major_order(self, budget, monkeypatch):
+        # at (n, m) = (2, 9) and min_len 3 a budget of 1 stages one stem per block and 37 two, so a call
+        # has several offset blocks per source; the default budget stages every stem in one block
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", 1)
+        fill, scratch = ust.shapelet._fill_tile, []
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: scratch.append(args[-3:-1]) or fill(*args))
+        rng = np.random.default_rng(2)
+        src_b, src_u, ser_b, ser_u = rng.normal(0, 1, (3, 9)), rng.uniform(0, 0.5, (3, 9)), rng.normal(0, 1, (2, 9)), rng.uniform(0, 0.5, (2, 9))
+        ends = np.minimum(6, 9 - np.arange(7))
+        spans = [(o, s) for o, s, *_ in _grid_min_dissims(src_b, src_u, 1, ends, 3, ser_b, ser_u)]
+        terms, acc = scratch[0]
+        assert all(np.shares_memory(t, terms) and np.shares_memory(a, acc) for t, a in scratch)
+        # the offset and source blocks each partition their range, and the yields run source-major
+        offs = sorted({(o.start, o.stop) for o, _ in spans})
+        srcs = sorted({(s.start, s.stop) for _, s in spans})
+        for cuts, total in ((offs, len(ends)), (srcs, len(src_b))):
+            assert [a for a, _ in cuts] == [0] + [b for _, b in cuts[:-1]] and cuts[-1][1] == total
+        assert [(o.start, o.stop, s.start, s.stop) for o, s in spans] == [(*o, *s) for s in srcs for o in offs]
+        assert len(spans) == {1: 21, 37: 12}.get(budget, 1)
+
     @pytest.mark.parametrize("nonzero", [None, "sources", "series"])
     def test_certain_path_runs_only_without_uncertainty(self, nonzero, monkeypatch):
         # all-zero uncertainties take the certain path, which writes +0.0 uncertainty minima;
@@ -676,9 +698,9 @@ class TestExtraction:
     @pytest.mark.parametrize("max_len", [4, 20, 60])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_multi_length_memory_is_bounded_by_the_block_budget(self, workers, max_len, monkeypatch):
-        # a block's lengths are swept in runs of at most _SWEEP_ELEMS cells, so what extraction holds
-        # besides its candidate table (one cell per candidate) stays within the staging budget, the
-        # workers' tile scratch and a constant, however many lengths a block has
+        # a block's lengths are swept in runs of at most _SWEEP_ELEMS cells, and each source block keeps
+        # only its own picks, so what extraction holds stays within the staging budget, the workers'
+        # tile scratch and a constant, however many lengths a block has
         budget, n, m = 1_000_000, 30, 60
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
@@ -690,8 +712,27 @@ class TestExtraction:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = 4 * (m - 2) * n * (max_len - 2) * 8
-        assert peak - table < 8 * (budget + workers * ust.shapelet._TILE_ELEMS) + 4 * 2**20
+        assert peak < 8 * (budget + workers * ust.shapelet._TILE_ELEMS) + 4 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_extraction_memory_does_not_grow_with_the_candidates(self, workers, monkeypatch):
+        # (n, m) = (6, 240) has 28,441 candidates per source; a table of every candidate's four values
+        # would be 5.2 MiB and one over every (offset, source, length) cell 10.4 MiB.  Each block keeps
+        # a table of its own sources' candidates and then only their picks, so the peak is bounded by
+        # the staging budget, the workers' tile scratch (two planes of terms and accumulators) and a
+        # constant
+        budget, n, m = 1_000_000, 6, 240
+        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        rng = np.random.default_rng(0)
+        d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
+        tracemalloc.start()
+        try:
+            extract_shapelets(d, ExtractionConfig(k=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * budget + 16 * workers * ust.shapelet._TILE_ELEMS + 4 * 2**20
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweeps_take_runs_of_lengths_within_the_cap(self, workers, monkeypatch):
@@ -739,12 +780,10 @@ class TestExtraction:
             assert pairs == 96 and 2 * len(swept) <= pairs
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_selection_from_a_prefix_of_one_matches_oracle(self, workers, monkeypatch):
-        # integer-valued data ties many qualities exactly, so with w = 1 the first band is all the
-        # candidates tied at the best quality, and overlaps leave bands short of k picks
-        select = ust.shapelet._select
+    def test_tied_qualities_merge_as_the_oracle(self, workers, monkeypatch):
+        # integer-valued data ties many qualities exactly, so the merge of the sources' own picks orders
+        # ties on margin, length, source and offset, and overlaps leave sources with fewer picks than k
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
-        monkeypatch.setattr(ust.shapelet, "_select", lambda *args: select(*args[:-1], 1))
         d = random_dataset(np.random.default_rng(11), n=8, m=12, integer_grid=True)
         got = assert_matches_oracle(d, ExtractionConfig(min_len=2, k=12))
         assert len({sh.quality for sh in got}) < len(got)  # picks tied in quality
@@ -879,18 +918,23 @@ class TestExtraction:
 
 @st.composite
 def selection_tables(draw):
-    """An extraction table of few distinct qualities and margins, cells without a candidate, k and w."""
+    """An extraction table of few distinct qualities and margins, and k.
+
+    As in extraction, a cell holds no candidate (quality ``-inf``) for every
+    source of an (offset, length) column or for none.
+    """
     n_off, n, lengths = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     stride, min_len = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     offsets = stride * np.arange(n_off)
     cells = n_off * n * lengths
     table = np.zeros((4, n_off, n, lengths))
-    quality = st.sampled_from([0.0, 0.5, 1.0, -np.inf])
-    table[0].flat = draw(st.lists(quality, min_size=cells, max_size=cells))
-    table[0, 0, 0, 0] = draw(st.sampled_from([0.0, 1.0]))  # at least one candidate
+    table[0].flat = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=cells, max_size=cells))
     table[1].flat = draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=cells, max_size=cells))
+    absent = np.reshape(draw(st.lists(st.booleans(), min_size=n_off * lengths, max_size=n_off * lengths)), (n_off, 1, lengths))
+    absent[0, 0, 0] = False  # at least one candidate
+    table[0] = np.where(absent, -np.inf, table[0])
     m = int(offsets[-1]) + min_len + lengths - 1
-    return table, offsets, min_len, m, draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    return table, offsets, min_len, m, draw(st.integers(1, 12))
 
 
 def full_order_greedy(table, offsets, min_len, m, k):
@@ -911,19 +955,32 @@ def full_order_greedy(table, offsets, min_len, m, k):
 
 class TestSelection:
     @given(selection_tables())
+    @example(  # three candidates of quality 1.0 overlap on source 0 and give one pick
+        (
+            np.array([
+                [[[1.0, 1.0]], [[1.0, 0.5]], [[0.5, -np.inf]]],
+                [[[0.0, 0.25]], [[0.0, 0.0]], [[0.25, 0.0]]],
+                np.zeros((3, 1, 2)),
+                np.zeros((3, 1, 2)),
+            ]),
+            np.arange(3), 1, 3, 3,
+        )
+    )
     @settings(max_examples=200, deadline=None)
-    def test_prefix_selection_equals_the_full_order_greedy(self, case):
-        table, offsets, min_len, m, k, w = case
-        assert _select(table, offsets, min_len, m, k, w).tolist() == full_order_greedy(table, offsets, min_len, m, k)
-
-    def test_ties_at_the_prefix_edge_are_ranked_with_it(self):
-        # w = 1: the first band is the three candidates of quality 1.0, which overlap on source 0 and
-        # give one pick, so the next band ranks the rest
-        table = np.zeros((4, 3, 1, 2))
-        table[0] = [[[1.0, 1.0]], [[1.0, 0.5]], [[0.5, -np.inf]]]
-        table[1] = [[[0.0, 0.25]], [[0.0, 0.0]], [[0.25, 0.0]]]
-        picks = _select(table, np.arange(3), 1, 3, 3, 1).tolist()
-        assert picks == full_order_greedy(table, np.arange(3), 1, 3, 3) == [1, 4]
+    def test_merged_own_picks_equal_the_full_order_greedy(self, case):
+        # every source's own picks, merged in key order, give the greedy over all candidates
+        table, offsets, min_len, m, k = case
+        n, lengths = table.shape[2:]
+        o, c = np.nonzero(table[0, :, 0] > -np.inf)
+        order = np.lexsort((o, c))  # a source's candidates in (length, offset) order
+        o, c = o[order], c[order]
+        rows, cols = _own_picks(table[0, o, :, c].T, table[1, o, :, c].T, offsets[o], offsets[o] + c + min_len, k)
+        assert np.bincount(rows, minlength=n).max() <= k
+        keys = sorted(
+            (-table[0, o[j], s, c[j]], -table[1, o[j], s, c[j]], c[j], s, o[j], (o[j] * n + s) * lengths + c[j])
+            for s, j in zip(rows.tolist(), cols.tolist())
+        )
+        assert [key[-1] for key in keys[:k]] == full_order_greedy(table, offsets, min_len, m, k)
 
 
 class TestTransform:
