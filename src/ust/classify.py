@@ -20,10 +20,12 @@ what the classical (uncertainty-blind) pipeline uses.
 The classifier is a greedy binary CART over the encoded reals: splits
 maximize base-2 information gain, thresholds are midpoints between
 consecutive sorted unique feature values, ties break on (gain, feature
-index, threshold) first-best.  Each node stably sorts every feature once and
-scores all cuts with the gain sweep that also ranks shapelet candidates
-(``_split_gains``), so tree gains equal the scalar ``entropy_from_counts``
-expression bit for bit.  Everything is deterministic.
+index, threshold) first-best.  Every feature is stably sorted once per tree,
+at the root; each child takes the stable partition of its parent's sorted row
+indices by the split, which is the stable sort of the child's rows (the
+presorting of SLIQ).  A node scores all cuts with the gain sweep that also
+ranks shapelet candidates (``_split_gains``), so tree gains equal the scalar
+``entropy_from_counts`` expression bit for bit.  Everything is deterministic.
 
 The model ``tree_fit`` returns carries the encoding and gaussian stats of its
 training matrix; it is what ``save_model`` writes and ``load_model`` returns,
@@ -266,19 +268,19 @@ class DecisionTreeModel:
 
 
 def _best_node_split(
-    features: np.ndarray,
+    cols: np.ndarray,
     label_idx: np.ndarray,
+    order: np.ndarray,
     class_counts: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[int, float] | None:
     """Best (feature, threshold) over all midpoint candidates, or None.
 
-    First-best tie-break: the first maximal gain in (feature, threshold)
-    order wins, so earlier features and smaller thresholds are preferred.
+    Row ``f`` of ``order`` lists the node's rows by ascending ``cols[f]``.  The
+    first maximal gain in (feature, threshold) order wins, so earlier features
+    and smaller thresholds are preferred.
     """
-    n = features.shape[0]
-    cols = np.ascontiguousarray(features.T)
-    order = np.argsort(cols, axis=1, kind="stable")
+    n = order.shape[1]
     sv = np.take_along_axis(cols, order, axis=1)
     n_left = np.arange(1, n + 1)
     valid = np.zeros(sv.shape, dtype=bool)
@@ -304,28 +306,28 @@ def _grow(
 ) -> TreeNode:
     """Grow the tree depth-first, left before right, with an explicit stack.
 
-    A stack instead of recursion keeps trees deeper than the interpreter's
-    recursion limit fittable.
+    Each column is sorted once, at the root; a child's ``order`` is the stable
+    partition of its parent's by the split.  A stack instead of recursion keeps
+    trees deeper than the interpreter's recursion limit fittable.
     """
+    cols = np.ascontiguousarray(features.T)
     root = TreeNode()
-    stack = [(root, features, label_idx, 0)]
+    stack = [(root, np.argsort(cols, axis=1, kind="stable"), np.bincount(label_idx, minlength=len(classes)), 0)]
     while stack:
-        node, x, y, depth = stack.pop()
-        counts = np.bincount(y, minlength=len(classes))
+        node, order, counts, depth = stack.pop()
         distribution = {c: int(k) for c, k in zip(classes, counts) if k > 0}
-        split = None
-        if len(distribution) > 1 and (params.max_depth is None or depth < params.max_depth):
-            split = _best_node_split(x, y, counts, params.min_samples_leaf)
+        growable = len(distribution) > 1 and (params.max_depth is None or depth < params.max_depth)
+        split = _best_node_split(cols, label_idx, order, counts, params.min_samples_leaf) if growable else None
         if split is None:
             # ties resolve to the smallest label in canonical (sorted) order
-            node.label = classes[int(np.argmax(counts))]
-            node.distribution = distribution
+            node.label, node.distribution = classes[int(np.argmax(counts))], distribution
             continue
         node.feature, node.threshold = split
         node.left, node.right = TreeNode(), TreeNode()
-        mask = x[:, node.feature] <= node.threshold
-        stack.append((node.right, x[~mask], y[~mask], depth + 1))
-        stack.append((node.left, x[mask], y[mask], depth + 1))
+        keep = (cols[node.feature] <= node.threshold)[order]
+        left = np.bincount(label_idx[order[0, keep[0]]], minlength=len(classes))
+        stack.append((node.right, order[~keep].reshape(len(cols), -1), counts - left, depth + 1))
+        stack.append((node.left, order[keep].reshape(len(cols), -1), left, depth + 1))
     return root
 
 
@@ -337,6 +339,8 @@ def tree_fit(e: EncodedMatrix, params: TreeParams = TreeParams()) -> DecisionTre
     if e.labels is None:
         raise ValueError("training matrix must carry labels")
     features = np.asarray(e.features, dtype=np.float64)
+    if features.ndim != 2 or len(features) != len(e.labels):
+        raise DimensionMismatchError(f"features of shape {features.shape} for {len(e.labels)} labels, need one row each")
     if features.shape[0] < 1:
         raise ValueError("cannot fit a tree on an empty matrix")
     classes, label_idx = _class_index(e.labels)
@@ -349,12 +353,8 @@ def tree_predict(model: DecisionTreeModel, e: EncodedMatrix) -> list[str]:
     if (e.encoding, e.stats) != (model.encoding, model.stats):
         raise ValueError(f"features are {e.encoding}-encoded, model expects {model.encoding} with its own stats")
     features = np.asarray(e.features, dtype=np.float64)
-    if features.shape[0] == 0:
-        return []
-    if features.shape[1] != model.n_features:
-        raise DimensionMismatchError(
-            f"matrix has {features.shape[1]} features, model expects {model.n_features}"
-        )
+    if features.ndim != 2 or features.shape[1] != model.n_features:
+        raise DimensionMismatchError(f"features of shape {features.shape}, model expects {model.n_features} columns")
     out = np.empty(features.shape[0], dtype=object)
     stack = [(model.root, np.arange(features.shape[0]))]  # explicit, so depth is not bounded by recursion
     while stack:

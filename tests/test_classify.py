@@ -42,6 +42,12 @@ def tree_depth(node):
     return 1 + max(tree_depth(node.left), tree_depth(node.right))
 
 
+def internal_nodes(node):
+    if node.is_leaf:
+        return 0
+    return 1 + internal_nodes(node.left) + internal_nodes(node.right)
+
+
 class TestFlatten:
     def test_single_feature(self):
         e = encode_flatten(matrix([[1.0]], [[0.5]], ["A"]))
@@ -196,6 +202,24 @@ class TestTreeFit:
         with pytest.raises(ValueError):
             tree_fit(EncodedMatrix(np.array([[0.0]]), None, "best"))
 
+    def test_label_count_must_match_rows(self):
+        e = EncodedMatrix(np.array([[0.0], [1.0]]), list("ABA"), "best")
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2, 1\) for 3 labels"):
+            tree_fit(e)
+
+    def test_rejects_1d_features(self):
+        with pytest.raises(DimensionMismatchError, match=r"shape \(3,\)"):
+            tree_fit(EncodedMatrix(np.array([0.0, 1.0, 2.0]), list("ABA"), "best"))
+
+    def test_sorts_only_at_the_root(self, monkeypatch):
+        # each column is sorted once per tree; every node below the root partitions its parent's order
+        argsort, calls = np.argsort, []
+        monkeypatch.setattr(np, "argsort", lambda *args, **kwargs: calls.append(1) or argsort(*args, **kwargs))
+        rng = np.random.default_rng(9)
+        model = tree_fit(EncodedMatrix(rng.normal(size=(60, 3)), [str(i % 3) for i in range(60)], "best"))
+        assert internal_nodes(model.root) >= 3
+        assert len(calls) == 1
+
 
 @st.composite
 def cart_cases(draw):
@@ -219,6 +243,15 @@ class TestTreeOracle:
     @example(([[0.0], [1.0], [2.0]], list("ABA"), None, 2))  # min_samples_leaf forbids every cut
     @example(([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 2.0]], list("ABBC"), None, 1))  # all-equal column
     @example(([[1.0 + 2**-52], [1.0 + 2**-51]], list("AB"), None, 1))  # midpoint rounds up
+    @example((  # tied grid: min_samples_leaf 2 keeps the root's cut and forbids a cut below it
+        [[1.0, 2.0], [1.0, 0.0], [2.0, 2.0], [2.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, 0.0], [1.0, 1.0]],
+        list("AAAAABBB"), None, 2,
+    ))
+    @example((  # at depths 2 and 3, the column before the split one is all-equal within the node
+        [[1.0, 2.0, 3.0], [3.0, 0.0, 0.0], [3.0, 3.0, 0.0], [1.0, 3.0, 1.0], [1.0, 3.0, 1.0], [1.0, 2.0, 2.0],
+         [0.0, 0.0, 3.0]],
+        list("CCBCABC"), None, 1,
+    ))
     @settings(max_examples=150, deadline=None)
     def test_serialized_tree_equals_oracle(self, case):
         rows, labels, max_depth, min_samples_leaf = case
@@ -292,6 +325,16 @@ class TestTreePredict:
         model = tree_fit(e)
         empty = EncodedMatrix(np.empty((0, 1)), None, "best")
         assert tree_predict(model, empty) == []
+
+    def test_empty_matrix_of_another_width(self):
+        model = tree_fit(EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best"))
+        with pytest.raises(DimensionMismatchError, match=r"shape \(0, 2\), model expects 1 columns"):
+            tree_predict(model, EncodedMatrix(np.empty((0, 2)), None, "best"))
+
+    def test_rejects_1d_features(self):
+        model = tree_fit(EncodedMatrix(np.array([[0.0], [1.0]]), list("AB"), "best"))
+        with pytest.raises(DimensionMismatchError, match=r"shape \(2,\)"):
+            tree_predict(model, EncodedMatrix(np.array([0.0, 1.0]), None, "best"))
 
     def test_hand_traced_fixture(self):
         from ust.classify import DecisionTreeModel, TreeNode

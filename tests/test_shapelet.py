@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -914,6 +914,42 @@ class TestExtraction:
         # the oracle reduces to plain ED when deltas are zero
         got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=5, k=4))
         assert all(sh.split_threshold.uncertainty == 0.0 for sh in got)
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(4, 9), st.integers(4, 12), st.integers(2, 3),
+        st.integers(1, 4), st.integers(1, 2), st.integers(1, 12),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_st_and_ust_views_select_alike_without_ties(self, seed, n, m, n_classes, min_len, stride, k):
+        # the uncertainties only order exact best ties: on data whose best-only scoring meets none, the
+        # uncertain view and its zero-uncertainty copy (the st view) select the same shapelets
+        rng = np.random.default_rng(seed)
+        d = UncertainDataset.from_arrays(
+            rng.normal(size=(n, m)), rng.uniform(0, 0.5, (n, m)), [str(i % n_classes) for i in range(n)]
+        )
+        certain = UncertainDataset.from_arrays(d.best, np.zeros((n, m)), d.labels)
+        config = ExtractionConfig(min_len=min(min_len, m), k=k, candidate_stride=stride)
+        splits, ties = ust.shapelet._batch_best_splits, []
+
+        def spy(*args):
+            try:
+                return splits(*args)
+            except _ExactTie:
+                ties.append(args)
+                raise
+
+        with patch.object(ust.shapelet, "_batch_best_splits", spy):
+            uncertain_view = extract_shapelets(d, config)
+        assume(not ties)
+        certain_view = extract_shapelets(certain, config)
+
+        def key(sh):
+            return sh.source_instance, sh.start_offset, sh.length, sh.quality, sh.split_threshold.best
+
+        assert [key(sh) for sh in uncertain_view] == [key(sh) for sh in certain_view]
+        assert np.array_equal(
+            shapelet_transform(d, uncertain_view).best, shapelet_transform(certain, certain_view).best
+        )
 
 
 @st.composite
