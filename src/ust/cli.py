@@ -310,6 +310,10 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     )
     if summary_path.resolve() == out_path.resolve():
         raise ValueError(f"--summary-out must differ from --out, both are {args.out!r}")
+    for flag, path in (("--out", out_path), ("--summary-out", summary_path)):  # refused before any task runs
+        if path.is_dir() or not path.parent.is_dir():
+            why = "is a directory" if path.is_dir() else f"no directory {str(path.parent)!r}"
+            raise ValueError(f"{flag} {str(path)!r}: {why}")
     extraction = _extraction_from_args(args)
     tree = _tree_from_args(args)
     datasets = _discover_datasets(Path(args.data_dir))

@@ -16,13 +16,13 @@ window sum of the tile by one index-ascending term per length, as ``udissim``
 folds them, from a shifted view of that table.  The tiles fill staging blocks
 of stems, which the kernel yields whole and source-major: one ``(rows, n)``
 array of minima per block, length after length, each holding only the offsets
-that reach it.  Consecutive lengths of a block, a slice of its rows, share one
-split sweep of at most ``_SWEEP_ELEMS`` distances, or of one length that alone
-has more.  The split sweep, shared with the decision tree, sorts rows on their
-real best estimates (on the uncertainties too only in rows with an exact tie),
-ranks every cut approximately and rescores the cuts that can be a row's
-maximum with the scalar expression of :func:`ust.classify.entropy_from_counts`;
-each row's best cut is then a segmented maximum of gain, then margin.
+that reach it.  Extraction sweeps a block's rows in fixed slices of at most
+``_SWEEP_ELEMS`` distances, or one row, whatever lengths a slice spans.  The
+split sweep, shared with the decision tree, sorts rows on their real best
+estimates (on the uncertainties too only in rows with an exact tie), ranks
+every cut approximately and rescores the cuts that can be a row's maximum
+with the scalar expression of :func:`ust.classify.entropy_from_counts`; each
+row's best cut is then a segmented maximum of gain, then margin.
 
 The selection is per source, as in Hills et al. (DMKD 2014): once a block of
 sources is scored, each keeps only its own greedy picks, up to k.  That is
@@ -141,7 +141,7 @@ _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells 
 # term and accumulator cells of one tile per plane, the fastest measured of 100 K to 600 K; with a best and an
 # uncertainty plane each (the best-only path allocates both), a call's tile scratch is up to 16 * this bytes
 _TILE_ELEMS = 300_000
-_SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a run of lengths (or one longer length)
+_SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a slice of a block's rows (at least one row)
 _CPUS: int | None = None  # CPUs the kernel's workers use; None reads this process's affinity mask per call
 # pipeline runs sharing those CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
 _concurrent_tasks: contextvars.ContextVar[int] = contextvars.ContextVar("_concurrent_tasks", default=1)
@@ -203,7 +203,7 @@ def _grid_min_dissims(
     ``min_b`` and ``min_u`` are the block's ``(rows, n)`` minimum
     dissimilarities to each series under the uncertain order: length
     ``min_len + i`` holds the next ``reach[i] * len(sources)`` rows, in
-    (offset, source) order, so a run of consecutive lengths is a slice of rows.
+    (offset, source) order.
     When every uncertainty is zero the kernel takes its certain path: it sums
     the best-estimate terms only, and ``min_u`` is a read-only view of ``+0.0``
     that takes no memory.  Zero uncertainties therefore give the best-only path
@@ -214,7 +214,7 @@ def _grid_min_dissims(
     ``workers`` calls run at once on disjoint slices of the sources or series
     rows; ``workers`` is the caller's :func:`_worker_count`.  A caller's own
     work on a block comes on top (extraction: one split sweep of at most
-    ``_SWEEP_ELEMS`` cells, or one length).  Each call is serial and
+    ``_SWEEP_ELEMS`` cells, or one row).  Each call is serial and
     allocates its tile scratch once, two buffers sized for its largest tile.
     A block is filled tile by tile.  A tile of sources by series rows builds
     its term tables ``(x_src[p] - x_ser[q])**2`` and ``|x_src[p] - x_ser[q]| *
@@ -414,18 +414,18 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
     Candidates are the prefixes of stems ``(offset, source)`` of length up
     to ``min(max_len, m - offset)``.  The distance kernel yields staging
-    blocks of stems (the layout of :func:`_grid_min_dissims`).  Consecutive
-    lengths of one block are scored together, by one split sweep of a slice of
-    its rows, at most ``_SWEEP_ELEMS`` distance cells or one length that alone
-    has more, into a ``(4, sources, candidates)`` table of ``quality``,
-    ``margin``, ``thr_b`` and ``thr_at`` (the threshold's series) per block of
-    sources.  It holds only real candidates, in (length, offset) order: 4/n of
-    a block's minima when a block holds every offset, about 4.0 MB at m = 500
-    with one source per block, whatever n is.  After a block's last offset
-    block, :func:`_own_picks` keeps its sources' own greedy picks.  One
-    lexsort of at most ``n * min(k, m // min_len)`` picks gives the output in
-    selection order: quality descending, ties broken by larger split margin,
-    shorter length, then smaller (source, offset).  A candidate overlapping an
+    blocks of stems (the layout of :func:`_grid_min_dissims`).  A block's rows
+    are scored in fixed slices, one split sweep of at most ``_SWEEP_ELEMS``
+    distance cells (or one row) each, whatever lengths a slice spans, into a
+    ``(4, sources, candidates)`` table of ``quality``, ``margin``, ``thr_b``
+    and ``thr_at`` (the threshold's series) per block of sources.  It holds
+    only real candidates, in (length, offset) order: 4/n of a block's minima
+    when a block holds every offset, about 4.0 MB at m = 500 with one source
+    per block, whatever n is.  After a block's last offset block,
+    :func:`_own_picks` keeps its sources' own greedy picks.  One lexsort of
+    at most ``n * min(k, m // min_len)`` picks gives the output in selection
+    order: quality descending, ties broken by larger split margin, shorter
+    length, then smaller (source, offset).  A candidate overlapping an
     already-selected candidate from the same source series is pruned.
     The kernel runs its best-only path.  A sweep that meets an exact best tie,
     which only uncertainty minima order, stops the scoring, and every candidate
@@ -437,9 +437,9 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     full-path call per length.
     Each worker takes a contiguous slice of the sources and runs one kernel
     call, the split sweeps and the per-source selection on it.  Tiles are
-    bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or one length)
+    bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or one row)
     per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over all
-    workers; a worker sweeps a block's last run before the kernel stages its
+    workers; a worker sweeps a block's last slice before the kernel stages its
     next block.  Output is deterministic and independent of the worker count.
     """
     best, unc = train.best, train.uncertainty
@@ -466,8 +466,9 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     ends = np.minimum(max_len, m - offsets)
     reach = np.count_nonzero(ends[:, None] >= np.arange(min_len, max_len + 1), axis=0)
     col_at = np.concatenate([[0], np.cumsum(reach)])
+    col_k = np.arange(col_at[-1]) - np.repeat(col_at[:-1], reach)  # each column's offset index
     col_len = np.repeat(np.arange(min_len, max_len + 1), reach)
-    col_off = offsets[np.arange(col_at[-1]) - np.repeat(col_at[:-1], reach)]
+    col_off = offsets[col_k]
 
     # The full path scores when the data are certain, when an uncertainty sum could overflow, or after
     # a best-only tie.  Every u + v is at most 2 * max(unc), and every sum 2 * sum(|d| * (u + v)) at
@@ -476,27 +477,22 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())
     scored_u = unc if not unc.any() or bound >= 2.0**1000 else np.zeros_like(unc)
     picks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per source block: table cells, sources, columns
+    step = max(1, _SWEEP_ELEMS // n)  # rows of one split sweep: at most _SWEEP_ELEMS cells, or one row
 
     def score(part: slice) -> None:
-        for o, s, block_reach, min_b, min_u in _grid_min_dissims(
+        for o, s, _, min_b, min_u in _grid_min_dissims(
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
             if o.start == 0:  # a source block's first offset block
                 table = np.empty((4, s.stop - s.start, col_at[-1]))
-            # a block's consecutive lengths share one sweep of at most _SWEEP_ELEMS cells, or of one
-            # length when it alone has more: a run of lengths is a slice of the block's rows
-            bounds = [0] + (np.cumsum(block_reach) * (s.stop - s.start)).tolist()
-            i = 0
-            while i < len(block_reach):
-                j = max(i + 1, int(np.searchsorted(bounds, bounds[i] + _SWEEP_ELEMS // n, "right")) - 1)
-                run = slice(bounds[i], bounds[j])
-                dist_u = min_u[run] if scored_u is unc else None  # best-only minima order no best tie
-                splits = np.array(_batch_best_splits(min_b[run], dist_u, label_idx, class_totals))
-                for t in range(i, j):
-                    rows = splits[:, bounds[t] - run.start : bounds[t + 1] - run.start]
-                    c = col_at[t] + o.start
-                    table[:, :, c : c + block_reach[t]] = rows.reshape(4, block_reach[t], -1).transpose(0, 2, 1)
-                i = j
+            # the block's rows, in (length, offset, source) order, are the table cells of its offsets' columns,
+            # source-minor; each sweep takes the next slice of them, whatever lengths it spans
+            cols = np.flatnonzero((col_k >= o.start) & (col_k < o.stop))
+            cells = (cols[:, None] + col_at[-1] * np.arange(s.stop - s.start)).ravel()  # in a plane of the table
+            for r in range(0, len(min_b), step):
+                rows = slice(r, r + step)
+                dist_u = min_u[rows] if scored_u is unc else None  # best-only minima order no best tie
+                table.reshape(4, -1)[:, cells[rows]] = _batch_best_splits(min_b[rows], dist_u, label_idx, class_totals)
             if o.stop == len(ends):  # the source block is scored: keep only its sources' own picks
                 src, col = _own_picks(table[0], table[1], col_off, col_off + col_len, k)
                 picks.append((table[:, src, col], src + part.start + s.start, col))

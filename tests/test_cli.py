@@ -539,6 +539,23 @@ class TestBenchmark:
         assert name in err
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--summary-out"])
+    @pytest.mark.parametrize("where", ["missing/r.csv", "bench"], ids=["missing-directory", "a-directory"])
+    def test_rejects_unwritable_output_before_any_task(self, flag, where, tmp_path, capsys, monkeypatch):
+        # a bad output path used to fail only after every task had run, and after the report was written
+        root = make_benchmark_dir(tmp_path)
+        loaded = []
+        monkeypatch.setattr(ust.cli, "_prepare_noisy", lambda *args: loaded.append(args))
+        paths = {"--out": str(tmp_path / "report.csv"), "--summary-out": str(tmp_path / "summary.csv")}
+        paths[flag] = str(tmp_path / where)
+        rc = main(["benchmark", "--data-dir", str(root), *(x for item in paths.items() for x in item)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and where in err
+        assert loaded == []
+        assert list(tmp_path.rglob("*.csv")) == []
+
     @pytest.mark.parametrize("modes", ["st,st", ",", "st,bogus"])
     def test_rejects_bad_mode_list(self, modes, tmp_path, capsys):
         root = make_benchmark_dir(tmp_path)

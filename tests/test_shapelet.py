@@ -55,6 +55,10 @@ def random_dataset(rng, n, m, integer_grid=False):
     return dataset(rows)
 
 
+# three series whose first exact best tie, at min_len 2, is in a candidate row past the first two of length 2
+MID_LENGTH_TIE = [[3.0, 3.0, 2.0, 1.0, 0.0], [1.0, 2.0, 2.0, 0.0, 2.0], [2.0, 0.0, 0.0, 1.0, 3.0]]
+
+
 def run_oracle(d, cfg):
     max_len = cfg.max_len if cfg.max_len is not None else d.series_length
     k = cfg.k if cfg.k is not None else min(10 * len(set(d.labels)), 200)
@@ -664,10 +668,31 @@ class TestExtraction:
         ust.shapelet._TILE_ELEMS,
         ust.shapelet._SWEEP_ELEMS,
     )
+    @example(  # certain integer data: at two rows per sweep, the first tied row (row 2) opens a mid-length sweep
+        (
+            UncertainDataset.from_arrays(MID_LENGTH_TIE, [[0.0] * 5] * 3, ["A", "B", "A"]),
+            ExtractionConfig(min_len=2, k=3),
+        ),
+        ust.shapelet._KERNEL_CHUNK_ELEMS,
+        ust.shapelet._TILE_ELEMS,
+        6,
+    )
+    @example(  # the same best estimates, uncertain: that tie stops the best-only scoring in the mid-length slice
+        (
+            UncertainDataset.from_arrays(
+                MID_LENGTH_TIE, [[0.5, 0.0, 0.25, 0.0, 0.5], [0.0, 0.5, 0.0, 0.25, 0.0], [0.25, 0.0, 0.5, 0.0, 0.25]],
+                ["A", "B", "A"],
+            ),
+            ExtractionConfig(min_len=2, k=3),
+        ),
+        ust.shapelet._KERNEL_CHUNK_ELEMS,
+        ust.shapelet._TILE_ELEMS,
+        6,
+    )
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_property(self, case, budget, tile, cap):
-        # one-stem blocks and one-cell tiles put block edges everywhere; small sweep caps end runs of
-        # lengths inside blocks, so a tie can stop the best-only scoring at any sweep
+        # one-stem blocks and one-cell tiles put block edges everywhere; small sweep caps cut a block's
+        # rows anywhere, inside a length too, so a tie can stop the best-only scoring at any sweep
         for workers in (1, 2):
             with (
                 patch.object(ust.shapelet, "_CPUS", workers),
@@ -698,7 +723,7 @@ class TestExtraction:
     @pytest.mark.parametrize("max_len", [4, 20, 60])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_multi_length_memory_is_bounded_by_the_block_budget(self, workers, max_len, monkeypatch):
-        # a block's lengths are swept in runs of at most _SWEEP_ELEMS cells, and each source block keeps
+        # a block's rows are swept in slices of at most _SWEEP_ELEMS cells, and each source block keeps
         # only its own picks, so what extraction holds stays within the staging budget, the workers'
         # tile scratch and a constant, however many lengths a block has
         budget, n, m = 1_000_000, 30, 60
@@ -720,33 +745,38 @@ class TestExtraction:
         # would be 5.2 MiB and one over every (offset, source, length) cell 10.4 MiB.  Each block keeps
         # a table of its own sources' candidates and then only their picks, so the peak is bounded by
         # the staging budget, the workers' tile scratch (two planes of terms and accumulators) and a
-        # constant
-        budget, n, m = 1_000_000, 6, 240
-        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+        # constant.  (1000, 6) at its one length 6 fills each block with one length, whose sweeps stay within
+        # _SWEEP_ELEMS all the same; at the default budget, since a 1 M one leaves 2 workers ~1 MiB of margin
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
-        rng = np.random.default_rng(0)
-        d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
-        tracemalloc.start()
-        try:
-            extract_shapelets(d, ExtractionConfig(k=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * budget + 16 * workers * ust.shapelet._TILE_ELEMS + 4 * 2**20
+        for budget, n, m, cfg in (
+            (1_000_000, 6, 240, ExtractionConfig(k=1)),
+            (ust.shapelet._KERNEL_CHUNK_ELEMS, 1000, 6, ExtractionConfig(min_len=6, max_len=6, k=1)),
+        ):
+            monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
+            rng = np.random.default_rng(0)
+            d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
+            tracemalloc.start()
+            try:
+                extract_shapelets(d, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * budget + 16 * workers * ust.shapelet._TILE_ELEMS + 4 * 2**20, (n, m)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweeps_take_runs_of_lengths_within_the_cap(self, workers, monkeypatch):
-        # each scoring sweep reads a slice of one staging block's minima, no copy, that holds whole
-        # consecutive lengths of the block, and at most _SWEEP_ELEMS cells unless it holds one length.
-        # At (n, m) = (30, 50) and 2 workers the blocks hold 96 (block, length) pairs, each of which
-        # once took a sweep of its own; runs take at most half as many.  At 1 worker the short lengths
-        # each fill more than the cap and keep their own sweeps
+    def test_sweeps_take_fixed_row_slices_within_the_cap(self, workers, monkeypatch):
+        # each scoring sweep reads a slice of one staging block's minima, no copy, of at most
+        # max(1, _SWEEP_ELEMS // n) rows whatever lengths it spans, and a block's sweeps take its rows
+        # once, in order, each but the last a full slice.  At (n, m) = (30, 50) and 2 workers that is
+        # fewer sweeps than the 46 that runs of whole lengths took
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
         n, m = 30, 50
+        rows = max(1, ust.shapelet._SWEEP_ELEMS // n)
         rng = np.random.default_rng(4)
         d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
         kernel, split = ust.shapelet._grid_min_dissims, ust.shapelet._batch_best_splits
-        blocks, swept = [], []  # the scoring blocks, kept alive so that no later block reuses their memory
+        blocks = []  # the scoring blocks, kept alive so that no later block reuses their memory
+        swept = collections.defaultdict(list)  # per block, the rows of each of its sweeps
 
         def spy_kernel(*args):
             for block in kernel(*args):
@@ -757,27 +787,20 @@ class TestExtraction:
         def spy_split(dist_best, *rest):
             (i,) = [i for i, block in enumerate(blocks) if np.shares_memory(dist_best, block[3])]
             min_b = blocks[i][3]
-            first = (dist_best.__array_interface__["data"][0] - min_b.__array_interface__["data"][0]) // min_b.strides[0]
-            swept.append((i, first, first + len(dist_best), dist_best.size))
+            at = dist_best.__array_interface__["data"][0] - min_b.__array_interface__["data"][0]
+            first, rem = divmod(at, min_b.strides[0])
+            assert rem == 0 and dist_best.strides == min_b.strides  # a view of whole rows
+            swept[i].append(range(first, first + len(dist_best)))
             return split(dist_best, *rest)
 
         monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", spy_kernel)
         monkeypatch.setattr(ust.shapelet, "_batch_best_splits", spy_split)
         extract_shapelets(d, ExtractionConfig())
-        covered = collections.defaultdict(list)  # per block, the lengths of each of its sweeps
-        for i, start, stop, size in swept:
-            _, sources, reach, _, _ = blocks[i]
-            bounds = np.concatenate([[0], np.cumsum(reach) * (sources.stop - sources.start)]).tolist()
-            lengths = list(range(bounds.index(start), bounds.index(stop)))  # whole lengths, or ValueError
-            assert len(lengths) == 1 or size <= ust.shapelet._SWEEP_ELEMS
-            covered[i] += lengths
-        assert {i: sorted(lengths) for i, lengths in covered.items()} == {
-            i: list(range(len(block[2]))) for i, block in enumerate(blocks)
-        }
-        pairs = sum(len(block[2]) for block in blocks)
-        assert len(swept) < pairs
+        assert sorted(swept) == list(range(len(blocks)))
+        for i, block in enumerate(blocks):
+            assert swept[i] == [range(r, min(r + rows, len(block[3]))) for r in range(0, len(block[3]), rows)]
         if workers == 2:
-            assert pairs == 96 and 2 * len(swept) <= pairs
+            assert sum(map(len, swept.values())) < 46
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tied_qualities_merge_as_the_oracle(self, workers, monkeypatch):
