@@ -15,7 +15,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -49,6 +49,7 @@ from .series import (
 from .shapelet import (
     ExtractionConfig,
     _concurrent_tasks,
+    _extract,
     extract_shapelets,
     load_shapelets,
     save_shapelets,
@@ -107,6 +108,7 @@ class Features:
     test: UncertainDataset
     extract_s: float = 0.0
     transform_s: float = 0.0
+    certain_alike: bool = False  # these best estimates are the certain view's features (the flag of ``_extract``)
 
 
 def _encode_for_mode(
@@ -120,18 +122,45 @@ def _encode_for_mode(
     return encode_gaussian(train, stats), encode_gaussian(test, stats)
 
 
+def _certain(d: UncertainDataset) -> UncertainDataset:
+    return UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels)
+
+
 def _featurize(
-    train: UncertainDataset, test: UncertainDataset, certain: bool, extraction: ExtractionConfig
+    train: UncertainDataset, test: UncertainDataset, certain: bool, extraction: ExtractionConfig, flagged: bool = False
 ) -> Features:
-    """Extract shapelets from ``train`` and transform both splits, without uncertainties if ``certain``."""
+    """Extract shapelets from ``train`` and transform both splits, without uncertainties if ``certain``.
+
+    ``flagged`` extracts with :func:`ust.shapelet._extract`, which also gives ``certain_alike``.
+    """
     if certain:
-        train, test = (UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels) for d in (train, test))
+        train, test = _certain(train), _certain(test)
     t0 = time.perf_counter()
-    shapelets = extract_shapelets(train, extraction)
+    shapelets, alike = _extract(train, extraction) if flagged else (extract_shapelets(train, extraction), False)
     t1 = time.perf_counter()
     f_train = shapelet_transform(train, shapelets)
     f_test = shapelet_transform(test, shapelets)
-    return Features(f_train, f_test, t1 - t0, time.perf_counter() - t1)
+    return Features(f_train, f_test, t1 - t0, time.perf_counter() - t1, alike)
+
+
+def _featurize_views(
+    train: UncertainDataset, test: UncertainDataset, views: set[bool], extraction: ExtractionConfig
+) -> dict[bool, Features | Exception]:
+    """Each view's features (``True``: the certain view), or the error that featurizing it raised.
+
+    The uncertain view runs first; the certain view takes its best estimates and timings when they are the
+    certain view's features (``certain_alike``), and is featurized on its own otherwise.
+    """
+    features: dict[bool, Features | Exception] = {}
+    for certain in sorted(views):
+        if certain and isinstance(f := features.get(False), Features) and f.certain_alike:
+            features[True] = replace(f, train=_certain(f.train), test=_certain(f.test))
+            continue
+        try:
+            features[certain] = _featurize(train, test, certain, extraction, flagged=True)
+        except Exception as exc:  # noqa: BLE001 - per-view isolation by contract
+            features[certain] = exc
+    return features
 
 
 def _classify(features: Features, mode: str, tree: TreeParams) -> PipelineResult:
@@ -158,8 +187,8 @@ def run_pipeline(
     classical pipeline runs on best estimates and the kernel takes its cheaper
     exact path for certain data.  The two ``ust-*`` modes featurize the
     uncertain view, which propagates uncertainties into the feature matrix;
-    they differ only in how features are encoded for the tree, so ``ust
-    benchmark`` featurizes that view once for both.
+    they differ only in how features are encoded for the tree.  ``ust benchmark``
+    featurizes that view once per dataset, and ``st`` takes its best estimates when they are the certain view's.
     """
     features = _featurize(train, test, config.mode == "st", config.extraction)
     return _classify(features, config.mode, config.tree)
@@ -214,6 +243,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_classify(args: argparse.Namespace) -> int:
     train = read_feature_csv(args.train_features)
     test = read_feature_csv(args.test_features)
+    if (k := train.series_length) != test.series_length:  # refused before a tree is fitted
+        raise ValueError(f"{args.train_features} has k={k} features, {args.test_features} has k={test.series_length}")
     if args.mode == "st" and (train.uncertainty.any() or test.uncertainty.any()):
         warnings.warn("mode st ignores uncertainties: best estimates used, deltas dropped", RuntimeWarning)
     result = _classify(Features(train, test), args.mode, _tree_from_args(args))
@@ -325,30 +356,23 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         except Exception as exc:  # noqa: BLE001 - per-dataset isolation by contract
             prepared[name] = exc
 
-    # one task per dataset view: st featurizes without uncertainties, the ust-* modes share one featurization
-    tasks = list(dict.fromkeys((name, mode == "st") for name, _, _ in datasets for mode in modes))
-
-    # largest first, so that no thread idles while the last large task runs alone: by the kernel's
-    # O(n²·m³) on the train split, the uncertain view before the certain one, a failed dataset last
+    # one task per dataset, largest first, so that no thread idles while the last large task runs alone:
+    # by the kernel's O(n²·m³) on the train split, a failed dataset last
     cost = {name: 0 if isinstance(d, Exception) else len(d[0]) ** 2 * d[0].series_length ** 3
             for name, d in prepared.items()}
-    tasks.sort(key=lambda task: (-cost[task[0]], task[1]))
+    tasks = sorted(prepared, key=lambda name: -cost[name])
+    views = {mode == "st" for mode in modes}
 
-    def run_view(task: tuple[str, bool]) -> list[BenchmarkRow]:
-        name, certain = task
-        view = [mode for mode in modes if (mode == "st") == certain]
-        data = prepared[name]
-        try:
-            if isinstance(data, Exception):
-                raise data  # the dataset did not load: its error fills the view's rows
-            features = _featurize(*data, certain, extraction)
-        except Exception as exc:  # noqa: BLE001 - per-view isolation by contract
-            return [BenchmarkRow(name, mode, args.seed, error=_error(exc)) for mode in view]
+    def run_dataset(name: str) -> list[BenchmarkRow]:
+        failed = isinstance(data := prepared[name], Exception)  # a dataset that did not load: its error fills every row
+        by_view = dict.fromkeys(views, data) if failed else _featurize_views(*data, views, extraction)
         rows = []
-        for mode in view:
+        for mode in modes:
             try:
-                rows.append(BenchmarkRow(name, mode, args.seed, _classify(features, mode, tree)))
-            except Exception as exc:  # noqa: BLE001 - per-mode isolation by contract
+                if isinstance(view := by_view[mode == "st"], Exception):
+                    raise view
+                rows.append(BenchmarkRow(name, mode, args.seed, _classify(view, mode, tree)))
+            except Exception as exc:  # noqa: BLE001 - per-view and per-mode isolation by contract
                 rows.append(BenchmarkRow(name, mode, args.seed, error=_error(exc)))
         return rows
 
@@ -356,7 +380,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     # with fewer tasks than jobs, the tasks share the CPUs of the jobs that would idle
     jobs = max(1, min(args.jobs, len(tasks)))
     with ThreadPoolExecutor(jobs, initializer=_concurrent_tasks.set, initargs=(jobs,)) as pool:
-        done = {(row.dataset, row.mode): row for view in pool.map(run_view, tasks) for row in view}
+        done = {(row.dataset, row.mode): row for rows in pool.map(run_dataset, tasks) for row in rows}
     rows = [done[name, mode] for name, _, _ in datasets for mode in modes]
 
     report = [REPORT_HEADER, *(_format_row(row, with_timings=not args.no_timings) for row in rows)]

@@ -42,8 +42,8 @@ take the full path too.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
---jobs J`` with T view tasks each task's call gets ``1/min(J, T)`` of them, at
-least one.  The kernel's independent axis is split into fixed contiguous
+--jobs J`` with T dataset tasks each task's call gets ``1/min(J, T)`` of them,
+at least one.  The kernel's independent axis is split into fixed contiguous
 slices, one per worker: extraction gives each worker a slice of sources, which
 it stages, scores and selects from, and the transform gives each a slice of
 series rows, but no worker less than one tile of work.  No entry depends on the
@@ -410,7 +410,12 @@ def _own_picks(quality: np.ndarray, margin: np.ndarray, start: np.ndarray, stop:
 # ---------------------------------------------------------------------------
 
 def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = ExtractionConfig()) -> list[UncertainShapelet]:
-    """Score every candidate window and return the top k after pruning.
+    """Score every candidate window and return the top k after pruning (see :func:`_extract`)."""
+    return _extract(train, config)[0]
+
+
+def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[UncertainShapelet], bool]:
+    """Score every candidate window; return the top k after pruning, and whether the data's certain view agrees.
 
     Candidates are the prefixes of stems ``(offset, source)`` of length up
     to ``min(max_len, m - offset)``.  The distance kernel yields staging
@@ -441,6 +446,8 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over all
     workers; a worker sweeps a block's last slice before the kernel stages its
     next block.  Output is deterministic and independent of the worker count.
+    The flag is set when the data are certain or the best-only scoring met no tie: then the certain view (zero
+    uncertainties) selects these shapelets and threshold best estimates, and its transform gives these best minima.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -521,7 +528,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     return [
         UncertainShapelet(UncertainVector(best[s, o : o + l], unc[s, o : o + l]), s, o, q, UncertainValue(tb, tu))
         for l, s, o, q, tb, tu in zip(*(x.tolist() for x in (length, source, offset, quality, thr_b, thr_u)))
-    ]
+    ], scored_u is not unc or not unc.any()
 
 
 def shapelet_transform(

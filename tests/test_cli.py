@@ -6,15 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_output_digests import FIXTURES, write_tied_grid
 from ust import (
     ExtractionConfig,
     NoiseSpec,
     TreeParams,
+    UncertainDataset,
     dataset_std,
     derive_split_seeds,
     inject_noise,
     load_dataset,
     load_shapelets,
+    write_feature_csv,
 )
 import ust.cli
 import ust.shapelet
@@ -358,6 +361,23 @@ class TestStepComposition:
         assert "model.json: model tree is too deep" in err
         assert not model.exists()
 
+    def test_classify_refuses_feature_files_of_different_widths(self, tmp_path, capsys, monkeypatch):
+        # a train CSV of k = 3 and a test CSV of k = 4 used to fit a tree, then fail on "features of
+        # shape (4, 8), model expects 6 columns", naming a model the user never gave
+        fitted, paths = [], {}
+        monkeypatch.setattr(ust.cli, "tree_fit", lambda *args: fitted.append(args))
+        for split, k in (("train", 3), ("test", 4)):
+            paths[split] = tmp_path / f"{split}_k{k}.csv"
+            best = np.arange(4.0 * k).reshape(4, k)
+            write_feature_csv(UncertainDataset.from_arrays(best, np.zeros((4, k)), ["A", "B"] * 2), paths[split])
+        model = tmp_path / "model.json"
+        assert main([
+            "classify", "--train-features", str(paths["train"]), "--test-features", str(paths["test"]),
+            "--model-out", str(model),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {paths['train']} has k=3 features, {paths['test']} has k=4\n"
+        assert fitted == [] and not model.exists()
+
 
 def make_benchmark_dir(tmp_path, n_datasets=2, corrupt=()):
     rng = np.random.default_rng(9)
@@ -420,43 +440,51 @@ class TestBenchmark:
             assert (tmp_path / name.format(4)).read_bytes() == first
 
     @pytest.mark.parametrize(
-        "modes, views",
-        [("st,ust-flat,ust-gauss", [False, True]), ("ust-flat,ust-gauss", [True]), ("st", [False])],
+        "modes, views, alone",
+        [("st,ust-flat,ust-gauss", [True], [False, True]), ("ust-flat,ust-gauss", [True], [True]),
+         ("st", [False], [False])],
         ids=["all-modes", "ust-modes", "st"],
     )
-    def test_one_extraction_per_dataset_view(self, modes, views, tmp_path, monkeypatch):
-        # the two ust-* modes share one featurization; st featurizes on certain data
-        extract, seen = ust.cli.extract_shapelets, []
+    def test_one_extraction_per_dataset_view(self, modes, views, alone, tmp_path, monkeypatch):
+        # the two ust-* modes share one featurization, and on this tie-free data st takes its best
+        # estimates, so all modes extract once per dataset; st alone featurizes the certain view.  With
+        # the flag forced off, st featurizes the certain view on its own, into the same report bytes
+        extract, seen = ust.cli._extract, []
 
-        def counted(train, cfg):
+        def counted(train, cfg, alike=None):
             seen.append(bool(train.uncertainty.any()))
-            return extract(train, cfg)
+            shapelets, flag = extract(train, cfg)
+            return shapelets, flag if alike is None else alike
 
-        monkeypatch.setattr(ust.cli, "extract_shapelets", counted)
         root = make_benchmark_dir(tmp_path)
-        out = tmp_path / "r.csv"
-        assert main([
-            "benchmark", "--data-dir", str(root), "--modes", modes, "--k", "2", "--min-len", "3",
-            "--max-len", "5", "--jobs", "2", "--out", str(out),
-        ]) == 0
-        assert sorted(seen) == sorted(views * 2)  # two datasets
-        with open(out) as fh:
+        base = ["benchmark", "--data-dir", str(root), "--modes", modes, "--k", "2", "--min-len", "3",
+                "--max-len", "5", "--jobs", "2", "--no-timings"]
+        for name, spy, extractions in (("r", counted, views), ("alone", lambda *a: counted(*a, alike=False), alone)):
+            seen.clear()
+            monkeypatch.setattr(ust.cli, "_extract", spy)
+            assert main(base + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+            assert sorted(seen) == sorted(extractions * 2)  # two datasets
+        with open(tmp_path / "r.csv") as fh:
             assert [r["error"] for r in csv.DictReader(fh)] == [""] * 2 * len(modes.split(","))
+        for name in ("{}.csv", "{}_summary.csv"):
+            assert (tmp_path / name.format("r")).read_bytes() == (tmp_path / name.format("alone")).read_bytes()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("step", ["featurize", "classify"])
     def test_failures_are_isolated_per_view_and_mode(self, step, jobs, tmp_path, monkeypatch):
-        # a failed featurization fails every mode of its view; a failed mode fails only itself
+        # a failed featurization fails every mode of its view, and st then featurizes the certain view
+        # on its own; a failed mode fails only itself
         def boom(*args):
             raise RuntimeError(f"{step} boom")
 
-        extract = ust.cli.extract_shapelets
+        extract, seen = ust.cli._extract, []
 
-        def uncertain_boom(train, cfg):
-            return boom() if train.uncertainty.any() else extract(train, cfg)
+        def spy(train, cfg):
+            seen.append(bool(train.uncertainty.any()))
+            return boom() if step == "featurize" and train.uncertainty.any() else extract(train, cfg)
 
+        monkeypatch.setattr(ust.cli, "_extract", spy)
         if step == "featurize":
-            monkeypatch.setattr(ust.cli, "extract_shapelets", uncertain_boom)
             failed = {"ust-gauss", "ust-flat"}
         else:
             monkeypatch.setattr(ust.cli, "encode_gaussian", boom)
@@ -474,6 +502,7 @@ class TestBenchmark:
             (name, mode, mode not in failed, f"RuntimeError: {step} boom" if mode in failed else "")
             for name in ("ds0", "ds1") for mode in modes
         ]
+        assert sorted(seen) == ([False, False, True, True] if step == "featurize" else [True, True])
 
     @pytest.mark.parametrize("jobs, workers", [("2", {1}), ("1", {2})])
     def test_kernel_workers_share_the_jobs_budget(self, jobs, workers, tmp_path, monkeypatch):
@@ -495,7 +524,7 @@ class TestBenchmark:
         assert seen == workers
 
     def test_fewer_tasks_than_jobs_share_the_cpus_of_the_idle_jobs(self, tmp_path, monkeypatch):
-        # one dataset is two view tasks: at --jobs 4 on 4 CPUs each task's kernel gets 2 workers, not 1
+        # one dataset is one task: at --jobs 4 on 4 CPUs its kernel gets all 4 workers, not 1
         monkeypatch.setattr(ust.shapelet, "_CPUS", 4)
         kernel, seen = ust.shapelet._grid_min_dissims, set()
 
@@ -509,7 +538,7 @@ class TestBenchmark:
         for jobs in ("4", "1"):
             assert main(base + ["--jobs", jobs, "--out", str(tmp_path / f"j{jobs}.csv")]) == 0
             if jobs == "4":
-                assert seen == {2}
+                assert seen == {4}
         assert (tmp_path / "j4.csv").read_bytes() == (tmp_path / "j1.csv").read_bytes()
         assert (tmp_path / "j4_summary.csv").read_bytes() == (tmp_path / "j1_summary.csv").read_bytes()
 
@@ -618,13 +647,14 @@ class TestBenchmark:
         assert captured.out.count("0 wins / 1 ties / 0 losses") == 3
 
     def test_views_start_largest_first(self, tmp_path, monkeypatch):
-        # at --jobs 1 the views run in task order: by n²·m³ of the train split, the uncertain view
-        # first, a failed dataset last; the report keeps dataset order, then --modes order
+        # at --jobs 1 the dataset tasks run in task order: by n²·m³ of the train split, a failed dataset
+        # last; each featurizes its uncertain view once, which st shares on this tie-free data.  The report
+        # keeps dataset order, then --modes order
         featurize, error, seen = ust.cli._featurize, ust.cli._error, []
 
-        def spy(train, test, certain, extraction):
+        def spy(train, test, certain, extraction, flagged=False):
             seen.append((train.best.shape, certain))
-            return featurize(train, test, certain, extraction)
+            return featurize(train, test, certain, extraction, flagged)
 
         monkeypatch.setattr(ust.cli, "_featurize", spy)
         monkeypatch.setattr(ust.cli, "_error", lambda exc: seen.append("failed") or error(exc))
@@ -639,12 +669,28 @@ class TestBenchmark:
             "benchmark", "--data-dir", str(root), "--modes", ",".join(modes), "--k", "2", "--min-len", "3",
             "--max-len", "5", "--jobs", "1", "--no-timings", "--out", str(out),
         ]) == 0
-        views = [(shape, certain) for shape in ((10, 12), (12, 8), (8, 10)) for certain in (False, True)]
-        assert seen == views + ["failed"] * 3  # dataset a: one row per mode
+        assert seen == [((10, 12), False), ((12, 8), False), ((8, 10), False)] + ["failed"] * 3  # a: one per mode
         with open(out) as fh:
-            assert [(r["dataset"], r["mode"]) for r in csv.DictReader(fh)] == [
-                (name, mode) for name in "abcd" for mode in modes
-            ]
+            rows = list(csv.DictReader(fh))
+        assert [(r["dataset"], r["mode"]) for r in rows] == [(name, mode) for name in "abcd" for mode in modes]
+        assert [r["error"] == "" for r in rows] == [name != "a" for name in "abcd" for _ in modes]
+
+    def test_a_shared_featurization_times_every_row_it_serves(self, tmp_path, monkeypatch):
+        # a clock whose every step is longer than the last gives each featurization its own timings: the
+        # st row and the two ust-* rows of a tie-free dataset show those of the one they share
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(ust.cli, "time", type("Clock", (), {"perf_counter": lambda: next(ticks) ** 2}))
+        root = make_benchmark_dir(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main([
+            "benchmark", "--data-dir", str(root), "--k", "2", "--min-len", "3", "--max-len", "5",
+            "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        timings = [{(r["extract_s"], r["transform_s"]) for r in rows if r["dataset"] == ds} for ds in ("ds0", "ds1")]
+        assert [len(t) for t in timings] == [1, 1] and timings[0] != timings[1]
+        assert len({r["fit_s"] for r in rows}) == len(rows)  # the clock does tell the tasks apart
 
     def test_all_failures_exit_nonzero(self, tmp_path):
         root = make_benchmark_dir(tmp_path, n_datasets=0, corrupt=("x", "y"))
@@ -711,6 +757,72 @@ class TestBenchmark:
         printed = capsys.readouterr().out
         step_acc = float(printed.split("accuracy")[1].split()[0])
         assert step_acc == benchmark_acc
+
+
+def tied_grid_splits(tmp_path):
+    """The train and test splits (rows 0-15, 16-31) of :func:`write_tied_grid`, with its uncertainties."""
+    splits = []
+    for first_row in (0, 16):
+        values, uncertainties = tmp_path / f"v{first_row}.tsv", tmp_path / f"u{first_row}.tsv"
+        write_tied_grid(values, uncertainties, first_row)
+        splits.append(load_dataset(values, uncertainties))
+    return splits
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+class TestFeaturizeViews:
+    # st takes the uncertain view's best estimates only when they are the certain view's features: when
+    # that view's extraction scored on best estimates to the end with no exact best tie, or the data are
+    # certain.  Otherwise st featurizes the certain view on its own, and the extraction runs twice
+
+    @pytest.fixture(autouse=True)
+    def extractions(self, workers, monkeypatch):
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        extract, seen = ust.cli._extract, []
+        monkeypatch.setattr(ust.cli, "_extract", lambda d, cfg: seen.append(d.uncertainty.any()) or extract(d, cfg))
+        return seen
+
+    def assert_st_is_the_certain_view(self, train, test, config=ExtractionConfig()):
+        views = ust.cli._featurize_views(train, test, {False, True}, config)
+        alone = ust.cli._featurize(train, test, True, config)  # extract_shapelets: not counted
+        for got, want in ((views[True].train, alone.train), (views[True].test, alone.test)):
+            assert np.array_equal(got.best.view(np.uint64), want.best.view(np.uint64))
+            assert not got.uncertainty.any() and got.labels == want.labels
+        return views
+
+    def test_a_tie_restart_featurizes_st_on_its_own(self, extractions, tmp_path):
+        train, test = tied_grid_splits(tmp_path)
+        views = self.assert_st_is_the_certain_view(train, test)
+        assert extractions == [True, False]
+        # the tie changes the picks: the uncertain view's best estimates are not st's features
+        assert views[False].train.best.shape != views[True].train.best.shape
+
+    def test_past_the_overflow_bound_st_featurizes_on_its_own(self, extractions):
+        # one uncertainty of 1e300 puts the bound past 2**1000: extraction scores the full path from the
+        # start, although no sum overflows
+        rng = np.random.default_rng(5)
+        unc = rng.uniform(0, 0.5, (8, 10))
+        unc[3, 4] = 1e300
+        d = UncertainDataset.from_arrays(rng.normal(size=(8, 10)), unc, ["A", "B"] * 4)
+        views = self.assert_st_is_the_certain_view(d, d, ExtractionConfig(k=4))
+        assert extractions == [True, False]
+        assert np.isfinite(views[False].train.uncertainty).all()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noisy_fixtures_featurize_once(self, seed, extractions):
+        for name, train_path, test_path in ust.cli._discover_datasets(FIXTURES / "benchmark"):
+            extractions.clear()
+            train, test = ust.cli._prepare_noisy(name, train_path, test_path, seed)
+            views = self.assert_st_is_the_certain_view(train, test)
+            assert extractions == [True], name
+            timings = [(f.extract_s, f.transform_s) for f in (views[True], views[False])]
+            assert timings[0] == timings[1]
+
+    def test_certain_data_featurize_once(self, extractions, tmp_path):
+        # the tie-heavy grid without its uncertainties: the full path scores from the start and orders every tie
+        train, test = (ust.cli._certain(d) for d in tied_grid_splits(tmp_path))
+        self.assert_st_is_the_certain_view(train, test)
+        assert extractions == [False]
 
 
 def test_perfbench_traced_names_exist_in_cli(monkeypatch):
