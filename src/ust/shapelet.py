@@ -37,8 +37,8 @@ on that best-only path, since an uncertainty minimum changes an output only
 where it orders an exact best tie or is a selected shapelet's threshold.  The
 full path scores when the data are certain, when an uncertainty sum could
 overflow, or after a best-only tie: a sweep that meets an exact best tie stops
-the scoring, which is then done once more on the full path.  The k thresholds
-take the full path too.
+the scoring, which is then done once more on the full path.  A threshold is a
+cell of the train transform, which takes the full path on uncertain data.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -58,7 +58,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -320,31 +320,21 @@ def _fill_tile(
             mu *= 2.0
 
 
-def _window_minima(
-    cand_b: np.ndarray, cand_u: np.ndarray, ser_b: np.ndarray, ser_u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum dissimilarities ``(C, N)`` of equal-length candidates ``(C, l)`` to any window of rows ``(N, m)``."""
-    l = cand_b.shape[1]
-    out_b, out_u = np.empty((2, len(cand_b), len(ser_b)))
-    for _, s, _, dist_b, dist_u in _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, ser_b, ser_u):
-        out_b[s], out_u[s] = dist_b, dist_u
-    return out_b, out_u
-
-
 def _batch_best_splits(
     dist_best: np.ndarray,
     dist_unc: np.ndarray | None,
     label_idx: np.ndarray,
     class_totals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Best split per candidate row: (gain, margin, thr_best, thr_at).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best split per candidate row: (gain, margin, thr_at).
 
     Thresholds are the distinct observed distances under the uncertain
     order, each landing on the near side; equal gains prefer the larger
-    margin, then the smaller threshold.  ``thr_at`` is the column (series)
-    whose distance is the threshold.  Uncertainties only order exact best
-    ties, so only the rows of ``dist_unc`` that hold one are read.  With
-    ``dist_unc=None`` (best-only minima) such a row raises ``_ExactTie``.
+    margin, then the smaller threshold.  A threshold is named only by
+    ``thr_at``, the column (series) whose distance it is: the row's cell in
+    that column.  Uncertainties only order exact best ties, so only the rows
+    of ``dist_unc`` that hold one are read.  With ``dist_unc=None``
+    (best-only minima) such a row raises ``_ExactTie``.
     """
     c_total, n = dist_best.shape
 
@@ -381,7 +371,7 @@ def _batch_best_splits(
     top &= margin == np.maximum.reduceat(np.where(top, margin, -np.inf), starts)[rows]
     first = np.flatnonzero(top)
     first = first[np.searchsorted(rows[first], np.arange(c_total))]
-    return gain[first], margin[first], best[at[first]], at[first] % n
+    return gain[first], margin[first], at[first] % n
 
 
 def _own_picks(quality: np.ndarray, margin: np.ndarray, start: np.ndarray, stop: np.ndarray, k: int) -> np.ndarray:
@@ -422,11 +412,11 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
     blocks of stems (the layout of :func:`_grid_min_dissims`).  A block's rows
     are scored in fixed slices, one split sweep of at most ``_SWEEP_ELEMS``
     distance cells (or one row) each, whatever lengths a slice spans, into a
-    ``(4, sources, candidates)`` table of ``quality``, ``margin``, ``thr_b``
-    and ``thr_at`` (the threshold's series) per block of sources.  It holds
-    only real candidates, in (length, offset) order: 4/n of a block's minima
-    when a block holds every offset, about 4.0 MB at m = 500 with one source
-    per block, whatever n is.  After a block's last offset block,
+    ``(3, sources, candidates)`` table of ``quality``, ``margin`` and
+    ``thr_at`` (the threshold's series) per block of sources.  It holds only
+    real candidates, in (length, offset) order: 3/n of a block's minima when
+    a block holds every offset, about 3.0 MB at m = 500 with one source per
+    block, whatever n is.  After a block's last offset block,
     :func:`_own_picks` keeps its sources' own greedy picks.  One lexsort of
     at most ``n * min(k, m // min_len)`` picks gives the output in selection
     order: quality descending, ties broken by larger split margin, shorter
@@ -438,8 +428,8 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
     costs one best-only and one full-path scoring.  When an uncertainty sum
     could overflow (the bound below), the scoring runs the full path from the
     start, so ``NumericOverflowError`` is raised exactly where the full path
-    raises it.  The k selected thresholds take their uncertainties from one
-    full-path call per length.
+    raises it.  Each threshold is a cell of the train transform, read from
+    one :func:`shapelet_transform` call over the distinct threshold series.
     Each worker takes a contiguous slice of the sources and runs one kernel
     call, the split sweeps and the per-source selection on it.  Tiles are
     bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or one row)
@@ -459,10 +449,10 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
 
     min_len = config.min_len
     max_len = config.max_len if config.max_len is not None else m
-    if min_len > m or max_len > m:
-        raise ConfigurationError(
-            f"length range [{min_len}, {max_len}] admits no candidate in series of length {m}"
-        )
+    if min_len > m:
+        raise ConfigurationError(f"length range [{min_len}, {max_len}] admits no candidate in series of length {m}")
+    if max_len > m:
+        raise ConfigurationError(f"max_len {max_len} exceeds series length {m}")
     k = config.k if config.k is not None else min(10 * len(classes), MAX_DEFAULT_K)
 
     class_totals = np.bincount(label_idx, minlength=len(classes))
@@ -491,7 +481,7 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
             if o.start == 0:  # a source block's first offset block
-                table = np.empty((4, s.stop - s.start, col_at[-1]))
+                table = np.empty((3, s.stop - s.start, col_at[-1]))
             # the block's rows, in (length, offset, source) order, are the table cells of its offsets' columns,
             # source-minor; each sweep takes the next slice of them, whatever lengths it spans
             cols = np.flatnonzero((col_k >= o.start) & (col_k < o.stop))
@@ -499,7 +489,7 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
             for r in range(0, len(min_b), step):
                 rows = slice(r, r + step)
                 dist_u = min_u[rows] if scored_u is unc else None  # best-only minima order no best tie
-                table.reshape(4, -1)[:, cells[rows]] = _batch_best_splits(min_b[rows], dist_u, label_idx, class_totals)
+                table.reshape(3, -1)[:, cells[rows]] = _batch_best_splits(min_b[rows], dist_u, label_idx, class_totals)
             if o.stop == len(ends):  # the source block is scored: keep only its sources' own picks
                 src, col = _own_picks(table[0], table[1], col_off, col_off + col_len, k)
                 picks.append((table[:, src, col], src + part.start + s.start, col))
@@ -511,24 +501,20 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
         scored_u = unc
         _in_slices(n, score)
 
-    # the global greedy's picks are the first k, in key order, of every source's own picks; then each
-    # threshold's uncertainty: the full-path minimum against its series, one call per length
+    # the global greedy's picks are the first k, in key order, of every source's own picks
     cells, source, column = (np.concatenate(x, axis=-1) for x in zip(*picks))
     sel = np.lexsort((col_off[column], source, col_len[column], -cells[1], -cells[0]))[:k]
     length, source, offset = col_len[column[sel]], source[sel], col_off[column[sel]]
-    quality, _, thr_b, thr_at = cells[:, sel]
-    thr_u = np.empty(len(sel))
-    for l in np.unique(length).tolist():
-        at = length == l
-        rows, col = np.unique(thr_at[at].astype(int), return_inverse=True)
-        src, window = source[at, None], offset[at, None] + np.arange(l)
-        _, dist_u = _window_minima(best[src, window], unc[src, window], best[rows], unc[rows])
-        thr_u[at] = dist_u[np.arange(len(col)), col]
-
-    return [
-        UncertainShapelet(UncertainVector(best[s, o : o + l], unc[s, o : o + l]), s, o, q, UncertainValue(tb, tu))
-        for l, s, o, q, tb, tu in zip(*(x.tolist() for x in (length, source, offset, quality, thr_b, thr_u)))
-    ], scored_u is not unc or not unc.any()
+    shapelets = [  # each threshold, set below, is its shapelet's cell of the train transform at the threshold's series
+        UncertainShapelet(UncertainVector(best[s, o : o + l], unc[s, o : o + l]), s, o, q, UncertainValue(0.0))
+        for l, s, o, q in zip(*(x.tolist() for x in (length, source, offset, cells[0, sel])))
+    ]
+    rows, at = np.unique(cells[2, sel].astype(int), return_inverse=True)
+    labels = train.labels
+    thr = shapelet_transform(UncertainDataset.from_arrays(best[rows], unc[rows], [labels[i] for i in rows]), shapelets)
+    thr_b, thr_u = (x[at, np.arange(len(at))].tolist() for x in (thr.best, thr.uncertainty))
+    agrees = scored_u is not unc or not unc.any()
+    return [replace(sh, split_threshold=UncertainValue(b, u)) for sh, b, u in zip(shapelets, thr_b, thr_u)], agrees
 
 
 def shapelet_transform(
@@ -538,11 +524,13 @@ def shapelet_transform(
 
     Entry ``(i, j)`` is the minimum uncertain dissimilarity from
     ``shapelets[j].values`` to any equal-length window of instance ``i``;
-    rows follow the instance order and carry the instance labels.  The
-    shapelets of one length are the kernel's sources, each a single stem at
-    offset 0.  Each worker takes a contiguous slice of the instances and
-    writes their rows at every length; the kernel's tiles split that slice
-    into cache-sized row blocks.
+    rows follow the instance order and carry the instance labels.  On the
+    training series it holds each shapelet's split threshold, which
+    extraction reads from here.  The shapelets of one length are the
+    kernel's sources, each a single stem at offset 0.  Each worker takes a
+    contiguous slice of the instances and writes their rows at every length,
+    block by block as the kernel yields them; the kernel's tiles split that
+    slice into cache-sized row blocks.
     """
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
@@ -561,10 +549,11 @@ def shapelet_transform(
         groups.append((l, cols, cand_b, cand_u))
 
     def fill(part: slice) -> None:
-        for _, cols, cand_b, cand_u in groups:
-            dist_b, dist_u = _window_minima(cand_b, cand_u, best[part], unc[part])
-            out_b[part, cols] = dist_b.T
-            out_u[part, cols] = dist_u.T
+        for l, cols, cand_b, cand_u in groups:
+            blocks = _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, best[part], unc[part])
+            for _, s, _, dist_b, dist_u in blocks:
+                out_b[part, cols[s]] = dist_b.T
+                out_u[part, cols[s]] = dist_u.T
 
     cells = n * sum(len(cols) * _pair_cells(m, l, l, 1) for l, cols, _, _ in groups)
     _in_slices(n, fill, cells // _TILE_ELEMS)

@@ -611,6 +611,24 @@ class TestBenchmark:
         assert broken and all(r["error"] != "" for r in broken)
         assert healthy and all(r["error"] == "" for r in healthy)
 
+    @pytest.mark.parametrize("missing", ["TRAIN", "TEST"])
+    def test_half_dataset_is_a_dataset_error(self, missing, tmp_path):
+        # a directory with only one of its two files is reported, its rows naming the missing file;
+        # a directory with neither is no dataset
+        root = make_benchmark_dir(tmp_path, n_datasets=1)
+        present = "TEST" if missing == "TRAIN" else "TRAIN"
+        write_tsv(root / "half" / f"half_{present}.tsv", synth_rows(np.random.default_rng(0), 3, m=10))
+        (root / "none").mkdir()
+        out = tmp_path / "report.csv"
+        assert main([
+            "benchmark", "--data-dir", str(root), "--k", "2", "--min-len", "3", "--max-len", "5",
+            "--no-timings", "--out", str(out),
+        ]) == 0
+        with open(out) as fh:
+            errors = {(r["dataset"], r["mode"]): r["error"] for r in csv.DictReader(fh)}
+        gone = f"FileNotFoundError: [Errno 2] No such file or directory: {str(root / 'half' / f'half_{missing}.tsv')!r}"
+        assert errors == {(name, mode): gone if name == "half" else "" for name in ("ds0", "half") for mode in MODES}
+
     def test_overflowing_noise_scale_is_a_dataset_error(self, tmp_path, capsys):
         root = make_benchmark_dir(tmp_path, n_datasets=1)
         write_tsv(root / "big" / "big_TRAIN.tsv", [("1", [1e300, -1e300]), ("2", [1.0, 2.0])])

@@ -180,8 +180,9 @@ def sweep(dist_b, dist_u, label_idx, totals):
             _batch_best_splits(dist_b, None, label_idx, totals)
     else:
         assert all(np.array_equal(a, b) for a, b in zip(_batch_best_splits(dist_b, None, label_idx, totals), out))
-    g, mg, tb, at = out
-    return g, mg, tb, dist_u[np.arange(len(dist_b)), at]
+    g, mg, at = out
+    rows = np.arange(len(dist_b))
+    return g, mg, dist_b[rows, at], dist_u[rows, at]
 
 
 def row_split(pairs, labels):
@@ -334,12 +335,12 @@ class TestBestSplit:
                 _batch_best_splits(dist_b[rows], None, labels, totals)
         untied = _batch_best_splits(dist_b[[0, 2]], None, labels, totals)
         tied = np.array([False, True, False, True])
-        g, mg, tb, at = _batch_best_splits(dist_b, np.where(tied[:, None], dist_u, np.nan), labels, totals)
+        g, mg, at = _batch_best_splits(dist_b, np.where(tied[:, None], dist_u, np.nan), labels, totals)
         for row in range(len(dist_b)):
             pairs = list(zip(dist_b[row].tolist(), dist_u[row].tolist()))
             expected = oracle_split(pairs, labels.tolist(), [0, 1])
-            assert (g[row], mg[row], (tb[row], dist_u[row, at[row]])) == expected
-        assert all(np.array_equal(a, b[[0, 2]]) for a, b in zip(untied, (g, mg, tb, at)))
+            assert (g[row], mg[row], (dist_b[row, at[row]], dist_u[row, at[row]])) == expected
+        assert all(np.array_equal(a, b[[0, 2]]) for a, b in zip(untied, (g, mg, at)))
 
     def test_needs_two_instances_and_classes(self):
         with pytest.raises(ValueError):
@@ -609,6 +610,15 @@ class TestExtraction:
         train = dataset([([1.0, 2.0], "A", None), ([3.0, 4.0], "B", None)])
         with pytest.raises(ConfigurationError):
             extract_shapelets(train, ExtractionConfig(min_len=3))
+
+    def test_max_len_beyond_series_length_names_the_bound(self):
+        # lengths 3 to 10 admit candidates in series of length 10, so the refusal names max_len alone
+        train = random_dataset(np.random.default_rng(0), n=4, m=10)
+        with pytest.raises(ConfigurationError, match=r"^max_len 12 exceeds series length 10$"):
+            extract_shapelets(train, ExtractionConfig(min_len=3, max_len=12))
+        no_range = r"^length range \[11, 12\] admits no candidate in series of length 10$"  # min_len > m: as before
+        with pytest.raises(ConfigurationError, match=no_range):
+            extract_shapelets(train, ExtractionConfig(min_len=11, max_len=12))
 
     def test_needs_two_classes(self):
         train = dataset([([1.0, 2.0, 3.0], "A", None), ([3.0, 4.0, 5.0], "A", None)])
@@ -986,7 +996,7 @@ def selection_tables(draw):
     stride, min_len = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     offsets = stride * np.arange(n_off)
     cells = n_off * n * lengths
-    table = np.zeros((4, n_off, n, lengths))
+    table = np.zeros((3, n_off, n, lengths))
     table[0].flat = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=cells, max_size=cells))
     table[1].flat = draw(st.lists(st.sampled_from([0.0, 0.25]), min_size=cells, max_size=cells))
     absent = np.reshape(draw(st.lists(st.booleans(), min_size=n_off * lengths, max_size=n_off * lengths)), (n_off, 1, lengths))
@@ -1019,7 +1029,6 @@ class TestSelection:
             np.array([
                 [[[1.0, 1.0]], [[1.0, 0.5]], [[0.5, -np.inf]]],
                 [[[0.0, 0.25]], [[0.0, 0.0]], [[0.25, 0.0]]],
-                np.zeros((3, 1, 2)),
                 np.zeros((3, 1, 2)),
             ]),
             np.arange(3), 1, 3, 3,
