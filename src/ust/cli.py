@@ -49,7 +49,6 @@ from .series import (
 from .shapelet import (
     ExtractionConfig,
     _concurrent_tasks,
-    _extract,
     extract_shapelets,
     load_shapelets,
     save_shapelets,
@@ -108,7 +107,7 @@ class Features:
     test: UncertainDataset
     extract_s: float = 0.0
     transform_s: float = 0.0
-    certain_alike: bool = False  # these best estimates are the certain view's features (the flag of ``_extract``)
+    certain_alike: bool = False  # these best estimates are the certain view's features (see ``extract_shapelets``)
 
 
 def _encode_for_mode(
@@ -126,21 +125,16 @@ def _certain(d: UncertainDataset) -> UncertainDataset:
     return UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels)
 
 
-def _featurize(
-    train: UncertainDataset, test: UncertainDataset, certain: bool, extraction: ExtractionConfig, flagged: bool = False
-) -> Features:
-    """Extract shapelets from ``train`` and transform both splits, without uncertainties if ``certain``.
-
-    ``flagged`` extracts with :func:`ust.shapelet._extract`, which also gives ``certain_alike``.
-    """
+def _featurize(train: UncertainDataset, test: UncertainDataset, certain: bool, extraction: ExtractionConfig) -> Features:
+    """Extract shapelets from ``train`` and transform both splits, without uncertainties if ``certain``."""
     if certain:
         train, test = _certain(train), _certain(test)
     t0 = time.perf_counter()
-    shapelets, alike = _extract(train, extraction) if flagged else (extract_shapelets(train, extraction), False)
+    shapelets = extract_shapelets(train, extraction)
     t1 = time.perf_counter()
     f_train = shapelet_transform(train, shapelets)
     f_test = shapelet_transform(test, shapelets)
-    return Features(f_train, f_test, t1 - t0, time.perf_counter() - t1, alike)
+    return Features(f_train, f_test, t1 - t0, time.perf_counter() - t1, shapelets.certain_alike)
 
 
 def _featurize_views(
@@ -157,7 +151,7 @@ def _featurize_views(
             features[True] = replace(f, train=_certain(f.train), test=_certain(f.test))
             continue
         try:
-            features[certain] = _featurize(train, test, certain, extraction, flagged=True)
+            features[certain] = _featurize(train, test, certain, extraction)
         except Exception as exc:  # noqa: BLE001 - per-view isolation by contract
             features[certain] = exc
     return features
@@ -365,7 +359,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 
     def run_dataset(name: str) -> list[BenchmarkRow]:
         failed = isinstance(data := prepared[name], Exception)  # a dataset that did not load: its error fills every row
-        by_view = dict.fromkeys(views, data) if failed else _featurize_views(*data, views, extraction)
+        m = 0 if failed else data[0].series_length  # a --max-len past the train length m runs at m, unless m < --min-len
+        cap = replace(extraction, max_len=m) if extraction.min_len <= m < (extraction.max_len or m) else extraction
+        by_view = dict.fromkeys(views, data) if failed else _featurize_views(*data, views, cap)
         rows = []
         for mode in modes:
             try:

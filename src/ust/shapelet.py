@@ -399,13 +399,14 @@ def _own_picks(quality: np.ndarray, margin: np.ndarray, start: np.ndarray, stop:
 # extraction and transform
 # ---------------------------------------------------------------------------
 
+class _Shapelets(list):
+    """An extraction's shapelets, in selection order, and whether the data's certain view selects them alike."""
+
+    certain_alike = False
+
+
 def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = ExtractionConfig()) -> list[UncertainShapelet]:
-    """Score every candidate window and return the top k after pruning (see :func:`_extract`)."""
-    return _extract(train, config)[0]
-
-
-def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[UncertainShapelet], bool]:
-    """Score every candidate window; return the top k after pruning, and whether the data's certain view agrees.
+    """Score every candidate window and return the top k after pruning.
 
     Candidates are the prefixes of stems ``(offset, source)`` of length up
     to ``min(max_len, m - offset)``.  The distance kernel yields staging
@@ -436,8 +437,9 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
     per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over all
     workers; a worker sweeps a block's last slice before the kernel stages its
     next block.  Output is deterministic and independent of the worker count.
-    The flag is set when the data are certain or the best-only scoring met no tie: then the certain view (zero
-    uncertainties) selects these shapelets and threshold best estimates, and its transform gives these best minima.
+    The result is a ``list`` whose ``certain_alike`` is set when the data are certain or the best-only scoring
+    met no tie: then the certain view (zero uncertainties) selects these shapelets and threshold best estimates,
+    and its transform gives these best minima.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -513,8 +515,9 @@ def _extract(train: UncertainDataset, config: ExtractionConfig) -> tuple[list[Un
     labels = train.labels
     thr = shapelet_transform(UncertainDataset.from_arrays(best[rows], unc[rows], [labels[i] for i in rows]), shapelets)
     thr_b, thr_u = (x[at, np.arange(len(at))].tolist() for x in (thr.best, thr.uncertainty))
-    agrees = scored_u is not unc or not unc.any()
-    return [replace(sh, split_threshold=UncertainValue(b, u)) for sh, b, u in zip(shapelets, thr_b, thr_u)], agrees
+    out = _Shapelets(replace(sh, split_threshold=UncertainValue(b, u)) for sh, b, u in zip(shapelets, thr_b, thr_u))
+    out.certain_alike = scored_u is not unc or not unc.any()
+    return out
 
 
 def shapelet_transform(

@@ -449,19 +449,21 @@ class TestBenchmark:
         # the two ust-* modes share one featurization, and on this tie-free data st takes its best
         # estimates, so all modes extract once per dataset; st alone featurizes the certain view.  With
         # the flag forced off, st featurizes the certain view on its own, into the same report bytes
-        extract, seen = ust.cli._extract, []
+        extract, seen = ust.cli.extract_shapelets, []
 
         def counted(train, cfg, alike=None):
             seen.append(bool(train.uncertainty.any()))
-            shapelets, flag = extract(train, cfg)
-            return shapelets, flag if alike is None else alike
+            shapelets = extract(train, cfg)
+            if alike is not None:
+                shapelets.certain_alike = alike
+            return shapelets
 
         root = make_benchmark_dir(tmp_path)
         base = ["benchmark", "--data-dir", str(root), "--modes", modes, "--k", "2", "--min-len", "3",
                 "--max-len", "5", "--jobs", "2", "--no-timings"]
         for name, spy, extractions in (("r", counted, views), ("alone", lambda *a: counted(*a, alike=False), alone)):
             seen.clear()
-            monkeypatch.setattr(ust.cli, "_extract", spy)
+            monkeypatch.setattr(ust.cli, "extract_shapelets", spy)
             assert main(base + ["--out", str(tmp_path / f"{name}.csv")]) == 0
             assert sorted(seen) == sorted(extractions * 2)  # two datasets
         with open(tmp_path / "r.csv") as fh:
@@ -477,13 +479,13 @@ class TestBenchmark:
         def boom(*args):
             raise RuntimeError(f"{step} boom")
 
-        extract, seen = ust.cli._extract, []
+        extract, seen = ust.cli.extract_shapelets, []
 
         def spy(train, cfg):
             seen.append(bool(train.uncertainty.any()))
             return boom() if step == "featurize" and train.uncertainty.any() else extract(train, cfg)
 
-        monkeypatch.setattr(ust.cli, "_extract", spy)
+        monkeypatch.setattr(ust.cli, "extract_shapelets", spy)
         if step == "featurize":
             failed = {"ust-gauss", "ust-flat"}
         else:
@@ -670,9 +672,9 @@ class TestBenchmark:
         # keeps dataset order, then --modes order
         featurize, error, seen = ust.cli._featurize, ust.cli._error, []
 
-        def spy(train, test, certain, extraction, flagged=False):
+        def spy(train, test, certain, extraction):
             seen.append((train.best.shape, certain))
-            return featurize(train, test, certain, extraction, flagged)
+            return featurize(train, test, certain, extraction)
 
         monkeypatch.setattr(ust.cli, "_featurize", spy)
         monkeypatch.setattr(ust.cli, "_error", lambda exc: seen.append("failed") or error(exc))
@@ -709,6 +711,31 @@ class TestBenchmark:
         timings = [{(r["extract_s"], r["transform_s"]) for r in rows if r["dataset"] == ds} for ds in ("ds0", "ds1")]
         assert [len(t) for t in timings] == [1, 1] and timings[0] != timings[1]
         assert len({r["fit_s"] for r in rows}) == len(rows)  # the clock does tell the tasks apart
+
+    def test_max_len_caps_each_dataset(self, tmp_path, capsys):
+        # a --max-len past a dataset's train length runs it at that length, which is what no cap gives;
+        # a dataset shorter than --min-len keeps its error, and ust extract refuses a cap past the length
+        root, rows = FIXTURES / "benchmark", {}
+        runs = {"none": [], "capped": ["--max-len", "28"], "short": ["--min-len", "27", "--max-len", "40"]}
+        for name, flags in runs.items():
+            out = tmp_path / f"{name}.csv"
+            assert main([
+                "benchmark", "--data-dir", str(root), "--modes", "st,ust-flat", "--k", "2", *flags,
+                "--no-timings", "--out", str(out),
+            ]) == 0
+            with open(out) as fh:
+                rows[name] = list(csv.DictReader(fh))
+        assert [r["error"] for r in rows["capped"]] == [""] * 6
+        tall = [[r for r in rows[name] if r["dataset"] == "TallVsDeep"] for name in ("none", "capped")]
+        assert len(tall[0]) == 2 and tall[0] == tall[1]
+        refused = "ConfigurationError: length range [27, 40] admits no candidate in series of length 26"
+        assert {(r["dataset"], r["error"]) for r in rows["short"]} == {
+            ("BumpVsValley", ""), ("TallVsDeep", refused), ("TriShape", "")
+        }
+        capsys.readouterr()
+        train = root / "TallVsDeep" / "TallVsDeep_TRAIN.tsv"
+        assert main(["extract", "--data", str(train), "--max-len", "28", "--out", str(tmp_path / "sh.json")]) == 1
+        assert capsys.readouterr().err == "error: max_len 28 exceeds series length 26\n"
 
     def test_all_failures_exit_nonzero(self, tmp_path):
         root = make_benchmark_dir(tmp_path, n_datasets=0, corrupt=("x", "y"))
@@ -791,18 +818,28 @@ def tied_grid_splits(tmp_path):
 class TestFeaturizeViews:
     # st takes the uncertain view's best estimates only when they are the certain view's features: when
     # that view's extraction scored on best estimates to the end with no exact best tie, or the data are
-    # certain.  Otherwise st featurizes the certain view on its own, and the extraction runs twice
+    # certain.  Otherwise st featurizes the certain view on its own, and the extraction runs twice.  Each
+    # counted extraction is (whether its data are uncertain, the certain_alike of its shapelet list)
 
     @pytest.fixture(autouse=True)
     def extractions(self, workers, monkeypatch):
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
-        extract, seen = ust.cli._extract, []
-        monkeypatch.setattr(ust.cli, "_extract", lambda d, cfg: seen.append(d.uncertainty.any()) or extract(d, cfg))
+        extract, seen = ust.cli.extract_shapelets, []
+
+        def spy(d, cfg):
+            shapelets = extract(d, cfg)
+            assert isinstance(shapelets, list)
+            seen.append((d.uncertainty.any(), shapelets.certain_alike))
+            return shapelets
+
+        monkeypatch.setattr(ust.cli, "extract_shapelets", spy)
         return seen
 
     def assert_st_is_the_certain_view(self, train, test, config=ExtractionConfig()):
         views = ust.cli._featurize_views(train, test, {False, True}, config)
-        alone = ust.cli._featurize(train, test, True, config)  # extract_shapelets: not counted
+        with pytest.MonkeyPatch.context() as mp:  # the reference featurization is not counted
+            mp.setattr(ust.cli, "extract_shapelets", ust.shapelet.extract_shapelets)
+            alone = ust.cli._featurize(train, test, True, config)
         for got, want in ((views[True].train, alone.train), (views[True].test, alone.test)):
             assert np.array_equal(got.best.view(np.uint64), want.best.view(np.uint64))
             assert not got.uncertainty.any() and got.labels == want.labels
@@ -811,7 +848,7 @@ class TestFeaturizeViews:
     def test_a_tie_restart_featurizes_st_on_its_own(self, extractions, tmp_path):
         train, test = tied_grid_splits(tmp_path)
         views = self.assert_st_is_the_certain_view(train, test)
-        assert extractions == [True, False]
+        assert extractions == [(True, False), (False, True)]
         # the tie changes the picks: the uncertain view's best estimates are not st's features
         assert views[False].train.best.shape != views[True].train.best.shape
 
@@ -823,7 +860,7 @@ class TestFeaturizeViews:
         unc[3, 4] = 1e300
         d = UncertainDataset.from_arrays(rng.normal(size=(8, 10)), unc, ["A", "B"] * 4)
         views = self.assert_st_is_the_certain_view(d, d, ExtractionConfig(k=4))
-        assert extractions == [True, False]
+        assert extractions == [(True, False), (False, True)]
         assert np.isfinite(views[False].train.uncertainty).all()
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -832,7 +869,7 @@ class TestFeaturizeViews:
             extractions.clear()
             train, test = ust.cli._prepare_noisy(name, train_path, test_path, seed)
             views = self.assert_st_is_the_certain_view(train, test)
-            assert extractions == [True], name
+            assert extractions == [(True, True)], name
             timings = [(f.extract_s, f.transform_s) for f in (views[True], views[False])]
             assert timings[0] == timings[1]
 
@@ -840,19 +877,37 @@ class TestFeaturizeViews:
         # the tie-heavy grid without its uncertainties: the full path scores from the start and orders every tie
         train, test = (ust.cli._certain(d) for d in tied_grid_splits(tmp_path))
         self.assert_st_is_the_certain_view(train, test)
-        assert extractions == [False]
+        assert extractions == [(False, True)]
 
 
-def test_perfbench_traced_names_exist_in_cli(monkeypatch):
-    # perfbench's tracer rebinds these ust.cli names and skips, with only a
-    # stderr notice, any the module lacks; load_model has no CLI caller yet
+@pytest.fixture()
+def tracing(monkeypatch):
+    """perfbench's tracer module, loaded read-only from its file."""
     bench = Path(__file__).resolve().parent.parent / "perfbench"
     monkeypatch.syspath_prepend(str(bench))  # tracing imports its sibling counters
     spec = importlib.util.spec_from_file_location("tracing", bench / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_perfbench_traced_names_exist_in_cli(tracing):
+    # perfbench's tracer rebinds these ust.cli names and skips, with only a
+    # stderr notice, any the module lacks; load_model has no CLI caller yet
     missing = [name for name in tracing.LAYERS if name != "load_model" and not hasattr(ust.cli, name)]
     assert missing == []
+
+
+def test_perfbench_traces_the_benchmark_extraction(tracing, tmp_path, capsys):
+    # ust benchmark extracts through ust.cli.extract_shapelets, the name the tracer rebinds: the
+    # tie-free fixtures extract once per dataset, and the extraction counters see every call
+    rec = tracing.Recorder("benchmark")
+    with tracing.patched(ust.cli, rec), rec.span(tracing.ROOT):
+        assert main([
+            "benchmark", "--data-dir", str(FIXTURES / "benchmark"), "--jobs", "2", "--out", str(tmp_path / "r.csv"),
+        ]) == 0
+    assert [sp["name"] for sp in rec.spans].count("shapelet.extract") == 3
+    assert tracing.layer_metrics(rec, 2)["shapelet.candidates"] > 0
 
 
 @pytest.mark.parametrize("command, required", [

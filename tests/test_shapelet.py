@@ -973,8 +973,10 @@ class TestExtraction:
 
         with patch.object(ust.shapelet, "_batch_best_splits", spy):
             uncertain_view = extract_shapelets(d, config)
+        assert uncertain_view.certain_alike == (not ties)  # the flag says which case this is
         assume(not ties)
         certain_view = extract_shapelets(certain, config)
+        assert certain_view.certain_alike
 
         def key(sh):
             return sh.source_instance, sh.start_offset, sh.length, sh.quality, sh.split_threshold.best
