@@ -55,7 +55,7 @@ from .shapelet import (
     shapelet_transform,
 )
 
-__all__ = ["main", "run_pipeline", "PipelineResult", "RunConfig", "BenchmarkRow", "MODES"]
+__all__ = ["main", "run_pipeline", "PipelineResult", "RunConfig", "MODES"]
 
 MODES = ("st", "ust-flat", "ust-gauss")
 
@@ -107,7 +107,6 @@ class Features:
     test: UncertainDataset
     extract_s: float = 0.0
     transform_s: float = 0.0
-    certain_alike: bool = False  # these best estimates are the certain view's features (see ``extract_shapelets``)
 
 
 def _encode_for_mode(
@@ -125,33 +124,30 @@ def _certain(d: UncertainDataset) -> UncertainDataset:
     return UncertainDataset.from_arrays(d.best, np.zeros_like(d.best), d.labels)
 
 
-def _featurize(train: UncertainDataset, test: UncertainDataset, certain: bool, extraction: ExtractionConfig) -> Features:
-    """Extract shapelets from ``train`` and transform both splits, without uncertainties if ``certain``."""
-    if certain:
-        train, test = _certain(train), _certain(test)
-    t0 = time.perf_counter()
-    shapelets = extract_shapelets(train, extraction)
-    t1 = time.perf_counter()
-    f_train = shapelet_transform(train, shapelets)
-    f_test = shapelet_transform(test, shapelets)
-    return Features(f_train, f_test, t1 - t0, time.perf_counter() - t1, shapelets.certain_alike)
-
-
 def _featurize_views(
     train: UncertainDataset, test: UncertainDataset, views: set[bool], extraction: ExtractionConfig
 ) -> dict[bool, Features | Exception]:
-    """Each view's features (``True``: the certain view), or the error that featurizing it raised.
+    """Each view's features (``True``: the certain view, without uncertainties), or the error it raised.
 
-    The uncertain view runs first; the certain view takes its best estimates and timings when they are the
-    certain view's features (``certain_alike``), and is featurized on its own otherwise.
+    A view extracts shapelets from its train split and transforms both splits.  The uncertain view runs first;
+    the certain view takes its best estimates and timings when its shapelet list says they are the certain
+    view's features (``certain_alike``), and is featurized on its own otherwise.
     """
     features: dict[bool, Features | Exception] = {}
+    alike = False
     for certain in sorted(views):
-        if certain and isinstance(f := features.get(False), Features) and f.certain_alike:
+        if certain and alike:
+            f = features[False]
             features[True] = replace(f, train=_certain(f.train), test=_certain(f.test))
             continue
         try:
-            features[certain] = _featurize(train, test, certain, extraction)
+            view = (_certain(train), _certain(test)) if certain else (train, test)
+            t0 = time.perf_counter()
+            shapelets = extract_shapelets(view[0], extraction)
+            t1 = time.perf_counter()
+            f_train, f_test = (shapelet_transform(d, shapelets) for d in view)
+            features[certain] = Features(f_train, f_test, t1 - t0, time.perf_counter() - t1)
+            alike = shapelets.certain_alike
         except Exception as exc:  # noqa: BLE001 - per-view isolation by contract
             features[certain] = exc
     return features
@@ -184,7 +180,10 @@ def run_pipeline(
     they differ only in how features are encoded for the tree.  ``ust benchmark``
     featurizes that view once per dataset, and ``st`` takes its best estimates when they are the certain view's.
     """
-    features = _featurize(train, test, config.mode == "st", config.extraction)
+    certain = config.mode == "st"
+    features = _featurize_views(train, test, {certain}, config.extraction)[certain]
+    if isinstance(features, Exception):
+        raise features
     return _classify(features, config.mode, config.tree)
 
 
@@ -205,10 +204,25 @@ def _tree_from_args(args: argparse.Namespace) -> TreeParams:
     return TreeParams(max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf)
 
 
+def _check_outputs(*outputs: tuple[str, str | None]) -> None:
+    """Refuse (flag, path) outputs of one command that are one file, are a directory or lie in a missing one."""
+    given = [(flag, path) for flag, path in outputs if path is not None]
+    for i, (flag, path) in enumerate(given):
+        for first, other in given[:i]:
+            if Path(path).resolve() == Path(other).resolve():
+                raise ValueError(f"{flag} must differ from {first}, both are {other!r}")
+    for flag, path in ((flag, Path(path)) for flag, path in given):
+        if path.is_dir() or not path.parent.is_dir():
+            why = "is a directory" if path.is_dir() else f"no directory {str(path.parent)!r}"
+            raise ValueError(f"{flag} {str(path)!r}: {why}")
+
+
 def cmd_add_noise(args: argparse.Namespace) -> int:
+    _check_outputs(("--out-values", args.out_values), ("--out-uncertainties", args.out_uncertainties))
+    spec = NoiseSpec(seed=args.seed, fixed_scale=args.sigma)
     data = load_dataset(args.input)
     try:
-        noisy = inject_noise(data, NoiseSpec(seed=args.seed, fixed_scale=args.sigma))
+        noisy = inject_noise(data, spec)
     except ValueError as exc:  # only add-noise has a --sigma to offer
         if args.sigma is None and str(exc).startswith("default noise scale"):
             raise ValueError(f"{exc}; pass --sigma") from None
@@ -218,14 +232,17 @@ def cmd_add_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    _check_outputs(("--out", args.out))
+    config = _extraction_from_args(args)
     train = load_dataset(args.data, args.uncertainties)
-    shapelets = extract_shapelets(train, _extraction_from_args(args))
+    shapelets = extract_shapelets(train, config)
     save_shapelets(shapelets, args.out)
     print(f"extracted {len(shapelets)} shapelets -> {args.out}")
     return 0
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    _check_outputs(("--out", args.out))
     data = load_dataset(args.data, args.uncertainties)
     shapelets = load_shapelets(args.shapelets)
     features = shapelet_transform(data, shapelets)
@@ -235,13 +252,15 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    _check_outputs(("--model-out", args.model_out), ("--predictions-out", args.predictions_out))
+    tree = _tree_from_args(args)
     train = read_feature_csv(args.train_features)
     test = read_feature_csv(args.test_features)
     if (k := train.series_length) != test.series_length:  # refused before a tree is fitted
         raise ValueError(f"{args.train_features} has k={k} features, {args.test_features} has k={test.series_length}")
     if args.mode == "st" and (train.uncertainty.any() or test.uncertainty.any()):
         warnings.warn("mode st ignores uncertainties: best estimates used, deltas dropped", RuntimeWarning)
-    result = _classify(Features(train, test), args.mode, _tree_from_args(args))
+    result = _classify(Features(train, test), args.mode, tree)
     if args.model_out:
         save_model(result.model, args.model_out)
     if args.predictions_out:
@@ -254,15 +273,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BenchmarkRow:
-    dataset: str
-    mode: str
-    seed: int
-    result: PipelineResult | None = None
-    error: str = ""
-
 
 def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
@@ -297,19 +307,38 @@ def _prepare_noisy(
     return noisy_train, noisy_test
 
 
-def _format_row(row: BenchmarkRow, with_timings: bool) -> list[str]:
-    r = row.result
-    if r is None:
-        cells = [""] * 6
-    else:
-        timings = (r.extract_s, r.transform_s, r.fit_s, r.predict_s)
-        cells = [str(r.shapelet_count), format_real(r.accuracy)]
-        cells += [f"{x:.3f}" if with_timings else "" for x in timings]
-    return [row.dataset, row.mode, str(row.seed), *cells, row.error]
+def _run_dataset(
+    train: UncertainDataset, test: UncertainDataset, modes: Sequence[str], extraction: ExtractionConfig, tree: TreeParams
+) -> list[PipelineResult | Exception]:
+    """One benchmark task: each mode's result on one dataset, in ``modes`` order, or the error it raised.
+
+    A ``--max-len`` past the train length m runs at m, unless m < ``--min-len``.  Each view the modes need is
+    featurized once; a failed view fails every mode of it, and a failed mode only itself.
+    """
+    m = train.series_length
+    if extraction.min_len <= m < (extraction.max_len or m):
+        extraction = replace(extraction, max_len=m)
+    views = _featurize_views(train, test, {mode == "st" for mode in modes}, extraction)
+    results: list[PipelineResult | Exception] = []
+    for mode in modes:
+        view = views[mode == "st"]
+        try:
+            results.append(view if isinstance(view, Exception) else _classify(view, mode, tree))
+        except Exception as exc:  # noqa: BLE001 - per-mode isolation by contract
+            results.append(exc)
+    return results
 
 
-def _pairwise_summary(rows: list[BenchmarkRow], modes: Sequence[str]) -> list[list[str]]:
-    acc = {(r.dataset, r.mode): r.result.accuracy for r in rows if r.result is not None}
+def _format_row(dataset: str, mode: str, seed: int, r: PipelineResult | Exception, with_timings: bool) -> list[str]:
+    if isinstance(r, Exception):
+        return [dataset, mode, str(seed), *[""] * 6, _error(r)]
+    timings = (r.extract_s, r.transform_s, r.fit_s, r.predict_s)
+    cells = [f"{x:.3f}" if with_timings else "" for x in timings]
+    return [dataset, mode, str(seed), str(r.shapelet_count), format_real(r.accuracy), *cells, ""]
+
+
+def _pairwise_summary(rows: list[tuple[str, str, PipelineResult | Exception]], modes: Sequence[str]) -> list[list[str]]:
+    acc = {(name, mode): r.accuracy for name, mode, r in rows if isinstance(r, PipelineResult)}
     table = []
     for i, a in enumerate(modes):
         for b in modes[i + 1 :]:
@@ -320,6 +349,9 @@ def _pairwise_summary(rows: list[BenchmarkRow], modes: Sequence[str]) -> list[li
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
+    out_path = Path(args.out)
+    summary_path = Path(args.summary_out or out_path.parent / f"{out_path.stem}_summary{out_path.suffix}")
+    _check_outputs(("--out", args.out), ("--summary-out", str(summary_path)))
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.seed < 0:
@@ -327,59 +359,29 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     if not modes or len(set(modes)) != len(modes) or not set(modes) <= set(MODES):
         raise ValueError(f"--modes must list distinct modes from {MODES}, got {args.modes!r}")
-    out_path = Path(args.out)
-    summary_path = (
-        Path(args.summary_out)
-        if args.summary_out
-        else out_path.parent / f"{out_path.stem}_summary{out_path.suffix}"
-    )
-    if summary_path.resolve() == out_path.resolve():
-        raise ValueError(f"--summary-out must differ from --out, both are {args.out!r}")
-    for flag, path in (("--out", out_path), ("--summary-out", summary_path)):  # refused before any task runs
-        if path.is_dir() or not path.parent.is_dir():
-            why = "is a directory" if path.is_dir() else f"no directory {str(path.parent)!r}"
-            raise ValueError(f"{flag} {str(path)!r}: {why}")
     extraction = _extraction_from_args(args)
     tree = _tree_from_args(args)
     datasets = _discover_datasets(Path(args.data_dir))
 
-    prepared: dict[str, tuple[UncertainDataset, UncertainDataset] | Exception] = {}
+    results: dict[str, list[PipelineResult | Exception]] = {}
+    loaded: dict[str, tuple[UncertainDataset, UncertainDataset]] = {}
     for name, train_path, test_path in datasets:
         try:
-            prepared[name] = _prepare_noisy(name, train_path, test_path, args.seed)
+            loaded[name] = _prepare_noisy(name, train_path, test_path, args.seed)
         except Exception as exc:  # noqa: BLE001 - per-dataset isolation by contract
-            prepared[name] = exc
+            results[name] = [exc] * len(modes)  # a dataset that did not load: its error fills every row
 
-    # one task per dataset, largest first, so that no thread idles while the last large task runs alone:
-    # by the kernel's O(n²·m³) on the train split, a failed dataset last
-    cost = {name: 0 if isinstance(d, Exception) else len(d[0]) ** 2 * d[0].series_length ** 3
-            for name, d in prepared.items()}
-    tasks = sorted(prepared, key=lambda name: -cost[name])
-    views = {mode == "st" for mode in modes}
-
-    def run_dataset(name: str) -> list[BenchmarkRow]:
-        failed = isinstance(data := prepared[name], Exception)  # a dataset that did not load: its error fills every row
-        m = 0 if failed else data[0].series_length  # a --max-len past the train length m runs at m, unless m < --min-len
-        cap = replace(extraction, max_len=m) if extraction.min_len <= m < (extraction.max_len or m) else extraction
-        by_view = dict.fromkeys(views, data) if failed else _featurize_views(*data, views, cap)
-        rows = []
-        for mode in modes:
-            try:
-                if isinstance(view := by_view[mode == "st"], Exception):
-                    raise view
-                rows.append(BenchmarkRow(name, mode, args.seed, _classify(view, mode, tree)))
-            except Exception as exc:  # noqa: BLE001 - per-view and per-mode isolation by contract
-                rows.append(BenchmarkRow(name, mode, args.seed, error=_error(exc)))
-        return rows
-
-    # each task's kernel takes its share of the CPUs, so the pools together do not oversubscribe them;
-    # with fewer tasks than jobs, the tasks share the CPUs of the jobs that would idle
+    # one task per loaded dataset, largest first by the kernel's O(n²·m³) on the train split, so that no thread
+    # idles while the last large task runs alone.  Each task's kernel takes its share of the CPUs, so the pools
+    # together do not oversubscribe them; with fewer tasks than jobs, they share the CPUs of the idle jobs
+    tasks = sorted(loaded, key=lambda name: -len(loaded[name][0]) ** 2 * loaded[name][0].series_length ** 3)
     jobs = max(1, min(args.jobs, len(tasks)))
     with ThreadPoolExecutor(jobs, initializer=_concurrent_tasks.set, initargs=(jobs,)) as pool:
-        done = {(row.dataset, row.mode): row for rows in pool.map(run_dataset, tasks) for row in rows}
-    rows = [done[name, mode] for name, _, _ in datasets for mode in modes]
+        runs = {name: pool.submit(_run_dataset, *loaded[name], modes, extraction, tree) for name in tasks}
+    results.update((name, run.result()) for name, run in runs.items())
+    rows = [(name, mode, r) for name, _, _ in datasets for mode, r in zip(modes, results[name])]
 
-    report = [REPORT_HEADER, *(_format_row(row, with_timings=not args.no_timings) for row in rows)]
+    report = [REPORT_HEADER, *(_format_row(name, mode, args.seed, r, not args.no_timings) for name, mode, r in rows)]
     summary = _pairwise_summary(rows, modes)
     for path, table in ((out_path, report), (summary_path, [SUMMARY_HEADER, *summary])):
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -390,7 +392,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     print(f"report -> {out_path}")
     print(f"summary -> {summary_path}")
 
-    return 0 if any(r.error == "" for r in rows) else 1
+    return 0 if any(isinstance(r, PipelineResult) for _, _, r in rows) else 1
 
 
 # ---------------------------------------------------------------------------

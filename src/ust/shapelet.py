@@ -446,8 +446,6 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     classes, label_idx = _class_index(train.labels)
     if len(classes) < 2:
         raise ValueError("extraction needs at least two classes in the training set")
-    if n < 2:
-        raise ValueError("extraction needs at least two training instances")
 
     min_len = config.min_len
     max_len = config.max_len if config.max_len is not None else m
@@ -459,14 +457,12 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
     class_totals = np.bincount(label_idx, minlength=len(classes))
 
-    # the longest prefix ``ends`` of a stem is non-increasing in its offset.  A source's candidates, in
-    # (length, offset) order: length min_len + t takes reach[t] columns from col_at[t]
+    # the longest prefix ``ends`` of a stem is non-increasing in its offset.  A source's candidates are its
+    # columns, in (length, offset) order: each column's length and offset index
     offsets = np.arange(0, m - min_len + 1, config.candidate_stride)
     ends = np.minimum(max_len, m - offsets)
-    reach = np.count_nonzero(ends[:, None] >= np.arange(min_len, max_len + 1), axis=0)
-    col_at = np.concatenate([[0], np.cumsum(reach)])
-    col_k = np.arange(col_at[-1]) - np.repeat(col_at[:-1], reach)  # each column's offset index
-    col_len = np.repeat(np.arange(min_len, max_len + 1), reach)
+    li, col_k = np.nonzero(np.arange(min_len, max_len + 1)[:, None] <= ends)
+    col_len = min_len + li
     col_off = offsets[col_k]
 
     # The full path scores when the data are certain, when an uncertainty sum could overflow, or after
@@ -483,11 +479,11 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
             best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
         ):
             if o.start == 0:  # a source block's first offset block
-                table = np.empty((3, s.stop - s.start, col_at[-1]))
+                table = np.empty((3, s.stop - s.start, len(col_k)))
             # the block's rows, in (length, offset, source) order, are the table cells of its offsets' columns,
             # source-minor; each sweep takes the next slice of them, whatever lengths it spans
             cols = np.flatnonzero((col_k >= o.start) & (col_k < o.stop))
-            cells = (cols[:, None] + col_at[-1] * np.arange(s.stop - s.start)).ravel()  # in a plane of the table
+            cells = (cols[:, None] + len(col_k) * np.arange(s.stop - s.start)).ravel()  # in a plane of the table
             for r in range(0, len(min_b), step):
                 rows = slice(r, r + step)
                 dist_u = min_u[rows] if scored_u is unc else None  # best-only minima order no best tie

@@ -385,6 +385,10 @@ class TestEvaluate:
         with pytest.raises(DimensionMismatchError):
             evaluate(["A"], ["A", "B"])
 
+    def test_rejects_empty_sequences(self):
+        with pytest.raises(ValueError, match="^cannot evaluate empty prediction sequences$"):
+            evaluate([], [])
+
 
 class TestModelSerialization:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -667,16 +668,17 @@ class TestBenchmark:
         assert captured.out.count("0 wins / 1 ties / 0 losses") == 3
 
     def test_views_start_largest_first(self, tmp_path, monkeypatch):
-        # at --jobs 1 the dataset tasks run in task order: by n²·m³ of the train split, a failed dataset
-        # last; each featurizes its uncertain view once, which st shares on this tie-free data.  The report
-        # keeps dataset order, then --modes order
-        featurize, error, seen = ust.cli._featurize, ust.cli._error, []
+        # at --jobs 1 the dataset tasks run in task order, by n²·m³ of the train split; a dataset that did not
+        # load is no task, and its rows are formatted last.  Each task featurizes its uncertain view once, which
+        # st shares on this tie-free data.  The report keeps dataset order, then --modes order.  Each counted
+        # extraction is (train shape, whether it is the certain view)
+        extract, error, seen = ust.cli.extract_shapelets, ust.cli._error, []
 
-        def spy(train, test, certain, extraction):
-            seen.append((train.best.shape, certain))
-            return featurize(train, test, certain, extraction)
+        def spy(train, extraction):
+            seen.append((train.best.shape, not train.uncertainty.any()))
+            return extract(train, extraction)
 
-        monkeypatch.setattr(ust.cli, "_featurize", spy)
+        monkeypatch.setattr(ust.cli, "extract_shapelets", spy)
         monkeypatch.setattr(ust.cli, "_error", lambda exc: seen.append("failed") or error(exc))
         root = make_benchmark_dir(tmp_path, n_datasets=0, corrupt=("a",))
         rng = np.random.default_rng(4)
@@ -804,6 +806,111 @@ class TestBenchmark:
         assert step_acc == benchmark_acc
 
 
+def file_tree(root):
+    """Every path under ``root``, with its bytes (None for a directory)."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in root.rglob("*")}
+
+
+class TestArgumentsFirst:
+    # every subcommand refuses a bad argument with one error line before it reads an input or writes an
+    # output: two given outputs must be different files, and each must lie in an existing directory and
+    # not be one.  An output that names an input, or exists, is not refused
+
+    @pytest.fixture()
+    def refused(self, tiny_dataset, tmp_path, capsys, monkeypatch):
+        """Run a command on valid inputs; assert it fails with one error line, reading and writing nothing."""
+        train, _ = tiny_dataset
+        make_benchmark_dir(tmp_path, n_datasets=1)
+        (tmp_path / "sh.json").write_text(json.dumps([SHAPELET_DOC]))
+        best = np.arange(8.0).reshape(4, 2)
+        write_feature_csv(UncertainDataset.from_arrays(best, np.zeros((4, 2)), ["A", "B"] * 2), tmp_path / "f.csv")
+        (tmp_path / "old.txt").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "empty" / "not-a-dataset").mkdir(parents=True)
+        reads = []  # each read that returned
+
+        def spy(*args, fn):
+            result = fn(*args)
+            reads.append(args)
+            return result
+
+        for name in ("load_dataset", "load_shapelets", "read_feature_csv", "_discover_datasets"):
+            monkeypatch.setattr(ust.cli, name, lambda *args, fn=getattr(ust.cli, name): spy(*args, fn=fn))
+
+        def run(command, *flags):
+            before = file_tree(tmp_path)
+            rc = main([command, *(flag.format(tmp=tmp_path, data=train) for flag in flags)])
+            err = capsys.readouterr().err
+            assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
+            assert reads == [] and file_tree(tmp_path) == before
+            return err[len("error: ") : -1].replace(str(tmp_path), "{tmp}")
+
+        return run
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out-values", "{tmp}/old.txt", "--out-uncertainties", "{tmp}/old.txt"],
+         "--out-uncertainties must differ from --out-values, both are '{tmp}/old.txt'"),
+        (["--out-values", "{tmp}/v.tsv", "--out-uncertainties", "{tmp}/missing/u.tsv"],
+         "--out-uncertainties '{tmp}/missing/u.tsv': no directory '{tmp}/missing'"),
+        (["--out-values", "{tmp}/dir", "--out-uncertainties", "{tmp}/u.tsv"],
+         "--out-values '{tmp}/dir': is a directory"),
+        (["--out-values", "{tmp}/v.tsv", "--out-uncertainties", "{tmp}/u.tsv", "--sigma", "-1"],
+         "fixed scale must be a finite number > 0, got -1.0"),
+        (["--out-values", "{tmp}/v.tsv", "--out-uncertainties", "{tmp}/u.tsv", "--seed", "-1"],
+         "seed must fit in an unsigned 64-bit integer"),
+    ], ids=["one-file", "missing-directory", "a-directory", "noise-sigma", "noise-seed"])
+    def test_add_noise(self, flags, message, refused):
+        assert refused("add-noise", "--input", "{data}", *flags) == message
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out", "{tmp}/missing/s.json"], "--out '{tmp}/missing/s.json': no directory '{tmp}/missing'"),
+        (["--out", "{tmp}/dir"], "--out '{tmp}/dir': is a directory"),
+        (["--out", "{tmp}/s.json", "--min-len", "0"], "min_len must be >= 1, got 0"),
+        (["--out", "{tmp}/s.json", "--k", "0"], "k must be >= 1, got 0"),
+        (["--out", "{tmp}/s.json", "--stride", "0"], "candidate_stride must be >= 1, got 0"),
+        (["--out", "{tmp}/s.json", "--min-len", "5", "--max-len", "3"], "max_len 3 is smaller than min_len 5"),
+    ], ids=["missing-directory", "a-directory", "min-len", "k", "stride", "max-below-min"])
+    def test_extract(self, flags, message, refused):
+        assert refused("extract", "--data", "{data}", *flags) == message
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--out", "{tmp}/missing/f.csv"], "--out '{tmp}/missing/f.csv': no directory '{tmp}/missing'"),
+        (["--out", "{tmp}/dir"], "--out '{tmp}/dir': is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_transform(self, flags, message, refused):
+        assert refused("transform", "--data", "{data}", "--shapelets", "{tmp}/sh.json", *flags) == message
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--model-out", "{tmp}/old.txt", "--predictions-out", "{tmp}/old.txt"],
+         "--predictions-out must differ from --model-out, both are '{tmp}/old.txt'"),
+        (["--model-out", "{tmp}/m.json", "--predictions-out", "{tmp}/missing/p.txt"],
+         "--predictions-out '{tmp}/missing/p.txt': no directory '{tmp}/missing'"),
+        (["--predictions-out", "{tmp}/dir"], "--predictions-out '{tmp}/dir': is a directory"),
+        (["--max-depth", "-1"], "max_depth must be >= 0 or None"),
+        (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1"),
+    ], ids=["one-file", "missing-directory", "a-directory", "max-depth", "min-samples-leaf"])
+    def test_classify(self, flags, message, refused):
+        features = ["--train-features", "{tmp}/f.csv", "--test-features", "{tmp}/f.csv"]
+        assert refused("classify", *features, *flags) == message
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--data-dir", "{tmp}/bench", "--out", "{tmp}/old.txt", "--summary-out", "{tmp}/old.txt"],
+         "--summary-out must differ from --out, both are '{tmp}/old.txt'"),
+        (["--data-dir", "{tmp}/bench", "--out", "{tmp}/dir"], "--out '{tmp}/dir': is a directory"),
+        (["--data-dir", "{tmp}/bench", "--out", "{tmp}/r.csv", "--max-depth", "-1"],
+         "max_depth must be >= 0 or None"),
+        (["--data-dir", "{tmp}/empty", "--out", "{tmp}/r.csv"],
+         "{tmp}/empty: no dataset directories with <name>_TRAIN.tsv / <name>_TEST.tsv found"),
+    ], ids=["one-file", "a-directory", "tree-params", "no-dataset"])
+    def test_benchmark(self, flags, message, refused):
+        assert refused("benchmark", *flags) == message
+
+
+def test_run_config_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match=re.escape(f"unknown mode 'x', expected one of {MODES}")):
+        RunConfig(mode="x")
+
+
 def tied_grid_splits(tmp_path):
     """The train and test splits (rows 0-15, 16-31) of :func:`write_tied_grid`, with its uncertainties."""
     splits = []
@@ -839,7 +946,7 @@ class TestFeaturizeViews:
         views = ust.cli._featurize_views(train, test, {False, True}, config)
         with pytest.MonkeyPatch.context() as mp:  # the reference featurization is not counted
             mp.setattr(ust.cli, "extract_shapelets", ust.shapelet.extract_shapelets)
-            alone = ust.cli._featurize(train, test, True, config)
+            alone = ust.cli._featurize_views(train, test, {True}, config)[True]
         for got, want in ((views[True].train, alone.train), (views[True].test, alone.test)):
             assert np.array_equal(got.best.view(np.uint64), want.best.view(np.uint64))
             assert not got.uncertainty.any() and got.labels == want.labels
@@ -908,6 +1015,39 @@ def test_perfbench_traces_the_benchmark_extraction(tracing, tmp_path, capsys):
         ]) == 0
     assert [sp["name"] for sp in rec.spans].count("shapelet.extract") == 3
     assert tracing.layer_metrics(rec, 2)["shapelet.candidates"] > 0
+
+
+def test_perfbench_task_spans_do_not_nest(tracing, tiny_dataset, tmp_path, capsys, monkeypatch):
+    # with the benchmark's per-dataset task mapped to cli.task, ust benchmark opens one cli.task span per
+    # dataset and none inside another, so the pool's busy fraction is at most 1; run_pipeline and ust
+    # classify open exactly one
+    monkeypatch.setitem(tracing.LAYERS, "_run_dataset", "cli.task")
+
+    def traced(run, jobs=1):
+        rec = tracing.Recorder("tasks")
+        with tracing.patched(ust.cli, rec), rec.span(tracing.ROOT):
+            run()
+        tasks = [i for i, sp in enumerate(rec.spans) if sp["name"] == "cli.task"]
+        for i in tasks:  # no cli.task span among the ancestors of another
+            parent = rec.spans[i]["parent"]
+            while parent is not None:
+                assert rec.spans[parent]["name"] != "cli.task"
+                parent = rec.spans[parent]["parent"]
+        return len(tasks), tracing.layer_metrics(rec, jobs)
+
+    datasets = ust.cli._discover_datasets(FIXTURES / "benchmark")
+    bench = ["benchmark", "--data-dir", str(FIXTURES / "benchmark"), "--jobs", "2", "--out", str(tmp_path / "r.csv")]
+    count, metrics = traced(lambda: main(bench), jobs=2)
+    assert count == len(datasets) == 3
+    assert 0 < metrics["cli.pool_busy_frac"] <= 1
+
+    train, test = (load_dataset(path) for path in tiny_dataset)
+    config = RunConfig("st", ExtractionConfig(min_len=3, max_len=5, k=2))
+    assert traced(lambda: ust.cli.run_pipeline(train, test, config))[0] == 1
+    write_feature_csv(UncertainDataset.from_arrays(np.eye(2), np.zeros((2, 2)), ["A", "B"]), tmp_path / "f.csv")
+    classify = ["classify", "--train-features", str(tmp_path / "f.csv"), "--test-features", str(tmp_path / "f.csv")]
+    assert traced(lambda: main(classify))[0] == 1
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command, required", [

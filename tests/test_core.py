@@ -189,6 +189,15 @@ class TestUncertainVector:
         with pytest.raises(DimensionMismatchError):
             UncertainVector([1.0, 2.0], [0.1])
 
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError, match="^uncertain vector components must be one-dimensional$"):
+            UncertainVector([[1.0, 2.0]], [[0.1, 0.2]])
+
+    @pytest.mark.parametrize("best, unc", [([1.0, math.nan], [0.0, 0.0]), ([1.0, 2.0], [0.0, math.inf])])
+    def test_rejects_non_finite_values(self, best, unc):
+        with pytest.raises(ValueError, match="^uncertain vector elements must be finite$"):
+            UncertainVector(best, unc)
+
     def test_immutable(self):
         v = UncertainVector([1.0], [0.1])
         with pytest.raises(AttributeError):

@@ -422,6 +422,10 @@ class TestTableWriter:
 
 
 class TestDatasetInvariants:
+    def test_rejects_no_instances(self):
+        with pytest.raises(ValueError, match="^a dataset must contain at least one instance$"):
+            UncertainDataset([])
+
     def test_rejects_unlabeled_instance(self):
         labeled = UncertainSeries(UncertainVector([1.0], [0.0]), "a")
         bare = UncertainSeries(UncertainVector([2.0], [0.0]))
