@@ -204,13 +204,16 @@ def _tree_from_args(args: argparse.Namespace) -> TreeParams:
     return TreeParams(max_depth=args.max_depth, min_samples_leaf=args.min_samples_leaf)
 
 
-def _check_outputs(*outputs: tuple[str, str | None]) -> None:
-    """Refuse (flag, path) outputs of one command that are one file, are a directory or lie in a missing one."""
+def _check_outputs(*outputs: tuple[str, str | None], inputs: Sequence[tuple[str, str | None]] = ()) -> None:
+    """Refuse (flag, path) outputs of one command that name one of its inputs or one another, are a directory
+    or lie in a missing one.  Two inputs may be one file."""
     given = [(flag, path) for flag, path in outputs if path is not None]
-    for i, (flag, path) in enumerate(given):
-        for first, other in given[:i]:
+    taken = [(flag, path) for flag, path in inputs if path is not None]
+    for flag, path in given:
+        for first, other in taken:
             if Path(path).resolve() == Path(other).resolve():
                 raise ValueError(f"{flag} must differ from {first}, both are {other!r}")
+        taken.append((flag, path))
     for flag, path in ((flag, Path(path)) for flag, path in given):
         if path.is_dir() or not path.parent.is_dir():
             why = "is a directory" if path.is_dir() else f"no directory {str(path.parent)!r}"
@@ -218,7 +221,8 @@ def _check_outputs(*outputs: tuple[str, str | None]) -> None:
 
 
 def cmd_add_noise(args: argparse.Namespace) -> int:
-    _check_outputs(("--out-values", args.out_values), ("--out-uncertainties", args.out_uncertainties))
+    outputs = ("--out-values", args.out_values), ("--out-uncertainties", args.out_uncertainties)
+    _check_outputs(*outputs, inputs=[("--input", args.input)])
     spec = NoiseSpec(seed=args.seed, fixed_scale=args.sigma)
     data = load_dataset(args.input)
     try:
@@ -232,7 +236,7 @@ def cmd_add_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    _check_outputs(("--out", args.out))
+    _check_outputs(("--out", args.out), inputs=[("--data", args.data), ("--uncertainties", args.uncertainties)])
     config = _extraction_from_args(args)
     train = load_dataset(args.data, args.uncertainties)
     shapelets = extract_shapelets(train, config)
@@ -242,7 +246,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    _check_outputs(("--out", args.out))
+    inputs = [("--data", args.data), ("--uncertainties", args.uncertainties), ("--shapelets", args.shapelets)]
+    _check_outputs(("--out", args.out), inputs=inputs)
     data = load_dataset(args.data, args.uncertainties)
     shapelets = load_shapelets(args.shapelets)
     features = shapelet_transform(data, shapelets)
@@ -252,7 +257,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    _check_outputs(("--model-out", args.model_out), ("--predictions-out", args.predictions_out))
+    outputs = ("--model-out", args.model_out), ("--predictions-out", args.predictions_out)
+    _check_outputs(*outputs, inputs=[("--train-features", args.train_features), ("--test-features", args.test_features)])
     tree = _tree_from_args(args)
     train = read_feature_csv(args.train_features)
     test = read_feature_csv(args.test_features)
@@ -351,7 +357,8 @@ def _pairwise_summary(rows: list[tuple[str, str, PipelineResult | Exception]], m
 def cmd_benchmark(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     summary_path = Path(args.summary_out or out_path.parent / f"{out_path.stem}_summary{out_path.suffix}")
-    _check_outputs(("--out", args.out), ("--summary-out", str(summary_path)))
+    outputs = (("--out", args.out), ("--summary-out", str(summary_path)))
+    _check_outputs(*outputs)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.seed < 0:
@@ -362,6 +369,8 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     extraction = _extraction_from_args(args)
     tree = _tree_from_args(args)
     datasets = _discover_datasets(Path(args.data_dir))
+    # an output may not name a dataset TSV found, which is known only now, before any dataset loads
+    _check_outputs(*outputs, inputs=[("--data-dir", str(path)) for _, *paths in datasets for path in paths])
 
     results: dict[str, list[PipelineResult | Exception]] = {}
     loaded: dict[str, tuple[UncertainDataset, UncertainDataset]] = {}

@@ -584,41 +584,34 @@ def shapelets_to_json(shapelets: Sequence[UncertainShapelet]) -> str:
     return json.dumps(docs, indent=2)
 
 
-def shapelets_from_json(text: str) -> list[UncertainShapelet]:
-    docs = json.loads(text)
-    out = []
-    for doc in docs:
-        values = UncertainVector(
-            [_json_real(v["best"], "values[].best") for v in doc["values"]],
-            [_json_real(v["uncertainty"], "values[].uncertainty", 0) for v in doc["values"]],
-        )
-        length = _json_int(doc["length"], "length", 1)
-        if len(values) != length:
-            raise ValueError(
-                f"shapelet declares length {length} but has {len(values)} values"
-            )
-        out.append(
-            UncertainShapelet(
-                values=values,
-                source_instance=_json_int(doc["source_instance"], "source_instance", 0),
-                start_offset=_json_int(doc["start_offset"], "start_offset", 0),
-                quality=_json_real(doc["quality"], "quality"),
-                split_threshold=UncertainValue(
-                    _json_real(doc["threshold"]["best"], "threshold.best"),
-                    _json_real(doc["threshold"]["uncertainty"], "threshold.uncertainty", 0),
-                ),
-            )
-        )
-    return out
-
-
 def save_shapelets(shapelets: Sequence[UncertainShapelet], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(shapelets_to_json(shapelets) + "\n")
 
 
 def load_shapelets(path: str | Path) -> list[UncertainShapelet]:
+    out = []
     try:
-        return shapelets_from_json(Path(path).read_text(encoding="utf-8"))
+        for doc in json.loads(Path(path).read_text(encoding="utf-8")):
+            values = UncertainVector(
+                [_json_real(v["best"], "values[].best") for v in doc["values"]],
+                [_json_real(v["uncertainty"], "values[].uncertainty", 0) for v in doc["values"]],
+            )
+            length = _json_int(doc["length"], "length", 1)
+            if len(values) != length:
+                raise ValueError(f"shapelet declares length {length} but has {len(values)} values")
+            out.append(
+                UncertainShapelet(
+                    values=values,
+                    source_instance=_json_int(doc["source_instance"], "source_instance", 0),
+                    start_offset=_json_int(doc["start_offset"], "start_offset", 0),
+                    quality=_json_real(doc["quality"], "quality"),
+                    split_threshold=UncertainValue(
+                        _json_real(doc["threshold"]["best"], "threshold.best"),
+                        _json_real(doc["threshold"]["uncertainty"], "threshold.uncertainty", 0),
+                    ),
+                )
+            )
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed shapelet file: {type(exc).__name__}: {exc}") from None
+    return out

@@ -20,6 +20,7 @@ from ust import (
     encode_best,
     encode_flatten,
     encode_gaussian,
+    entropy_from_counts,
     evaluate,
     fit_gaussian_stats,
     load_model,
@@ -84,6 +85,10 @@ class TestGaussianStats:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             GaussianEncodingStats((2.0,), (1.0,))
+
+    def test_bounds_of_other_lengths_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="^min and max must have the same length$"):
+            GaussianEncodingStats((0.0,), (1.0, 2.0))
 
 
 class TestGaussianEncoding:
@@ -211,6 +216,10 @@ class TestTreeFit:
         with pytest.raises(DimensionMismatchError, match=r"shape \(3,\)"):
             tree_fit(EncodedMatrix(np.array([0.0, 1.0, 2.0]), list("ABA"), "best"))
 
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValueError, match="^cannot fit a tree on an empty matrix$"):
+            tree_fit(EncodedMatrix(np.empty((0, 2)), [], "best"))
+
     def test_sorts_only_at_the_root(self, monkeypatch):
         # each column is sorted once per tree; every node below the root partitions its parent's order
         argsort, calls = np.argsort, []
@@ -277,6 +286,10 @@ class TestTreeOracle:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # an (n+1)**2 float64 table alone would be 288 MB
+
+
+def test_entropy_of_no_samples_is_zero():
+    assert entropy_from_counts([], 0) == 0.0
 
 
 class TestSplitGains:

@@ -85,18 +85,6 @@ class TestAddNoise:
         noisy = load_dataset(tmp_path / "nv.tsv", tmp_path / "nu.tsv")
         assert noisy == inject_noise(load_dataset(train), NoiseSpec(seed=5))
 
-    def test_missing_input_reports_path(self, tmp_path, capsys):
-        rc = main(
-            [
-                "add-noise",
-                "--input", str(tmp_path / "nope.tsv"),
-                "--out-values", str(tmp_path / "v.tsv"),
-                "--out-uncertainties", str(tmp_path / "u.tsv"),
-            ]
-        )
-        assert rc != 0
-        assert "nope.tsv" in capsys.readouterr().err
-
     def test_constant_dataset_warns_and_outputs_zero_uncertainty(self, tmp_path, capsys):
         train = write_tsv(tmp_path / "c.tsv", [("1", [2.0, 2.0]), ("2", [2.0, 2.0])])
         rc = main(
@@ -114,22 +102,6 @@ class TestAddNoise:
         out = load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv")
         assert out == load_dataset(train)
 
-    def test_infinite_sigma_is_one_error_line(self, tiny_dataset, tmp_path, capsys):
-        train, _ = tiny_dataset
-        rc = main(
-            [
-                "add-noise",
-                "--input", str(train),
-                "--sigma", "inf",
-                "--out-values", str(tmp_path / "v.tsv"),
-                "--out-uncertainties", str(tmp_path / "u.tsv"),
-            ]
-        )
-        assert rc == 1
-        assert capsys.readouterr().err == "error: fixed scale must be a finite number > 0, got inf\n"
-        assert not (tmp_path / "v.tsv").exists()
-
-
     def test_overflowing_default_scale_is_one_error_line(self, tmp_path, capsys):
         data = tmp_path / "big.tsv"
         data.write_text("1\t1e300\t-1e300\n")
@@ -140,6 +112,18 @@ class TestAddNoise:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {OVERFLOWING_SCALE_HINT}\n"
         assert not (tmp_path / "v.tsv").exists() and not (tmp_path / "u.tsv").exists()
+
+    def test_overflowing_noise_is_one_error_line(self, tmp_path, capsys):
+        data = tmp_path / "big.tsv"
+        data.write_text("1\t1e308\t-1e308\n")
+        rc = main([
+            "add-noise", "--input", str(data), "--sigma", "1e308",
+            "--out-values", str(tmp_path / "v.tsv"), "--out-uncertainties", str(tmp_path / "u.tsv"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: dataset values must be finite\n"
+        assert not (tmp_path / "v.tsv").exists() and not (tmp_path / "u.tsv").exists()
+
 
 class TestStepComposition:
     def test_files_equal_in_process_pipeline(self, tiny_dataset, tmp_path, capsys):
@@ -545,59 +529,14 @@ class TestBenchmark:
         assert (tmp_path / "j4.csv").read_bytes() == (tmp_path / "j1.csv").read_bytes()
         assert (tmp_path / "j4_summary.csv").read_bytes() == (tmp_path / "j1_summary.csv").read_bytes()
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
-        root = make_benchmark_dir(tmp_path)
-        out = tmp_path / "report.csv"
-        rc = main(["benchmark", "--data-dir", str(root), "--jobs", jobs, "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--jobs" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flags, name",
-        [(["--seed", "-1"], "--seed"), (["--summary-out", "report.csv"], "--summary-out")],
-        ids=["negative-seed", "summary-over-report"],
-    )
-    def test_rejects_bad_arguments_before_writing(self, flags, name, tmp_path, capsys, monkeypatch):
-        root = make_benchmark_dir(tmp_path)
-        monkeypatch.chdir(tmp_path)
-        rc = main(["benchmark", "--data-dir", str(root), "--out", str(tmp_path / "report.csv"), *flags])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert name in err
-        assert not (tmp_path / "report.csv").exists()
-
-    @pytest.mark.parametrize("flag", ["--out", "--summary-out"])
-    @pytest.mark.parametrize("where", ["missing/r.csv", "bench"], ids=["missing-directory", "a-directory"])
-    def test_rejects_unwritable_output_before_any_task(self, flag, where, tmp_path, capsys, monkeypatch):
-        # a bad output path used to fail only after every task had run, and after the report was written
-        root = make_benchmark_dir(tmp_path)
-        loaded = []
+    def test_refuses_an_output_that_names_a_dataset(self, tmp_path, capsys, monkeypatch):
+        # the dataset TSVs are known only once discovered; an output naming one is refused before any loads
+        root = make_benchmark_dir(tmp_path, n_datasets=1)
+        train, before, loaded = root / "ds0" / "ds0_TRAIN.tsv", file_tree(root), []
         monkeypatch.setattr(ust.cli, "_prepare_noisy", lambda *args: loaded.append(args))
-        paths = {"--out": str(tmp_path / "report.csv"), "--summary-out": str(tmp_path / "summary.csv")}
-        paths[flag] = str(tmp_path / where)
-        rc = main(["benchmark", "--data-dir", str(root), *(x for item in paths.items() for x in item)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert flag in err and where in err
-        assert loaded == []
-        assert list(tmp_path.rglob("*.csv")) == []
-
-    @pytest.mark.parametrize("modes", ["st,st", ",", "st,bogus"])
-    def test_rejects_bad_mode_list(self, modes, tmp_path, capsys):
-        root = make_benchmark_dir(tmp_path)
-        out = tmp_path / "report.csv"
-        rc = main(["benchmark", "--data-dir", str(root), "--modes", modes, "--out", str(out)])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "--modes" in err
-        assert list(tmp_path.glob("*.csv")) == []
+        assert main(["benchmark", "--data-dir", str(root), "--out", str(train)]) == 1
+        assert capsys.readouterr().err == f"error: --out must differ from --data-dir, both are {str(train)!r}\n"
+        assert loaded == [] and file_tree(root) == before
 
     def test_corrupt_dataset_is_isolated(self, tmp_path):
         root = make_benchmark_dir(tmp_path, corrupt=("broken",))
@@ -747,14 +686,6 @@ class TestBenchmark:
         ])
         assert rc == 1
 
-    def test_missing_directory(self, tmp_path, capsys):
-        rc = main([
-            "benchmark", "--data-dir", str(tmp_path / "void"),
-            "--out", str(tmp_path / "report.csv"),
-        ])
-        assert rc != 0
-        assert "void" in capsys.readouterr().err
-
     def test_step_by_step_reproduces_benchmark_accuracy(self, tmp_path, capsys):
         root = make_benchmark_dir(tmp_path, n_datasets=1)
         out = tmp_path / "report.csv"
@@ -813,8 +744,8 @@ def file_tree(root):
 
 class TestArgumentsFirst:
     # every subcommand refuses a bad argument with one error line before it reads an input or writes an
-    # output: two given outputs must be different files, and each must lie in an existing directory and
-    # not be one.  An output that names an input, or exists, is not refused
+    # output: each output must lie in an existing directory and not be one, and must not name another
+    # output or an input of its command.  An output that exists is not refused
 
     @pytest.fixture()
     def refused(self, tiny_dataset, tmp_path, capsys, monkeypatch):
@@ -823,11 +754,13 @@ class TestArgumentsFirst:
         make_benchmark_dir(tmp_path, n_datasets=1)
         (tmp_path / "sh.json").write_text(json.dumps([SHAPELET_DOC]))
         best = np.arange(8.0).reshape(4, 2)
-        write_feature_csv(UncertainDataset.from_arrays(best, np.zeros((4, 2)), ["A", "B"] * 2), tmp_path / "f.csv")
+        for name in ("f.csv", "g.csv"):
+            write_feature_csv(UncertainDataset.from_arrays(best, np.zeros((4, 2)), ["A", "B"] * 2), tmp_path / name)
         (tmp_path / "old.txt").write_text("kept\n")
         (tmp_path / "dir").mkdir()
         (tmp_path / "empty" / "not-a-dataset").mkdir(parents=True)
-        reads = []  # each read that returned
+        monkeypatch.chdir(tmp_path)  # a relative output lies here
+        reads = []  # each read that returned: one that raises, as from a missing input, read nothing
 
         def spy(*args, fn):
             result = fn(*args)
@@ -837,9 +770,9 @@ class TestArgumentsFirst:
         for name in ("load_dataset", "load_shapelets", "read_feature_csv", "_discover_datasets"):
             monkeypatch.setattr(ust.cli, name, lambda *args, fn=getattr(ust.cli, name): spy(*args, fn=fn))
 
-        def run(command, *flags):
+        def run(command, flags):
             before = file_tree(tmp_path)
-            rc = main([command, *(flag.format(tmp=tmp_path, data=train) for flag in flags)])
+            rc = main([command, *(flag.format(tmp=tmp_path, data=train) for flag in flags.split())])
             err = capsys.readouterr().err
             assert rc == 1 and err.startswith("error: ") and err.count("\n") == 1
             assert reads == [] and file_tree(tmp_path) == before
@@ -848,67 +781,105 @@ class TestArgumentsFirst:
         return run
 
     @pytest.mark.parametrize("flags, message", [
-        (["--out-values", "{tmp}/old.txt", "--out-uncertainties", "{tmp}/old.txt"],
+        ("--input {data} --out-values {tmp}/old.txt --out-uncertainties {tmp}/old.txt",
          "--out-uncertainties must differ from --out-values, both are '{tmp}/old.txt'"),
-        (["--out-values", "{tmp}/v.tsv", "--out-uncertainties", "{tmp}/missing/u.tsv"],
+        ("--input {data} --out-values {tmp}/v.tsv --out-uncertainties {tmp}/missing/u.tsv",
          "--out-uncertainties '{tmp}/missing/u.tsv': no directory '{tmp}/missing'"),
-        (["--out-values", "{tmp}/dir", "--out-uncertainties", "{tmp}/u.tsv"],
+        ("--input {data} --out-values {tmp}/dir --out-uncertainties {tmp}/u.tsv",
          "--out-values '{tmp}/dir': is a directory"),
-        (["--out-values", "{tmp}/v.tsv", "--out-uncertainties", "{tmp}/u.tsv", "--sigma", "-1"],
+        ("--input {data} --out-values {tmp}/v.tsv --out-uncertainties {tmp}/u.tsv --sigma -1",
          "fixed scale must be a finite number > 0, got -1.0"),
-        (["--out-values", "{tmp}/v.tsv", "--out-uncertainties", "{tmp}/u.tsv", "--seed", "-1"],
+        ("--input {data} --out-values {tmp}/v.tsv --out-uncertainties {tmp}/u.tsv --seed -1",
          "seed must fit in an unsigned 64-bit integer"),
-    ], ids=["one-file", "missing-directory", "a-directory", "noise-sigma", "noise-seed"])
+        ("--input {data} --out-values {tmp}/v.tsv --out-uncertainties {tmp}/u.tsv --sigma inf",
+         "fixed scale must be a finite number > 0, got inf"),
+        ("--input {tmp}/nope.tsv --out-values {tmp}/v.tsv --out-uncertainties {tmp}/u.tsv",
+         "[Errno 2] No such file or directory: '{tmp}/nope.tsv'"),
+        ("--input {data} --out-values {data} --out-uncertainties {tmp}/u.tsv",
+         "--out-values must differ from --input, both are '{tmp}/train.tsv'"),
+    ], ids=["one-file", "missing-directory", "a-directory", "noise-sigma", "noise-seed", "infinite-sigma",
+            "missing-input", "output-names-input"])
     def test_add_noise(self, flags, message, refused):
-        assert refused("add-noise", "--input", "{data}", *flags) == message
+        assert refused("add-noise", flags) == message
 
     @pytest.mark.parametrize("flags, message", [
-        (["--out", "{tmp}/missing/s.json"], "--out '{tmp}/missing/s.json': no directory '{tmp}/missing'"),
-        (["--out", "{tmp}/dir"], "--out '{tmp}/dir': is a directory"),
-        (["--out", "{tmp}/s.json", "--min-len", "0"], "min_len must be >= 1, got 0"),
-        (["--out", "{tmp}/s.json", "--k", "0"], "k must be >= 1, got 0"),
-        (["--out", "{tmp}/s.json", "--stride", "0"], "candidate_stride must be >= 1, got 0"),
-        (["--out", "{tmp}/s.json", "--min-len", "5", "--max-len", "3"], "max_len 3 is smaller than min_len 5"),
-    ], ids=["missing-directory", "a-directory", "min-len", "k", "stride", "max-below-min"])
+        ("--out {tmp}/missing/s.json", "--out '{tmp}/missing/s.json': no directory '{tmp}/missing'"),
+        ("--out {tmp}/dir", "--out '{tmp}/dir': is a directory"),
+        ("--out {tmp}/s.json --min-len 0", "min_len must be >= 1, got 0"),
+        ("--out {tmp}/s.json --k 0", "k must be >= 1, got 0"),
+        ("--out {tmp}/s.json --stride 0", "candidate_stride must be >= 1, got 0"),
+        ("--out {tmp}/s.json --min-len 5 --max-len 3", "max_len 3 is smaller than min_len 5"),
+        ("--out {data}", "--out must differ from --data, both are '{tmp}/train.tsv'"),
+        ("--uncertainties {tmp}/old.txt --out {tmp}/old.txt",
+         "--out must differ from --uncertainties, both are '{tmp}/old.txt'"),
+    ], ids=["missing-directory", "a-directory", "min-len", "k", "stride", "max-below-min", "output-names-data",
+            "output-names-uncertainties"])
     def test_extract(self, flags, message, refused):
-        assert refused("extract", "--data", "{data}", *flags) == message
+        assert refused("extract", "--data {data} " + flags) == message
 
     @pytest.mark.parametrize("flags, message", [
-        (["--out", "{tmp}/missing/f.csv"], "--out '{tmp}/missing/f.csv': no directory '{tmp}/missing'"),
-        (["--out", "{tmp}/dir"], "--out '{tmp}/dir': is a directory"),
-    ], ids=["missing-directory", "a-directory"])
+        ("--out {tmp}/missing/f.csv", "--out '{tmp}/missing/f.csv': no directory '{tmp}/missing'"),
+        ("--out {tmp}/dir", "--out '{tmp}/dir': is a directory"),
+        ("--out {tmp}/sh.json", "--out must differ from --shapelets, both are '{tmp}/sh.json'"),
+    ], ids=["missing-directory", "a-directory", "output-names-shapelets"])
     def test_transform(self, flags, message, refused):
-        assert refused("transform", "--data", "{data}", "--shapelets", "{tmp}/sh.json", *flags) == message
+        assert refused("transform", "--data {data} --shapelets {tmp}/sh.json " + flags) == message
 
     @pytest.mark.parametrize("flags, message", [
-        (["--model-out", "{tmp}/old.txt", "--predictions-out", "{tmp}/old.txt"],
+        ("--model-out {tmp}/old.txt --predictions-out {tmp}/old.txt",
          "--predictions-out must differ from --model-out, both are '{tmp}/old.txt'"),
-        (["--model-out", "{tmp}/m.json", "--predictions-out", "{tmp}/missing/p.txt"],
+        ("--model-out {tmp}/m.json --predictions-out {tmp}/missing/p.txt",
          "--predictions-out '{tmp}/missing/p.txt': no directory '{tmp}/missing'"),
-        (["--predictions-out", "{tmp}/dir"], "--predictions-out '{tmp}/dir': is a directory"),
-        (["--max-depth", "-1"], "max_depth must be >= 0 or None"),
-        (["--min-samples-leaf", "0"], "min_samples_leaf must be >= 1"),
-    ], ids=["one-file", "missing-directory", "a-directory", "max-depth", "min-samples-leaf"])
+        ("--predictions-out {tmp}/dir", "--predictions-out '{tmp}/dir': is a directory"),
+        ("--max-depth -1", "max_depth must be >= 0 or None"),
+        ("--min-samples-leaf 0", "min_samples_leaf must be >= 1"),
+        ("--predictions-out {tmp}/f.csv",
+         "--predictions-out must differ from --train-features, both are '{tmp}/f.csv'"),
+        ("--model-out {tmp}/g.csv", "--model-out must differ from --test-features, both are '{tmp}/g.csv'"),
+    ], ids=["one-file", "missing-directory", "a-directory", "max-depth", "min-samples-leaf",
+            "output-names-train-features", "output-names-test-features"])
     def test_classify(self, flags, message, refused):
-        features = ["--train-features", "{tmp}/f.csv", "--test-features", "{tmp}/f.csv"]
-        assert refused("classify", *features, *flags) == message
+        assert refused("classify", "--train-features {tmp}/f.csv --test-features {tmp}/g.csv " + flags) == message
 
     @pytest.mark.parametrize("flags, message", [
-        (["--data-dir", "{tmp}/bench", "--out", "{tmp}/old.txt", "--summary-out", "{tmp}/old.txt"],
+        ("--data-dir {tmp}/bench --out {tmp}/old.txt --summary-out {tmp}/old.txt",
          "--summary-out must differ from --out, both are '{tmp}/old.txt'"),
-        (["--data-dir", "{tmp}/bench", "--out", "{tmp}/dir"], "--out '{tmp}/dir': is a directory"),
-        (["--data-dir", "{tmp}/bench", "--out", "{tmp}/r.csv", "--max-depth", "-1"],
-         "max_depth must be >= 0 or None"),
-        (["--data-dir", "{tmp}/empty", "--out", "{tmp}/r.csv"],
+        ("--data-dir {tmp}/bench --out {tmp}/dir", "--out '{tmp}/dir': is a directory"),
+        ("--data-dir {tmp}/bench --out {tmp}/r.csv --max-depth -1", "max_depth must be >= 0 or None"),
+        ("--data-dir {tmp}/empty --out {tmp}/r.csv",
          "{tmp}/empty: no dataset directories with <name>_TRAIN.tsv / <name>_TEST.tsv found"),
-    ], ids=["one-file", "a-directory", "tree-params", "no-dataset"])
+        ("--data-dir {tmp}/bench --out {tmp}/bench --summary-out {tmp}/summary.csv",
+         "--out '{tmp}/bench': is a directory"),
+        ("--data-dir {tmp}/bench --out {tmp}/report.csv --summary-out {tmp}/bench",
+         "--summary-out '{tmp}/bench': is a directory"),
+        ("--data-dir {tmp}/bench --out {tmp}/missing/r.csv --summary-out {tmp}/summary.csv",
+         "--out '{tmp}/missing/r.csv': no directory '{tmp}/missing'"),
+        ("--data-dir {tmp}/bench --out {tmp}/report.csv --summary-out {tmp}/missing/r.csv",
+         "--summary-out '{tmp}/missing/r.csv': no directory '{tmp}/missing'"),
+        ("--data-dir {tmp}/bench --out {tmp}/report.csv --summary-out report.csv",
+         "--summary-out must differ from --out, both are '{tmp}/report.csv'"),
+        ("--data-dir {tmp}/bench --out {tmp}/report.csv --seed -1", "--seed must be >= 0, got -1"),
+        ("--data-dir {tmp}/bench --out {tmp}/report.csv --jobs 0", "--jobs must be >= 1, got 0"),
+        ("--data-dir {tmp}/bench --out {tmp}/report.csv --jobs -2", "--jobs must be >= 1, got -2"),
+        *((f"--data-dir {{tmp}}/bench --out {{tmp}}/report.csv --modes {modes}",
+           f"--modes must list distinct modes from {MODES}, got {modes!r}") for modes in ("st,st", ",", "st,bogus")),
+        ("--data-dir {tmp}/void --out {tmp}/report.csv", "[Errno 2] No such file or directory: '{tmp}/void'"),
+    ], ids=["one-file", "a-directory", "tree-params", "no-dataset", "out-a-directory", "summary-a-directory",
+            "missing-directory", "summary-missing-directory", "summary-over-report", "negative-seed", "jobs-0",
+            "jobs-negative", "modes-repeated", "modes-empty", "modes-unknown", "missing-data-dir"])
     def test_benchmark(self, flags, message, refused):
-        assert refused("benchmark", *flags) == message
+        assert refused("benchmark", flags) == message
 
 
 def test_run_config_refuses_an_unknown_mode():
     with pytest.raises(ValueError, match=re.escape(f"unknown mode 'x', expected one of {MODES}")):
         RunConfig(mode="x")
+
+
+def test_run_pipeline_raises_its_views_error():
+    train = UncertainDataset.from_arrays(np.arange(12.0).reshape(2, 6), np.zeros((2, 6)), ["a", "a"])
+    with pytest.raises(ValueError, match="^extraction needs at least two classes in the training set$"):
+        run_pipeline(train, train, RunConfig())
 
 
 def tied_grid_splits(tmp_path):

@@ -205,6 +205,12 @@ class TestUncertainVector:
         with pytest.raises(ValueError):
             v.best[0] = 7.0
 
+    def test_repr_equality_and_hash(self):
+        v = UncertainVector([1.0, 2.0], [0.5, 0.0])
+        assert repr(v) == "UncertainVector([1.0 ± 0.5, 2.0 ± 0.0])"
+        assert (v == 1) is False
+        assert hash(v) == hash(UncertainVector([1.0, 2.0], [0.5, 0.0]))
+
     def test_indexing_and_iteration(self):
         v = UncertainVector.from_pairs([(1, 0.1), (2, 0.2)])
         assert u_eq(v[1], UncertainValue(2, 0.2))

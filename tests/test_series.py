@@ -439,6 +439,9 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="equal-length"):
             UncertainDataset([a, b])
 
+    def test_never_equals_another_type(self):
+        assert (UncertainDataset.from_arrays(np.zeros((1, 1)), np.zeros((1, 1)), ["a"]) == 1) is False
+
 
 @st.composite
 def dataset_rows(draw):
