@@ -129,9 +129,10 @@ def _featurize_views(
 ) -> dict[bool, Features | Exception]:
     """Each view's features (``True``: the certain view, without uncertainties), or the error it raised.
 
-    A view extracts shapelets from its train split and transforms both splits.  The uncertain view runs first;
-    the certain view takes its best estimates and timings when its shapelet list says they are the certain
-    view's features (``certain_alike``), and is featurized on its own otherwise.
+    A view extracts shapelets from its train split, which hands on that split's transform, and transforms its
+    test split.  The uncertain view runs first; the certain view takes its best estimates and timings when its
+    shapelet list says they are the certain view's features (``certain_alike``), and is featurized on its own
+    otherwise.
     """
     features: dict[bool, Features | Exception] = {}
     alike = False
@@ -145,8 +146,8 @@ def _featurize_views(
             t0 = time.perf_counter()
             shapelets = extract_shapelets(view[0], extraction)
             t1 = time.perf_counter()
-            f_train, f_test = (shapelet_transform(d, shapelets) for d in view)
-            features[certain] = Features(f_train, f_test, t1 - t0, time.perf_counter() - t1)
+            f_test = shapelet_transform(view[1], shapelets)
+            features[certain] = Features(shapelets.train_features, f_test, t1 - t0, time.perf_counter() - t1)
             alike = shapelets.certain_alike
         except Exception as exc:  # noqa: BLE001 - per-view isolation by contract
             features[certain] = exc

@@ -37,8 +37,13 @@ on that best-only path, since an uncertainty minimum changes an output only
 where it orders an exact best tie or is a selected shapelet's threshold.  The
 full path scores when the data are certain, when an uncertainty sum could
 overflow, or after a best-only tie: a sweep that meets an exact best tie stops
-the scoring, which is then done once more on the full path.  A threshold is a
-cell of the train transform, which takes the full path on uncertain data.
+the scoring, which is then done once more on the full path.  The transform
+has one length per kernel call, and on uncertain data it runs the best-only
+path too, then folds each cell's uncertainty terms at its first minimizing
+window, which gives the full path's bits where that minimum is unique; the rows
+of a tile with an exact best tie across windows take the full path.  A
+threshold is a cell of the train transform, which extraction computes once and
+hands on with its shapelets.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -207,7 +212,10 @@ def _grid_min_dissims(
     When every uncertainty is zero the kernel takes its certain path: it sums
     the best-estimate terms only, and ``min_u`` is a read-only view of ``+0.0``
     that takes no memory.  Zero uncertainties therefore give the best-only path
-    on any data, which is how extraction scores.
+    on any data, which is how extraction scores.  A call of one length and one
+    offset (``ends == [min_len]``, the transform's) on uncertain data folds:
+    it sums the best-estimate terms only and then each cell's uncertainty terms
+    at its first minimizing window (see :func:`_fill_tile`).
 
     Blocks hold at most ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len
     + 1))`` stems, or one, so that a block's minima stay within the budget when
@@ -230,6 +238,7 @@ def _grid_min_dissims(
     w0 = m - min_len + 1
     # with no uncertainty every term |a - b| * (u + v) is +0.0: min_u is a read-only view of one zero
     certain = not (src_u.any() or series_u.any())
+    path = "certain" if certain else "fold" if len(ends) == 1 and ends[0] == min_len else "full"
     stems = max(1, _KERNEL_CHUNK_ELEMS // (_worker_count() * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
@@ -254,9 +263,9 @@ def _grid_min_dissims(
             shape = (int(reach.sum()) * (s1 - s0), n)
             min_b = np.empty(shape)
             min_u = np.broadcast_to(0.0, shape) if certain else np.empty(shape)
-            cuts = np.cumsum(reach[:-1]) * (s1 - s0)
+            cuts = [0, *(np.cumsum(reach) * (s1 - s0)).tolist()]
             # each length's (offsets, sources, n) view, into which the tiles write
-            views = [[x.reshape(-1, s1 - s0, n) for x in np.split(buf, cuts)] for buf in (min_b, min_u)]
+            views = [[buf[a:b].reshape(-1, s1 - s0, n) for a, b in zip(cuts, cuts[1:])] for buf in (min_b, min_u)]
             with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the minima
                 for a in range(s0, s1, tile_sources):
                     b = min(a + tile_sources, s1)
@@ -264,8 +273,7 @@ def _grid_min_dissims(
                         r = slice(r0, r0 + tile_rows)
                         _fill_tile(
                             src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, block_ends, min_len,
-                            series_b[r].T, series_u[r].T, *views, (slice(a - s0, b - s0), r), terms, acc,
-                            certain,
+                            series_b[r].T, series_u[r].T, *views, (slice(a - s0, b - s0), r), terms, acc, path,
                         )
             if not (np.isfinite(min_b).all() and (certain or np.isfinite(min_u).all())):
                 raise NumericOverflowError("dissimilarity overflowed to non-finite values")
@@ -275,7 +283,7 @@ def _grid_min_dissims(
 def _fill_tile(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     ser_b: np.ndarray, ser_u: np.ndarray, min_b: list[np.ndarray], min_u: list[np.ndarray],
-    tile: tuple[slice, slice], terms: np.ndarray, acc: np.ndarray, certain: bool,
+    tile: tuple[slice, slice], terms: np.ndarray, acc: np.ndarray, path: str,
 ) -> None:
     """Write one tile's minima into the ``tile`` (sources, rows) of ``min_b``, ``min_u``.
 
@@ -287,37 +295,79 @@ def _fill_tile(
     ``q`` with source position ``p`` and accumulator ``[t, k, s, j]`` is window
     ``t`` of offset ``k``, so step ``i`` adds one strided view of the terms.
     The minimum under the uncertain order reduces over the leading window
-    axis.  ``terms`` and ``acc`` are scratch buffers at least the tile's size.
-    When ``certain``, every uncertainty is zero: the uncertainty terms and their
-    minima are skipped, and ``min_u`` must already hold the ``+0.0`` they give.
+    axis.  ``terms`` and ``acc`` are the call's scratch buffers, at least the tile's size.
+    ``path`` is ``"full"``, which sums both planes; ``"certain"``, where every
+    uncertainty is zero, so the uncertainty terms and their minima are skipped
+    and ``min_u`` must already hold the ``+0.0`` they give; or ``"fold"``, for
+    one length and one offset (``ends == [min_len]``): the best plane only, then
+    each cell's uncertainty terms at its first minimizing window, folded
+    index-ascending from ``+0.0`` and doubled as the full path does, so that
+    both give the same bits.  Only where a cell's best minimum is unique is that
+    window's the uncertainty minimum, so the rows of the tile from its first to
+    its last with an exact best tie across windows are then filled again on the
+    full path.
     """
     s, r = src_b.shape[1], ser_b.shape[1]
     (term_b, term_u), (acc_b, acc_u) = terms[..., :s, :r], acc[..., :s, :r]
     m, w0 = len(ser_b), len(ser_b) - min_len + 1
+    full = path == "full"
     np.subtract(src_b[None, :, :, None], ser_b[:, None, None, :], out=term_b)
-    if not certain:
+    if full:
         np.abs(term_b, out=term_b)
         np.add(src_u[None, :, :, None], ser_u[:, None, None, :], out=term_u)
         term_u *= term_b
         acc_u.fill(0.0)
     term_b *= term_b
     acc_b.fill(0.0)
-    for i in range(ends[0]):
-        o = np.count_nonzero(ends > i)  # offsets with a term at index i
+    offsets = np.count_nonzero(ends[:, None] > np.arange(ends[0]), axis=0).tolist()  # with a term at index i
+    for i, o in enumerate(offsets):
         w = min(w0, m - i)  # windows valid for length max(i + 1, min_len)
         at = slice(i, i + w), slice(i, i + (o - 1) * stride + 1, stride)
         ab, au = acc_b[:w, :o], acc_u[:w, :o]
         ab += term_b[at]
-        if not certain:
+        if full:
             au += term_u[at]
         if i + 1 < min_len:
             continue
         mb = min_b[i + 1 - min_len][:, tile[0], tile[1]]
         np.min(ab, axis=0, out=mb)
-        if not certain:
+        if full:
             mu = min_u[i + 1 - min_len][:, tile[0], tile[1]]
             np.min(au, axis=0, out=mu, where=ab == mb, initial=np.inf)
             mu *= 2.0
+    if path != "fold":
+        return
+    # the fold works in contiguous scratch that the sums no longer need: each cell's first minimizing window in
+    # the uncertainty accumulators, and the window's raveled series positions, values and terms in the term
+    # tables, whose 2 * m * l cells per tile cell hold three (l, s, r) arrays when l > 1 (at l == 1 the
+    # positions are ``first`` itself)
+    l, cells = min_len, s * r
+    first = acc[1].reshape(-1)[:cells].view(np.intp).reshape(1, s, r)
+    spare = terms.reshape(-1)
+    xb, xu = spare[: 2 * l * cells].reshape(2, l, s, r)
+    pos = first if l == 1 else spare[2 * l * cells : 3 * l * cells].view(np.intp).reshape(l, s, r)
+    np.argmin(ab, axis=0, out=first)
+    np.equal(ab, mb, out=ab)  # 1.0 at each window that attains its cell's minimum
+    tied = np.flatnonzero(ab.sum(axis=0).max(axis=(0, 1)) > 1.0) if np.count_nonzero(ab) > cells else ()
+    np.add(first, np.arange(l)[:, None, None] + np.arange(0, r * m, m), out=pos)  # into the tile's rows, raveled
+    np.take(np.ravel(ser_b.T), pos, out=xb, mode="clip")
+    xb -= src_b[:, :, None]
+    np.abs(xb, out=xb)
+    np.take(np.ravel(ser_u.T), pos, out=xu, mode="clip")
+    xu += src_u[:, :, None]
+    xu *= xb  # (u_s + u_x) * |s - x|, the full path's terms
+    # index-ascending partial sums.  Uncertainties are stored as absolute values, so no term is -0.0 and
+    # these are the sums of a fold that starts from +0.0
+    np.add.accumulate(xu, axis=0, out=xb)
+    mu = min_u[0][:, tile[0], tile[1]]
+    np.multiply(xb[-1], 2.0, out=mu[0])
+    if len(tied):
+        a, b = tied[0], tied[-1] + 1
+        rows = slice(tile[1].start + a, tile[1].start + b)
+        _fill_tile(
+            src_b, src_u, stride, ends, min_len, ser_b[:, a:b], ser_u[:, a:b], min_b, min_u, (tile[0], rows),
+            terms, acc, "full",
+        )
 
 
 def _batch_best_splits(
@@ -400,9 +450,11 @@ def _own_picks(quality: np.ndarray, margin: np.ndarray, start: np.ndarray, stop:
 # ---------------------------------------------------------------------------
 
 class _Shapelets(list):
-    """An extraction's shapelets, in selection order, and whether the data's certain view selects them alike."""
+    """An extraction's shapelets, in selection order, with the train split's transform by them
+    (``train_features``) and whether the data's certain view selects them alike (``certain_alike``)."""
 
     certain_alike = False
+    train_features: UncertainDataset
 
 
 def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = ExtractionConfig()) -> list[UncertainShapelet]:
@@ -429,17 +481,18 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     costs one best-only and one full-path scoring.  When an uncertainty sum
     could overflow (the bound below), the scoring runs the full path from the
     start, so ``NumericOverflowError`` is raised exactly where the full path
-    raises it.  Each threshold is a cell of the train transform, read from
-    one :func:`shapelet_transform` call over the distinct threshold series.
-    Each worker takes a contiguous slice of the sources and runs one kernel
+    raises it.  Each worker takes a contiguous slice of the sources and runs one kernel
     call, the split sweeps and the per-source selection on it.  Tiles are
     bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or one row)
     per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over all
     workers; a worker sweeps a block's last slice before the kernel stages its
     next block.  Output is deterministic and independent of the worker count.
-    The result is a ``list`` whose ``certain_alike`` is set when the data are certain or the best-only scoring
-    met no tie: then the certain view (zero uncertainties) selects these shapelets and threshold best estimates,
-    and its transform gives these best minima.
+    Each threshold is the shapelet's cell of the train transform at the threshold's series: extraction
+    transforms the whole train split once, in one :func:`shapelet_transform` call.
+    The result is a ``list`` that carries that transform as ``train_features``, so that a pipeline does not
+    transform the train split again.  Its ``certain_alike`` is set when the data are certain or the best-only
+    scoring met no tie: then the certain view (zero uncertainties) selects these shapelets and threshold best
+    estimates, and its transform gives these best minima.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -507,12 +560,12 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
         UncertainShapelet(UncertainVector(best[s, o : o + l], unc[s, o : o + l]), s, o, q, UncertainValue(0.0))
         for l, s, o, q in zip(*(x.tolist() for x in (length, source, offset, cells[0, sel])))
     ]
-    rows, at = np.unique(cells[2, sel].astype(int), return_inverse=True)
-    labels = train.labels
-    thr = shapelet_transform(UncertainDataset.from_arrays(best[rows], unc[rows], [labels[i] for i in rows]), shapelets)
-    thr_b, thr_u = (x[at, np.arange(len(at))].tolist() for x in (thr.best, thr.uncertainty))
+    features = shapelet_transform(train, shapelets)
+    at = cells[2, sel].astype(int), np.arange(len(shapelets))
+    thr_b, thr_u = (x[at].tolist() for x in (features.best, features.uncertainty))
     out = _Shapelets(replace(sh, split_threshold=UncertainValue(b, u)) for sh, b, u in zip(shapelets, thr_b, thr_u))
     out.certain_alike = scored_u is not unc or not unc.any()
+    out.train_features = features
     return out
 
 
@@ -529,7 +582,12 @@ def shapelet_transform(
     kernel's sources, each a single stem at offset 0.  Each worker takes a
     contiguous slice of the instances and writes their rows at every length,
     block by block as the kernel yields them; the kernel's tiles split that
-    slice into cache-sized row blocks.
+    slice into cache-sized row blocks.  On uncertain data each tile sums the
+    best estimates only and folds each entry's uncertainty terms at its first
+    minimizing window, index-ascending from ``+0.0`` and doubled, as the full
+    path does; the tile's rows with an exact best tie across windows, where
+    the uncertainty minimum may lie at another window, take the full path.
+    ``NumericOverflowError`` is raised exactly where the full path raises it.
     """
     if not shapelets:
         raise ValueError("shapelets must be non-empty")

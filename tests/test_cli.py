@@ -238,18 +238,19 @@ class TestStepComposition:
     @pytest.mark.parametrize(
         "command, certain, huge, paths_run",
         [
-            ("extract", True, "best", {True}),
-            ("transform", True, "best", {True}),
-            ("extract", False, "uncertainty", {False}),
-            ("transform", False, "best", {False}),
-            ("extract", False, "best", {True}),
+            ("extract", True, "best", {"certain"}),
+            ("transform", True, "best", {"certain"}),
+            ("extract", False, "uncertainty", {"full"}),
+            ("transform", False, "best", {"fold", "full"}),
+            ("extract", False, "best", {"certain"}),
         ],
         ids=["extract", "transform", "extract-uncertain", "transform-uncertain", "extract-uncertain-huge-best"],
     )
     def test_overflow_is_one_error_line(self, command, certain, huge, paths_run, tmp_path, capsys, monkeypatch):
-        # the error is raised on a kernel worker thread, on either kernel path.  Extraction scores on the
+        # the error is raised on a kernel worker thread, on any kernel path.  Extraction scores on the
         # certain path, which raises first when the best-estimate sums overflow; when only uncertainty
-        # sums can overflow it scores on the full path, which raises
+        # sums can overflow it scores on the full path, which raises.  The transform folds; both windows'
+        # best sums overflow to inf, an exact tie, so its tiles are filled again on the full path
         monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
         monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)  # the 2-row transform is then two tiles
         fill, paths = ust.shapelet._fill_tile, set()
@@ -956,6 +957,49 @@ class TestFeaturizeViews:
         train, test = (ust.cli._certain(d) for d in tied_grid_splits(tmp_path))
         self.assert_st_is_the_certain_view(train, test)
         assert extractions == [(False, True)]
+
+
+class TestOneTrainTransformPerView:
+    # extraction transforms its train split once, reads the thresholds there and hands the transform on,
+    # so each featurized view runs ust.shapelet.shapelet_transform once, inside extraction, on its train
+    # split, and ust.cli.shapelet_transform once, on its test split.  Each call is counted as (where,
+    # the best estimates it transformed, whether they carry uncertainties)
+
+    @pytest.fixture(autouse=True)
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(where, transform):
+            def spy(d, shapelets):
+                calls.append((where, d.best.tobytes(), bool(d.uncertainty.any())))
+                return transform(d, shapelets)
+            return spy
+
+        monkeypatch.setattr(ust.shapelet, "shapelet_transform", counted("extraction", ust.shapelet.shapelet_transform))
+        monkeypatch.setattr(ust.cli, "shapelet_transform", counted("cli", ust.cli.shapelet_transform))
+        return calls
+
+    @staticmethod
+    def expected(splits, uncertain):
+        views = [(("extraction", train), ("cli", test)) for train, test in splits]
+        return sorted((where, d.best.tobytes(), uncertain) for view in views for where, d in view)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_pipeline(self, mode, calls):
+        name, train_path, test_path = ust.cli._discover_datasets(FIXTURES / "benchmark")[0]
+        splits = ust.cli._prepare_noisy(name, train_path, test_path, 0)
+        run_pipeline(*splits, RunConfig(mode=mode, extraction=ExtractionConfig(k=4)))
+        assert sorted(calls) == self.expected([splits], mode != "st")
+
+    @pytest.mark.parametrize("modes", ["st,ust-flat,ust-gauss", "st"])
+    def test_benchmark(self, modes, calls, tmp_path, monkeypatch):
+        # on the tie-free fixtures st takes the uncertain view's best estimates when a ust-* mode runs
+        prepare, splits = ust.cli._prepare_noisy, []
+        monkeypatch.setattr(ust.cli, "_prepare_noisy", lambda *args: splits.append(prepare(*args)) or splits[-1])
+        argv = ["benchmark", "--data-dir", str(FIXTURES / "benchmark"), "--modes", modes, "--jobs", "2",
+                "--no-timings", "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 0
+        assert len(splits) == 3 and sorted(calls) == self.expected(splits, modes != "st")
 
 
 @pytest.fixture()

@@ -165,6 +165,33 @@ def window_min(cand_b, cand_u, ser_b, ser_u):
     return db[0, 0], du[0, 0]
 
 
+def assert_transform_matches_oracle(d, shapelets):
+    """The transform equals ``oracles.transform`` bit for bit."""
+    got = shapelet_transform(d, shapelets)
+    values = [(sh.values.best.tolist(), sh.values.uncertainty.tolist()) for sh in shapelets]
+    expected = np.array(oracles.transform(d.best.tolist(), d.uncertainty.tolist(), values)).reshape(len(d), -1, 2)
+    assert np.stack([got.best, got.uncertainty], axis=-1).tobytes() == expected.tobytes()
+
+
+@st.composite
+def transform_cases(draw):
+    """Series and shapelets of mixed lengths, one as long as the series; the grid variant ties windows."""
+    if draw(st.booleans()):
+        el, unc_el = st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 0.5])
+    else:
+        el, unc_el = st.floats(-10, 10), st.floats(0, 1)
+    shapelet_unc = st.just(0.0) if draw(st.booleans()) else unc_el  # certain shapelets fold the series' uncertainty
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 9))
+    best = draw(st.lists(st.lists(el, min_size=m, max_size=m), min_size=n, max_size=n))
+    unc = draw(st.lists(st.lists(unc_el, min_size=m, max_size=m), min_size=n, max_size=n))
+    shapelets = []
+    for l in draw(st.permutations(draw(st.lists(st.integers(1, m), max_size=4)) + [m])):
+        values = [draw(st.lists(e, min_size=l, max_size=l)) for e in (el, shapelet_unc)]
+        shapelets.append(UncertainShapelet(UncertainVector(*values), 0, 0, 0.0, UncertainValue(0.0)))
+    tile = draw(st.sampled_from([1, 7, ust.shapelet._TILE_ELEMS]))
+    return UncertainDataset.from_arrays(best, unc, ["A"] * n), shapelets, tile
+
+
 def sweep(dist_b, dist_u, label_idx, totals):
     """``_batch_best_splits`` with each threshold read back as (best, uncertainty).
 
@@ -469,7 +496,7 @@ class TestBatchKernels:
                     for r in range(len(ser_b)):
                         expected = oracles.min_dissim(*cand, ser_b[r].tolist(), ser_u[r].tolist())
                         assert (min_b[i, j, r], min_u[i, j, r]) == expected
-        assert len(paths) > 1 and set(paths) == {nonzero is None}
+        assert len(paths) > 1 and set(paths) == {"certain" if nonzero is None else "full"}
 
     def test_blocking_keeps_extraction_and_transform_bytes(self, monkeypatch):
         d = random_dataset(np.random.default_rng(4), n=7, m=11, integer_grid=True)
@@ -856,15 +883,19 @@ class TestExtraction:
             extract_shapelets(d, ExtractionConfig(min_len=2, k=1))
 
     def test_scoring_sums_best_estimates_only(self, monkeypatch):
-        # real-valued uncertain data has no exact distance ties: every candidate is scored on the
-        # certain path, and the full path runs only for the k thresholds, one lookup each
+        # real-valued uncertain data has no exact distance ties: scoring runs the certain path, and the
+        # train transform that holds the thresholds, like the transform of any split, folds each cell's
+        # uncertainty at its one minimizing window.  No tile takes the full path
         d = random_dataset(np.random.default_rng(8), n=8, m=12)
-        fill, tiles = ust.shapelet._fill_tile, []
-        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: tiles.append(args) or fill(*args))
+        test = random_dataset(np.random.default_rng(9), n=8, m=12)
+        fill, paths = ust.shapelet._fill_tile, []
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args))
         got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=8, k=6))
-        full = [row for args in tiles if not args[-1] for row in args[0].T.tolist()]
-        assert sorted(full) == sorted(sh.values.best.tolist() for sh in got)
-        assert any(args[-1] for args in tiles)
+        scored = paths.index("fold")  # the scoring tiles come first, then the train transform's
+        assert set(paths[:scored]) == {"certain"} and set(paths[scored:]) == {"fold"}
+        paths.clear()
+        assert_transform_matches_oracle(test, got)
+        assert set(paths) == {"fold"}
 
     @staticmethod
     def scoring_passes(d, monkeypatch):
@@ -908,7 +939,7 @@ class TestExtraction:
 
     @pytest.mark.parametrize(
         "workers, budget, paths_run",
-        [(1, 1, {True, False}), (1, None, {True}), (2, None, {True, False})],
+        [(1, 1, {"certain", "full"}), (1, None, {"certain"}), (2, None, {"certain", "full"})],
         ids=["tie-first", "overflow-first", "tie-in-the-first-slice"],
     )
     def test_a_tie_and_an_overflow_raise_the_overflow(self, workers, budget, paths_run, monkeypatch):
@@ -1109,6 +1140,61 @@ class TestTransform:
         short = dataset([([0.0, 1.0], "A", None), ([1.0, 0.0], "B", None)])
         with pytest.raises(DimensionMismatchError):
             shapelet_transform(short, shapelets)
+
+    @given(transform_cases())
+    @example(  # integer-valued: windows tie in best sum and differ in uncertainty, so the tile falls back
+        (
+            UncertainDataset.from_arrays([[0.0, 1.0, 0.0, 1.0, 0.0]], [[0.5, 0.0, 0.0, 0.5, 0.5]], ["A"]),
+            [UncertainShapelet(UncertainVector([0.0, 1.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0))],
+            ust.shapelet._TILE_ELEMS,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_property(self, case):
+        # the transform folds each cell's uncertainty at its first minimizing window; the rows of a tile
+        # with an exact best tie across windows, and only they, are filled again on the full path
+        d, shapelets, tile = case
+        ties = False
+        for sh in shapelets:
+            cand, l = sh.values.best.tolist(), sh.length
+            for row in d.best.tolist():
+                sums = [oracles.dissim(cand, [0.0] * l, row[t : t + l], [0.0] * l)[0] for t in range(len(row) - l + 1)]
+                ties |= sums.count(min(sums)) > 1
+        certain = not (d.uncertainty.any() or any(sh.values.uncertainty.any() for sh in shapelets))
+        fill, paths = ust.shapelet._fill_tile, []
+        for workers in (1, 2):
+            paths.clear()
+            with (
+                patch.object(ust.shapelet, "_CPUS", workers),
+                patch.object(ust.shapelet, "_TILE_ELEMS", tile),
+                patch.object(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args)),
+            ):
+                assert_transform_matches_oracle(d, shapelets)
+            # at two workers a slice of rows without uncertainties may take the certain path
+            expected = {"certain"} if certain else {"fold", "full"} if ties else {"fold"}
+            assert set(paths) == expected if workers == 1 else set(paths) <= expected | {"certain"}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "unc, raises",
+        [([0.6e308, 0.6e308, 0.0, 0.0], True), ([0.0, 0.0, 0.6e308, 0.6e308], False)],
+        ids=["at-the-minimizing-window", "elsewhere"],
+    )
+    def test_uncertainty_overflow_raises_only_at_the_minimizing_window(self, unc, raises, workers, monkeypatch):
+        # window 0 of [1, 1, 10, 10] is the unique minimum of [0, 0]: its uncertainty sum 2 * (0.6e308 + 0.6e308)
+        # overflows; the sums of windows 1 and 2 overflow in the other case, which no feature reads
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        fill, paths = ust.shapelet._fill_tile, set()
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.add(args[-1]) or fill(*args))
+        d = UncertainDataset.from_arrays([[1.0, 1.0, 10.0, 10.0]] * 2, [unc] * 2, ["A", "B"])
+        shapelet = UncertainShapelet(UncertainVector([0.0, 0.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0, 0.0))
+        if raises:
+            with pytest.raises(NumericOverflowError):
+                shapelet_transform(d, [shapelet])
+        else:
+            assert_transform_matches_oracle(d, [shapelet])
+            assert shapelet_transform(d, [shapelet]).uncertainty.tolist() == [[0.0], [0.0]]
+        assert paths == {"fold"}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_is_bounded_by_the_tile_budget(self, workers, monkeypatch):
