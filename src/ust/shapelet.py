@@ -9,12 +9,12 @@ configured length range, prunes overlapping candidates from the same source
 series, and keeps the top k by quality.
 
 The batch scorer reproduces a scalar brute force bit for bit.  Candidates are
-the prefixes of stems (a source and a start offset).  One kernel serves
-extraction and the transform.  For each cache-sized tile of sources by series
-rows it computes every pairwise term once into a term table, then grows every
-window sum of the tile by one index-ascending term per length, as ``udissim``
-folds them, from a shifted view of that table.  The tiles fill staging blocks
-of stems, which the kernel yields whole and source-major: one ``(rows, n)``
+the prefixes of stems (a source and a start offset).  The extraction kernel,
+for each cache-sized tile of sources by series rows, computes every pairwise
+term once into a term table, then grows every window sum of the tile by one
+index-ascending term per length, as ``udissim`` folds them, from a shifted
+view of that table.  The tiles fill staging blocks of stems, which the kernel
+yields whole and source-major: one ``(rows, n)``
 array of minima per block, length after length, each holding only the offsets
 that reach it.  Extraction sweeps a block's rows in fixed slices of at most
 ``_SWEEP_ELEMS`` distances, or one row, whatever lengths a slice spans.  The
@@ -38,12 +38,12 @@ where it orders an exact best tie or is a selected shapelet's threshold.  The
 full path scores when the data are certain, when an uncertainty sum could
 overflow, or after a best-only tie: a sweep that meets an exact best tie stops
 the scoring, which is then done once more on the full path.  The transform
-has one length per kernel call, and on uncertain data it runs the best-only
-path too, then folds each cell's uncertainty terms at its first minimizing
-window, which gives the full path's bits where that minimum is unique; the rows
-of a tile with an exact best tie across windows take the full path.  A
-threshold is a cell of the train transform, which extraction computes once and
-hands on with its shapelets.
+has its own kernel: one pass over contiguous row chunks sums the best
+estimates of every shapelet length, then folds each cell's uncertainty terms
+at its first minimizing window, which gives the full path's bits where that
+minimum is unique; cells with an exact best tie across windows are folded at
+every window.  A threshold is a cell of the train transform, which extraction
+computes once and hands on with its shapelets.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -51,7 +51,7 @@ process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
 at least one.  The kernel's independent axis is split into fixed contiguous
 slices, one per worker: extraction gives each worker a slice of sources, which
 it stages, scores and selects from, and the transform gives each a slice of
-series rows, but no worker less than one tile of work.  No entry depends on the
+series rows, but no worker less than one row chunk.  No entry depends on the
 slicing, so the worker count never changes an output byte.  One worker, or one
 unit of work, runs inline on the calling thread.
 """
@@ -146,6 +146,7 @@ _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells 
 # term and accumulator cells of one tile per plane, the fastest measured of 100 K to 600 K; with a best and an
 # uncertainty plane each (the best-only path allocates both), a call's tile scratch is up to 16 * this bytes
 _TILE_ELEMS = 300_000
+_ROW_CHUNK_ELEMS = 65_536  # transform: k * m cells per row of a chunk, times its rows (at least one row)
 _SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a slice of a block's rows (at least one row)
 _CPUS: int | None = None  # CPUs the kernel's workers use; None reads this process's affinity mask per call
 # pipeline runs sharing those CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
@@ -163,18 +164,17 @@ def _worker_count() -> int:
     return max(1, cpus // _concurrent_tasks.get())
 
 
-def _in_slices(count: int, work: Callable[[slice], None], tiles: int | None = None) -> None:
+def _in_slices(count: int, work: Callable[[slice], None], chunks: int | None = None) -> None:
     """Call ``work(part)`` on fixed contiguous slices of ``range(count)``, one per worker.
 
     Workers are :func:`_worker_count` capped at ``count`` and, when the caller
-    gives the ``tiles`` of ``_TILE_ELEMS`` cells its work spans, at that many,
-    so that no worker gets less than one tile.  One worker runs inline on the
-    calling thread; more run on one thread pool that is shut down before this
-    returns, each in a copy of the caller's context, so that they see its
-    ``_concurrent_tasks``.  A worker's exception is raised here unchanged, the
-    first in slice order.
+    gives the ``chunks`` its work spans, at that many, so that no worker gets
+    less than one chunk.  One worker runs inline on the calling thread; more
+    run on one thread pool that is shut down before this returns, each in a
+    copy of the caller's context, so that they see its ``_concurrent_tasks``.
+    A worker's exception is raised here unchanged, the first in slice order.
     """
-    workers = min(_worker_count(), count, count if tiles is None else tiles)
+    workers = min(_worker_count(), count, count if chunks is None else chunks)
     if workers <= 1:
         work(slice(0, count))
         return
@@ -212,15 +212,13 @@ def _grid_min_dissims(
     When every uncertainty is zero the kernel takes its certain path: it sums
     the best-estimate terms only, and ``min_u`` is a read-only view of ``+0.0``
     that takes no memory.  Zero uncertainties therefore give the best-only path
-    on any data, which is how extraction scores.  A call of one length and one
-    offset (``ends == [min_len]``, the transform's) on uncertain data folds:
-    it sums the best-estimate terms only and then each cell's uncertainty terms
-    at its first minimizing window (see :func:`_fill_tile`).
+    on any data, which is how extraction scores.  Extraction is the only
+    caller: the transform has its own kernel.
 
     Blocks hold at most ``_KERNEL_CHUNK_ELEMS // (workers * n * (m - min_len
     + 1))`` stems, or one, so that a block's minima stay within the budget when
-    ``workers`` calls run at once on disjoint slices of the sources or series
-    rows; ``workers`` is the caller's :func:`_worker_count`.  A caller's own
+    ``workers`` calls run at once on disjoint slices of the sources;
+    ``workers`` is the caller's :func:`_worker_count`.  A caller's own
     work on a block comes on top (extraction: one split sweep of at most
     ``_SWEEP_ELEMS`` cells, or one row).  Each call is serial and
     allocates its tile scratch once, two buffers sized for its largest tile.
@@ -238,7 +236,7 @@ def _grid_min_dissims(
     w0 = m - min_len + 1
     # with no uncertainty every term |a - b| * (u + v) is +0.0: min_u is a read-only view of one zero
     certain = not (src_u.any() or series_u.any())
-    path = "certain" if certain else "fold" if len(ends) == 1 and ends[0] == min_len else "full"
+    path = "certain" if certain else "full"
     stems = max(1, _KERNEL_CHUNK_ELEMS // (_worker_count() * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
@@ -296,16 +294,9 @@ def _fill_tile(
     ``t`` of offset ``k``, so step ``i`` adds one strided view of the terms.
     The minimum under the uncertain order reduces over the leading window
     axis.  ``terms`` and ``acc`` are the call's scratch buffers, at least the tile's size.
-    ``path`` is ``"full"``, which sums both planes; ``"certain"``, where every
+    ``path`` is ``"full"``, which sums both planes, or ``"certain"``, where every
     uncertainty is zero, so the uncertainty terms and their minima are skipped
-    and ``min_u`` must already hold the ``+0.0`` they give; or ``"fold"``, for
-    one length and one offset (``ends == [min_len]``): the best plane only, then
-    each cell's uncertainty terms at its first minimizing window, folded
-    index-ascending from ``+0.0`` and doubled as the full path does, so that
-    both give the same bits.  Only where a cell's best minimum is unique is that
-    window's the uncertainty minimum, so the rows of the tile from its first to
-    its last with an exact best tie across windows are then filled again on the
-    full path.
+    and ``min_u`` must already hold the ``+0.0`` they give.
     """
     s, r = src_b.shape[1], ser_b.shape[1]
     (term_b, term_u), (acc_b, acc_u) = terms[..., :s, :r], acc[..., :s, :r]
@@ -335,39 +326,6 @@ def _fill_tile(
             mu = min_u[i + 1 - min_len][:, tile[0], tile[1]]
             np.min(au, axis=0, out=mu, where=ab == mb, initial=np.inf)
             mu *= 2.0
-    if path != "fold":
-        return
-    # the fold works in contiguous scratch that the sums no longer need: each cell's first minimizing window in
-    # the uncertainty accumulators, and the window's raveled series positions, values and terms in the term
-    # tables, whose 2 * m * l cells per tile cell hold three (l, s, r) arrays when l > 1 (at l == 1 the
-    # positions are ``first`` itself)
-    l, cells = min_len, s * r
-    first = acc[1].reshape(-1)[:cells].view(np.intp).reshape(1, s, r)
-    spare = terms.reshape(-1)
-    xb, xu = spare[: 2 * l * cells].reshape(2, l, s, r)
-    pos = first if l == 1 else spare[2 * l * cells : 3 * l * cells].view(np.intp).reshape(l, s, r)
-    np.argmin(ab, axis=0, out=first)
-    np.equal(ab, mb, out=ab)  # 1.0 at each window that attains its cell's minimum
-    tied = np.flatnonzero(ab.sum(axis=0).max(axis=(0, 1)) > 1.0) if np.count_nonzero(ab) > cells else ()
-    np.add(first, np.arange(l)[:, None, None] + np.arange(0, r * m, m), out=pos)  # into the tile's rows, raveled
-    np.take(np.ravel(ser_b.T), pos, out=xb, mode="clip")
-    xb -= src_b[:, :, None]
-    np.abs(xb, out=xb)
-    np.take(np.ravel(ser_u.T), pos, out=xu, mode="clip")
-    xu += src_u[:, :, None]
-    xu *= xb  # (u_s + u_x) * |s - x|, the full path's terms
-    # index-ascending partial sums.  Uncertainties are stored as absolute values, so no term is -0.0 and
-    # these are the sums of a fold that starts from +0.0
-    np.add.accumulate(xu, axis=0, out=xb)
-    mu = min_u[0][:, tile[0], tile[1]]
-    np.multiply(xb[-1], 2.0, out=mu[0])
-    if len(tied):
-        a, b = tied[0], tied[-1] + 1
-        rows = slice(tile[1].start + a, tile[1].start + b)
-        _fill_tile(
-            src_b, src_u, stride, ends, min_len, ser_b[:, a:b], ser_u[:, a:b], min_b, min_u, (tile[0], rows),
-            terms, acc, "full",
-        )
 
 
 def _batch_best_splits(
@@ -569,6 +527,21 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     return out
 
 
+def _tied_minima(s: np.ndarray, x_b: np.ndarray, x_u: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """Uncertainty minima of one shapelet's transform entries whose best minimum several windows attain.
+
+    ``s`` is the shapelet's ``(2, l)`` best estimates and uncertainties, ``x_b`` and ``x_u`` the entries'
+    ``(m, entries)`` series, and ``tied[t, e]`` marks the windows ``t`` that attain entry ``e``'s best minimum.
+    Every window's uncertainty terms are folded index-ascending from ``+0.0``, as the full path folds them,
+    then minimised over the tied windows and doubled.
+    """
+    w = len(tied)
+    acc = np.zeros(tied.shape)
+    for i in range(s.shape[1]):
+        acc += (s[1, i] + x_u[i : i + w]) * np.abs(s[0, i] - x_b[i : i + w])
+    return 2.0 * np.min(acc, axis=0, where=tied, initial=np.inf)
+
+
 def shapelet_transform(
     d: UncertainDataset, shapelets: Sequence[UncertainShapelet]
 ) -> UncertainDataset:
@@ -578,42 +551,85 @@ def shapelet_transform(
     ``shapelets[j].values`` to any equal-length window of instance ``i``;
     rows follow the instance order and carry the instance labels.  On the
     training series it holds each shapelet's split threshold, which
-    extraction reads from here.  The shapelets of one length are the
-    kernel's sources, each a single stem at offset 0.  Each worker takes a
-    contiguous slice of the instances and writes their rows at every length,
-    block by block as the kernel yields them; the kernel's tiles split that
-    slice into cache-sized row blocks.  On uncertain data each tile sums the
-    best estimates only and folds each entry's uncertainty terms at its first
-    minimizing window, index-ascending from ``+0.0`` and doubled, as the full
-    path does; the tile's rows with an exact best tie across windows, where
-    the uncertainty minimum may lie at another window, take the full path.
-    ``NumericOverflowError`` is raised exactly where the full path raises it.
+    extraction reads from here.  Each worker takes a contiguous slice of the
+    instances in chunks of at most ``_ROW_CHUNK_ELEMS // (k * m)`` rows, or
+    one, copied contiguous as ``(m, rows)``.  With the shapelets ordered
+    longest first, those with a term at index ``i`` lead, and one pass grows
+    the window sums of every length, index-ascending as ``udissim`` folds
+    them: step ``i`` adds ``(s[:, i] - x[i : i + w])**2`` to the leading
+    shapelets' first ``w`` windows, as many as the shortest of them has.
+    Each entry's best minimum is then taken over its shapelet's own windows.
+    On uncertain data the entry folds ``(u_s + u_x) * |s - x|`` at its first
+    minimizing window, index-ascending from ``+0.0``, and doubles it, as the
+    full path does; an entry whose best minimum several windows attain is
+    folded at each of them (:func:`_tied_minima`).  On certain data every
+    uncertainty is ``+0.0``.  ``NumericOverflowError`` is raised on any
+    non-finite entry, which is where the full path raises it.
     """
     if not shapelets:
         raise ValueError("shapelets must be non-empty")
     best, unc = d.best, d.uncertainty
     n, m = best.shape
     k = len(shapelets)
-    out_b = np.empty((n, k))
-    out_u = np.empty((n, k))
-
-    length = np.array([sh.length for sh in shapelets])
-    groups = []
-    for l in np.unique(length):
-        cols = np.flatnonzero(length == l)
-        cand_b = np.stack([shapelets[j].values.best for j in cols])
-        cand_u = np.stack([shapelets[j].values.uncertainty for j in cols])
-        groups.append((l, cols, cand_b, cand_u))
+    order = np.array(sorted(range(k), key=lambda j: -shapelets[j].length))  # longest first
+    length = np.array([shapelets[j].length for j in order])
+    if length[0] > m:
+        raise DimensionMismatchError(f"window length {length[length > m][-1]} exceeds series length {m}")
+    cand = np.zeros((2, k, length[0]))  # best estimates and uncertainties, zero past each shapelet's length
+    for c, j in enumerate(order):
+        cand[:, c, : length[c]] = shapelets[j].values.best, shapelets[j].values.uncertainty
+    certain = not (unc.any() or cand[1].any())
+    # step i adds index i to the first reach[i] shapelets' first windows[i] windows; shapelet c's own windows are
+    # those below ends[c]
+    reach = np.count_nonzero(length[:, None] > np.arange(length[0]), axis=0).tolist()
+    ends = m + 1 - length
+    windows = ends[np.array(reach) - 1].tolist()
+    own = (np.arange(windows[0]) < ends[:, None])[..., None]
+    out_b, out_u = np.empty((n, k)), np.zeros((n, k))
+    rows = max(1, _ROW_CHUNK_ELEMS // (k * m))
 
     def fill(part: slice) -> None:
-        for l, cols, cand_b, cand_u in groups:
-            blocks = _grid_min_dissims(cand_b, cand_u, 1, np.array([l]), l, best[part], unc[part])
-            for _, s, _, dist_b, dist_u in blocks:
-                out_b[part, cols[s]] = dist_b.T
-                out_u[part, cols[s]] = dist_u.T
+        acc, spare = np.empty(k * windows[0] * rows), np.empty(k * windows[0] * rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked on the output
+            for r0 in range(part.start, part.stop, rows):
+                r1 = min(r0 + rows, part.stop)
+                r = r1 - r0
+                x_b = np.ascontiguousarray(best[r0:r1].T)
+                sums = acc[: k * windows[0] * r].reshape(k, windows[0], r)
+                for i, (j, w) in enumerate(zip(reach, windows)):
+                    t = sums if i == 0 else spare[: j * w * r].reshape(j, w, r)  # the first step writes, others add
+                    np.subtract(cand[0, :j, i, None, None], x_b[None, i : i + w], out=t)
+                    t *= t
+                    if i:
+                        sums[:j, :w] += t
+                mb = np.min(sums, axis=1, where=own, initial=np.inf)
+                out_b[r0:r1, order] = mb.T
+                if certain:
+                    continue
+                # each entry's uncertainty terms at its first minimizing window, gathered at their raveled positions
+                # in x (clipped past the series end, which no entry reads).  Uncertainties are stored as absolute
+                # values, so no term is -0.0 and the partial sum at index l - 1 is the fold from +0.0
+                x_u = np.ascontiguousarray(unc[r0:r1].T)
+                tied = sums == mb[:, None]
+                tied &= own
+                pos = (tied.argmax(axis=1) + np.arange(length[0])[:, None, None]) * r + np.arange(r)
+                xb, xu = np.take(x_b, pos, mode="clip"), np.take(x_u, pos, mode="clip")
+                s_b, s_u = cand.transpose(0, 2, 1)[..., None]
+                np.subtract(s_b, xb, out=xb)
+                np.abs(xb, out=xb)
+                xu += s_u
+                xu *= xb  # (u_s + u_x) * |s - x|, the full path's terms
+                mu = 2.0 * np.add.accumulate(xu, axis=0, out=xb)[length - 1, np.arange(k)]
+                if np.count_nonzero(tied) > mu.size:  # some entry's best minimum is attained at several windows
+                    ties = np.count_nonzero(tied, axis=1) > 1
+                    for c in np.flatnonzero(ties.any(axis=1)):
+                        e, l = np.flatnonzero(ties[c]), length[c]
+                        mu[c, e] = _tied_minima(cand[:, c, :l], x_b[:, e], x_u[:, e], tied[c][: m + 1 - l, e])
+                out_u[r0:r1, order] = mu.T
 
-    cells = n * sum(len(cols) * _pair_cells(m, l, l, 1) for l, cols, _, _ in groups)
-    _in_slices(n, fill, cells // _TILE_ELEMS)
+    _in_slices(n, fill, n * k * m // _ROW_CHUNK_ELEMS)
+    if not (np.isfinite(out_b).all() and np.isfinite(out_u).all()):
+        raise NumericOverflowError("dissimilarity overflowed to non-finite values")
     return UncertainDataset.from_arrays(out_b, out_u, d.labels)
 
 

@@ -1,7 +1,10 @@
 import csv
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -239,20 +242,21 @@ class TestStepComposition:
         "command, certain, huge, paths_run",
         [
             ("extract", True, "best", {"certain"}),
-            ("transform", True, "best", {"certain"}),
+            ("transform", True, "best", set()),
             ("extract", False, "uncertainty", {"full"}),
-            ("transform", False, "best", {"fold", "full"}),
+            ("transform", False, "best", set()),
             ("extract", False, "best", {"certain"}),
         ],
         ids=["extract", "transform", "extract-uncertain", "transform-uncertain", "extract-uncertain-huge-best"],
     )
     def test_overflow_is_one_error_line(self, command, certain, huge, paths_run, tmp_path, capsys, monkeypatch):
-        # the error is raised on a kernel worker thread, on any kernel path.  Extraction scores on the
-        # certain path, which raises first when the best-estimate sums overflow; when only uncertainty
-        # sums can overflow it scores on the full path, which raises.  The transform folds; both windows'
-        # best sums overflow to inf, an exact tie, so its tiles are filled again on the full path
+        # extraction raises on a kernel worker thread, on any kernel path: it scores on the certain path,
+        # which raises first when the best-estimate sums overflow; when only uncertainty sums can overflow
+        # it scores on the full path, which raises.  The transform runs its own kernel, no extraction tile,
+        # on two workers, and raises once they have left an overflowed entry
         monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
-        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)  # the 2-row transform is then two tiles
+        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)  # extraction's kernel takes one-cell tiles
+        monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)  # the 2-row transform takes one row per worker
         fill, paths = ust.shapelet._fill_tile, set()
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.add(args[-1]) or fill(*args))
         if huge == "best":
@@ -1092,3 +1096,33 @@ def test_committed_fixtures_are_the_generator_output(tmp_path, monkeypatch):
     assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.tsv")) == committed
     for name in committed:
         assert (tmp_path / name).read_bytes() == (fixtures / "benchmark" / name).read_bytes(), name
+
+
+def test_no_pipeline_step_imports_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, from np.unique of integers among others: an import of about 9 ms
+    # that nothing in ust needs.  A fresh process runs every step, the benchmark and the transform included
+    fixtures = Path(__file__).resolve().parent / "fixtures" / "benchmark"
+    data = fixtures / "TriShape" / "TriShape_TRAIN.tsv"
+    steps = [
+        ["benchmark", "--data-dir", str(fixtures), "--no-timings", "--out", str(tmp_path / "r.csv")],
+        ["add-noise", "--input", str(data), "--out-values", str(tmp_path / "v.tsv"),
+         "--out-uncertainties", str(tmp_path / "u.tsv")],
+        ["extract", "--data", str(tmp_path / "v.tsv"), "--uncertainties", str(tmp_path / "u.tsv"),
+         "--out", str(tmp_path / "sh.json")],
+        ["transform", "--data", str(tmp_path / "v.tsv"), "--uncertainties", str(tmp_path / "u.tsv"),
+         "--shapelets", str(tmp_path / "sh.json"), "--out", str(tmp_path / "f.csv")],
+        ["classify", "--train-features", str(tmp_path / "f.csv"), "--test-features", str(tmp_path / "f.csv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from ust.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy.ma' not in sys.modules, argv[0]\n"
+    )
+    src = str(Path(ust.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(steps)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr

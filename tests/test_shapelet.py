@@ -175,7 +175,12 @@ def assert_transform_matches_oracle(d, shapelets):
 
 @st.composite
 def transform_cases(draw):
-    """Series and shapelets of mixed lengths, one as long as the series; the grid variant ties windows."""
+    """Series and shapelets of mixed lengths, one as long as the series, and a row-chunk budget.
+
+    The grid variant ties windows.  Every chunk holds every shapelet; the budget
+    gives one row per chunk, two (which splits an odd number of rows
+    unevenly), or the default's many.
+    """
     if draw(st.booleans()):
         el, unc_el = st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 0.5])
     else:
@@ -188,8 +193,8 @@ def transform_cases(draw):
     for l in draw(st.permutations(draw(st.lists(st.integers(1, m), max_size=4)) + [m])):
         values = [draw(st.lists(e, min_size=l, max_size=l)) for e in (el, shapelet_unc)]
         shapelets.append(UncertainShapelet(UncertainVector(*values), 0, 0, 0.0, UncertainValue(0.0)))
-    tile = draw(st.sampled_from([1, 7, ust.shapelet._TILE_ELEMS]))
-    return UncertainDataset.from_arrays(best, unc, ["A"] * n), shapelets, tile
+    budget = draw(st.sampled_from([1, 2 * len(shapelets) * m + 1, ust.shapelet._ROW_CHUNK_ELEMS]))
+    return UncertainDataset.from_arrays(best, unc, ["A"] * n), shapelets, budget
 
 
 def sweep(dist_b, dist_u, label_idx, totals):
@@ -501,12 +506,13 @@ class TestBatchKernels:
     def test_blocking_keeps_extraction_and_transform_bytes(self, monkeypatch):
         d = random_dataset(np.random.default_rng(4), n=7, m=11, integer_grid=True)
         cfg = ExtractionConfig(min_len=2, k=12, candidate_stride=2)
-        outputs = {}
+        outputs, chunk = {}, ust.shapelet._ROW_CHUNK_ELEMS  # the transform's row chunks follow the small tiles
         for budget in (1, 37, ust.shapelet._KERNEL_CHUNK_ELEMS):
             for tile in (1, 300, ust.shapelet._TILE_ELEMS):
                 for workers in (1, 2, 3):  # 3 workers slice the 7 sources and rows unevenly
                     monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
                     monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
+                    monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", min(tile, chunk))
                     monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
                     shapelets = extract_shapelets(d, cfg)
                     features = shapelet_transform(d, shapelets)
@@ -517,11 +523,12 @@ class TestBatchKernels:
         assert [key for key, out in outputs.items() if out != first] == []
 
     def test_more_workers_than_cores_under_fast_switching_keep_bytes(self, monkeypatch):
-        # one-cell tiles and a 1 us switch interval hand the GIL between workers at every numpy call,
-        # so a worker writing outside its own slice of the shared table or output would show
+        # one-cell tiles and row chunks and a 1 us switch interval hand the GIL between workers at every
+        # numpy call, so a worker writing outside its own slice of the shared table or output would show
         d = random_dataset(np.random.default_rng(5), n=9, m=12, integer_grid=True)
         cfg = ExtractionConfig(min_len=2, k=10)
         monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)
+        monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)
         outputs = []
         for workers in (1, 5):
             monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
@@ -538,7 +545,7 @@ class TestBatchKernels:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_threads_end_with_the_call(self, workers, monkeypatch):
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
-        monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 300)  # small enough for the transform to use the workers
+        monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 300)  # small enough for the transform to use the workers
         d = random_dataset(np.random.default_rng(4), n=7, m=11)
         before = threading.active_count()
         shapelets = extract_shapelets(d, ExtractionConfig(min_len=2, k=4))
@@ -883,19 +890,19 @@ class TestExtraction:
             extract_shapelets(d, ExtractionConfig(min_len=2, k=1))
 
     def test_scoring_sums_best_estimates_only(self, monkeypatch):
-        # real-valued uncertain data has no exact distance ties: scoring runs the certain path, and the
-        # train transform that holds the thresholds, like the transform of any split, folds each cell's
-        # uncertainty at its one minimizing window.  No tile takes the full path
+        # real-valued uncertain data has no exact distance ties: every scoring tile runs the certain path.
+        # The train transform that holds the thresholds, like the transform of any split, runs no kernel
+        # tile and folds each cell's uncertainty at its one minimizing window: nothing is recomputed
         d = random_dataset(np.random.default_rng(8), n=8, m=12)
         test = random_dataset(np.random.default_rng(9), n=8, m=12)
-        fill, paths = ust.shapelet._fill_tile, []
+        fill, tied, paths = ust.shapelet._fill_tile, ust.shapelet._tied_minima, []
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args))
+        monkeypatch.setattr(ust.shapelet, "_tied_minima", lambda *args: paths.append("tied") or tied(*args))
         got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=8, k=6))
-        scored = paths.index("fold")  # the scoring tiles come first, then the train transform's
-        assert set(paths[:scored]) == {"certain"} and set(paths[scored:]) == {"fold"}
+        assert set(paths) == {"certain"}
         paths.clear()
         assert_transform_matches_oracle(test, got)
-        assert set(paths) == {"fold"}
+        assert paths == []
 
     @staticmethod
     def scoring_passes(d, monkeypatch):
@@ -1142,18 +1149,29 @@ class TestTransform:
             shapelet_transform(short, shapelets)
 
     @given(transform_cases())
-    @example(  # integer-valued: windows tie in best sum and differ in uncertainty, so the tile falls back
+    @example(  # integer-valued: windows tie in best sum and differ in uncertainty, so the entry is recomputed
         (
             UncertainDataset.from_arrays([[0.0, 1.0, 0.0, 1.0, 0.0]], [[0.5, 0.0, 0.0, 0.5, 0.5]], ["A"]),
             [UncertainShapelet(UncertainVector([0.0, 1.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0))],
-            ust.shapelet._TILE_ELEMS,
+            ust.shapelet._ROW_CHUNK_ELEMS,
+        )
+    )
+    @example(  # certain series: only the uncertain shapelet's five windows tie, the certain one has one window
+        (
+            UncertainDataset.from_arrays([[0.0] * 5], [[0.0] * 5], ["A"]),
+            [
+                UncertainShapelet(UncertainVector([0.0], [0.5]), 0, 0, 0.0, UncertainValue(0.0)),
+                UncertainShapelet(UncertainVector([0.0] * 5, [0.0] * 5), 0, 0, 0.0, UncertainValue(0.0)),
+            ],
+            1,
         )
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_property(self, case):
-        # the transform folds each cell's uncertainty at its first minimizing window; the rows of a tile
-        # with an exact best tie across windows, and only they, are filled again on the full path
-        d, shapelets, tile = case
+        # the transform folds each entry's uncertainty at its first minimizing window; the entries with an
+        # exact best tie across windows, and only they, are recomputed over every window.  On certain data
+        # every uncertainty is +0.0, and nothing is recomputed
+        d, shapelets, budget = case
         ties = False
         for sh in shapelets:
             cand, l = sh.values.best.tolist(), sh.length
@@ -1161,18 +1179,17 @@ class TestTransform:
                 sums = [oracles.dissim(cand, [0.0] * l, row[t : t + l], [0.0] * l)[0] for t in range(len(row) - l + 1)]
                 ties |= sums.count(min(sums)) > 1
         certain = not (d.uncertainty.any() or any(sh.values.uncertainty.any() for sh in shapelets))
-        fill, paths = ust.shapelet._fill_tile, []
+        fill, tied = ust.shapelet._fill_tile, ust.shapelet._tied_minima
         for workers in (1, 2):
-            paths.clear()
+            calls = []
             with (
                 patch.object(ust.shapelet, "_CPUS", workers),
-                patch.object(ust.shapelet, "_TILE_ELEMS", tile),
-                patch.object(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args)),
+                patch.object(ust.shapelet, "_ROW_CHUNK_ELEMS", budget),
+                patch.object(ust.shapelet, "_fill_tile", lambda *args: calls.append("tile") or fill(*args)),
+                patch.object(ust.shapelet, "_tied_minima", lambda *args: calls.append("tied") or tied(*args)),
             ):
                 assert_transform_matches_oracle(d, shapelets)
-            # at two workers a slice of rows without uncertainties may take the certain path
-            expected = {"certain"} if certain else {"fold", "full"} if ties else {"fold"}
-            assert set(paths) == expected if workers == 1 else set(paths) <= expected | {"certain"}
+            assert set(calls) == ({"tied"} if ties and not certain else set())
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -1183,9 +1200,12 @@ class TestTransform:
     def test_uncertainty_overflow_raises_only_at_the_minimizing_window(self, unc, raises, workers, monkeypatch):
         # window 0 of [1, 1, 10, 10] is the unique minimum of [0, 0]: its uncertainty sum 2 * (0.6e308 + 0.6e308)
         # overflows; the sums of windows 1 and 2 overflow in the other case, which no feature reads
+        # (the minimum is unique, so the fold alone gives each entry's uncertainty and nothing is recomputed)
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
-        fill, paths = ust.shapelet._fill_tile, set()
-        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.add(args[-1]) or fill(*args))
+        monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)  # at two workers, one row each
+        fill, tied, calls = ust.shapelet._fill_tile, ust.shapelet._tied_minima, []
+        monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: calls.append("tile") or fill(*args))
+        monkeypatch.setattr(ust.shapelet, "_tied_minima", lambda *args: calls.append("tied") or tied(*args))
         d = UncertainDataset.from_arrays([[1.0, 1.0, 10.0, 10.0]] * 2, [unc] * 2, ["A", "B"])
         shapelet = UncertainShapelet(UncertainVector([0.0, 0.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0, 0.0))
         if raises:
@@ -1194,7 +1214,7 @@ class TestTransform:
         else:
             assert_transform_matches_oracle(d, [shapelet])
             assert shapelet_transform(d, [shapelet]).uncertainty.tolist() == [[0.0], [0.0]]
-        assert paths == {"fold"}
+        assert calls == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_is_bounded_by_the_tile_budget(self, workers, monkeypatch):
@@ -1215,20 +1235,24 @@ class TestTransform:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
-    @pytest.mark.parametrize("tile, rows", [(None, {10}), (1, {5})], ids=["default-tile", "one-cell-tile"])
+    @pytest.mark.parametrize("tile, rows", [(None, [10]), (1, [5, 5])], ids=["default-tile", "one-cell-tile"])
     def test_no_worker_gets_less_than_a_tile(self, tile, rows, monkeypatch):
-        # ten rows against two short shapelets are far less than one default tile, so one call
-        # takes all rows; with one-cell tiles each of the two workers takes half of them
+        # ten rows against two short shapelets are far less than one default row chunk, so one worker
+        # takes all rows; with one-cell chunks each of the two workers takes half of them
         monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
         train = planted_motif_dataset()
         shapelets = extract_shapelets(train, ExtractionConfig(min_len=3, max_len=4, k=2))
         expected = shapelet_transform(train, shapelets)
         if tile is not None:
-            monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
-        kernel, seen = ust.shapelet._grid_min_dissims, set()
-        monkeypatch.setattr(ust.shapelet, "_grid_min_dissims", lambda *a: seen.add(len(a[5])) or kernel(*a))
+            monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", tile)
+        in_slices, seen = ust.shapelet._in_slices, []
+
+        def spy(count, work, chunks=None):
+            return in_slices(count, lambda part: seen.append(part.stop - part.start) or work(part), chunks)
+
+        monkeypatch.setattr(ust.shapelet, "_in_slices", spy)
         features = shapelet_transform(train, shapelets)
-        assert seen == rows
+        assert sorted(seen) == rows
         assert (features.best.tobytes(), features.uncertainty.tobytes()) == (
             expected.best.tobytes(), expected.uncertainty.tobytes()
         )
