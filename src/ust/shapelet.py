@@ -41,9 +41,9 @@ the scoring, which is then done once more on the full path.  The transform
 has its own kernel: one pass over contiguous row chunks sums the best
 estimates of every shapelet length, then folds each cell's uncertainty terms
 at its first minimizing window, which gives the full path's bits where that
-minimum is unique; cells with an exact best tie across windows are folded at
-every window.  A threshold is a cell of the train transform, which extraction
-computes once and hands on with its shapelets.
+minimum is unique; a chunk holding a cell with an exact best tie across
+windows is folded at every window.  A threshold is a cell of the train
+transform, which extraction computes once and hands on with its shapelets.
 
 Extraction and the transform run on one worker thread per CPU in this
 process's affinity mask (``taskset -c`` restricts it); inside ``ust benchmark
@@ -187,11 +187,6 @@ def _in_slices(count: int, work: Callable[[slice], None], chunks: int | None = N
             future.result()
 
 
-def _pair_cells(m: int, min_len: int, span: int, stems: int) -> int:
-    """A tile's term and accumulator cells per (source, row) and plane: ``stems`` stems over ``span`` points."""
-    return m * span + (m - min_len + 1) * stems
-
-
 def _grid_min_dissims(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     series_b: np.ndarray, series_u: np.ndarray,
@@ -246,7 +241,7 @@ def _grid_min_dissims(
         block_ends = ends[k0 : k0 + stage_offsets]
         p0 = stride * k0
         p1 = int((p0 + stride * np.arange(len(block_ends)) + block_ends).max())
-        pair_cells = _pair_cells(m, min_len, p1 - p0, len(block_ends))
+        pair_cells = m * (p1 - p0) + w0 * len(block_ends)  # a tile's term and accumulator cells per (source, row)
         tile_rows = min(n, max(1, _TILE_ELEMS // pair_cells))
         tile = min(stage_sources, len(src_b), max(1, _TILE_ELEMS // (pair_cells * tile_rows))), tile_rows
         reach = np.count_nonzero(block_ends[:, None] >= np.arange(min_len, block_ends[0] + 1), axis=0)
@@ -527,19 +522,24 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     return out
 
 
-def _tied_minima(s: np.ndarray, x_b: np.ndarray, x_u: np.ndarray, tied: np.ndarray) -> np.ndarray:
-    """Uncertainty minima of one shapelet's transform entries whose best minimum several windows attain.
-
-    ``s`` is the shapelet's ``(2, l)`` best estimates and uncertainties, ``x_b`` and ``x_u`` the entries'
-    ``(m, entries)`` series, and ``tied[t, e]`` marks the windows ``t`` that attain entry ``e``'s best minimum.
-    Every window's uncertainty terms are folded index-ascending from ``+0.0``, as the full path folds them,
-    then minimised over the tied windows and doubled.
-    """
-    w = len(tied)
-    acc = np.zeros(tied.shape)
-    for i in range(s.shape[1]):
-        acc += (s[1, i] + x_u[i : i + w]) * np.abs(s[0, i] - x_b[i : i + w])
-    return 2.0 * np.min(acc, axis=0, where=tied, initial=np.inf)
+def _chunk_sums(
+    cand: np.ndarray, reach: list[int], windows: list[int], x_b: np.ndarray, x_u: np.ndarray | None,
+    sums: np.ndarray, spare: np.ndarray,
+) -> None:
+    """Write a row chunk's window sums into ``sums``: step ``i`` adds index ``i`` of the ``(2, k, l)`` longest-first
+    shapelets ``cand`` to the first ``reach[i]`` shapelets' first ``windows[i]`` windows of the ``(m, rows)`` series,
+    index-ascending as ``udissim`` folds, a term ``(s - x)**2`` or, given ``x_u``, ``(u_s + u_x) * |s - x|``."""
+    r = x_b.shape[1]
+    for i, (j, w) in enumerate(zip(reach, windows)):
+        t = sums if i == 0 else spare[: j * w * r].reshape(j, w, r)  # the first step writes, the others add
+        np.subtract(cand[0, :j, i, None, None], x_b[None, i : i + w], out=t)
+        if x_u is None:
+            t *= t
+        else:
+            np.abs(t, out=t)
+            t *= cand[1, :j, i, None, None] + x_u[None, i : i + w]
+        if i:
+            sums[:j, :w] += t
 
 
 def shapelet_transform(
@@ -554,15 +554,13 @@ def shapelet_transform(
     extraction reads from here.  Each worker takes a contiguous slice of the
     instances in chunks of at most ``_ROW_CHUNK_ELEMS // (k * m)`` rows, or
     one, copied contiguous as ``(m, rows)``.  With the shapelets ordered
-    longest first, those with a term at index ``i`` lead, and one pass grows
-    the window sums of every length, index-ascending as ``udissim`` folds
-    them: step ``i`` adds ``(s[:, i] - x[i : i + w])**2`` to the leading
-    shapelets' first ``w`` windows, as many as the shortest of them has.
-    Each entry's best minimum is then taken over its shapelet's own windows.
-    On uncertain data the entry folds ``(u_s + u_x) * |s - x|`` at its first
-    minimizing window, index-ascending from ``+0.0``, and doubles it, as the
-    full path does; an entry whose best minimum several windows attain is
-    folded at each of them (:func:`_tied_minima`).  On certain data every
+    longest first, one pass (:func:`_chunk_sums`) grows the window sums of
+    every length, and each entry's best minimum is taken over its shapelet's
+    own windows.  On uncertain data the entry folds ``(u_s + u_x) * |s - x|``
+    at its first minimizing window, index-ascending from ``+0.0``, and
+    doubles it, as the full path does; a chunk where some entry's best minimum
+    several windows attain folds every window in a second pass and takes each
+    entry's minimum over its minimizing windows.  On certain data every
     uncertainty is ``+0.0``.  ``NumericOverflowError`` is raised on any
     non-finite entry, which is where the full path raises it.
     """
@@ -579,8 +577,7 @@ def shapelet_transform(
     for c, j in enumerate(order):
         cand[:, c, : length[c]] = shapelets[j].values.best, shapelets[j].values.uncertainty
     certain = not (unc.any() or cand[1].any())
-    # step i adds index i to the first reach[i] shapelets' first windows[i] windows; shapelet c's own windows are
-    # those below ends[c]
+    # step i of _chunk_sums spans the windows of the shortest shapelet with index i; shapelet c's own are below ends[c]
     reach = np.count_nonzero(length[:, None] > np.arange(length[0]), axis=0).tolist()
     ends = m + 1 - length
     windows = ends[np.array(reach) - 1].tolist()
@@ -596,12 +593,7 @@ def shapelet_transform(
                 r = r1 - r0
                 x_b = np.ascontiguousarray(best[r0:r1].T)
                 sums = acc[: k * windows[0] * r].reshape(k, windows[0], r)
-                for i, (j, w) in enumerate(zip(reach, windows)):
-                    t = sums if i == 0 else spare[: j * w * r].reshape(j, w, r)  # the first step writes, others add
-                    np.subtract(cand[0, :j, i, None, None], x_b[None, i : i + w], out=t)
-                    t *= t
-                    if i:
-                        sums[:j, :w] += t
+                _chunk_sums(cand, reach, windows, x_b, None, sums, spare)
                 mb = np.min(sums, axis=1, where=own, initial=np.inf)
                 out_b[r0:r1, order] = mb.T
                 if certain:
@@ -621,10 +613,8 @@ def shapelet_transform(
                 xu *= xb  # (u_s + u_x) * |s - x|, the full path's terms
                 mu = 2.0 * np.add.accumulate(xu, axis=0, out=xb)[length - 1, np.arange(k)]
                 if np.count_nonzero(tied) > mu.size:  # some entry's best minimum is attained at several windows
-                    ties = np.count_nonzero(tied, axis=1) > 1
-                    for c in np.flatnonzero(ties.any(axis=1)):
-                        e, l = np.flatnonzero(ties[c]), length[c]
-                        mu[c, e] = _tied_minima(cand[:, c, :l], x_b[:, e], x_u[:, e], tied[c][: m + 1 - l, e])
+                    _chunk_sums(cand, reach, windows, x_b, x_u, sums, spare)  # every window of every entry
+                    mu = 2.0 * np.min(sums, axis=1, where=tied, initial=np.inf)
                 out_u[r0:r1, order] = mu.T
 
     _in_slices(n, fill, n * k * m // _ROW_CHUNK_ELEMS)

@@ -173,6 +173,23 @@ def assert_transform_matches_oracle(d, shapelets):
     assert np.stack([got.best, got.uncertainty], axis=-1).tobytes() == expected.tobytes()
 
 
+def fold_spy():
+    """A spy for the transform's ``_chunk_sums`` and the list it fills: the series rows of each chunk folded at
+    every window.
+
+    ``_chunk_sums`` sums the best estimates of every chunk, and folds the uncertainty terms (given ``x_u``) only
+    of a chunk where some entry's best minimum is attained at several windows.
+    """
+    chunk_sums, folds = ust.shapelet._chunk_sums, []
+
+    def spy(cand, reach, windows, x_b, x_u, sums, spare):
+        if x_u is not None:
+            folds.append([row.tobytes() for row in x_b.T])
+        chunk_sums(cand, reach, windows, x_b, x_u, sums, spare)
+
+    return spy, folds
+
+
 @st.composite
 def transform_cases(draw):
     """Series and shapelets of mixed lengths, one as long as the series, and a row-chunk budget.
@@ -892,17 +909,18 @@ class TestExtraction:
     def test_scoring_sums_best_estimates_only(self, monkeypatch):
         # real-valued uncertain data has no exact distance ties: every scoring tile runs the certain path.
         # The train transform that holds the thresholds, like the transform of any split, runs no kernel
-        # tile and folds each cell's uncertainty at its one minimizing window: nothing is recomputed
+        # tile and folds each cell's uncertainty at its one minimizing window: no chunk folds every window
         d = random_dataset(np.random.default_rng(8), n=8, m=12)
         test = random_dataset(np.random.default_rng(9), n=8, m=12)
-        fill, tied, paths = ust.shapelet._fill_tile, ust.shapelet._tied_minima, []
+        fill, paths = ust.shapelet._fill_tile, []
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args))
-        monkeypatch.setattr(ust.shapelet, "_tied_minima", lambda *args: paths.append("tied") or tied(*args))
+        spy, folds = fold_spy()
+        monkeypatch.setattr(ust.shapelet, "_chunk_sums", spy)
         got = assert_matches_oracle(d, ExtractionConfig(min_len=3, max_len=8, k=6))
-        assert set(paths) == {"certain"}
+        assert set(paths) == {"certain"} and folds == []
         paths.clear()
         assert_transform_matches_oracle(test, got)
-        assert paths == []
+        assert paths == [] and folds == []
 
     @staticmethod
     def scoring_passes(d, monkeypatch):
@@ -1166,30 +1184,50 @@ class TestTransform:
             1,
         )
     )
+    @example(  # one chunk folded at every window: row 0 ties against [0.5, 0.5] and [0.5] with unequal uncertainties
+        (
+            UncertainDataset.from_arrays(
+                [[0.0, 1.0, 0.0, 1.0, 0.0], [0.3, 1.2, -0.7, 2.5, 0.1]],
+                [[0.5, 0.0, 0.25, 0.5, 0.0], [0.0, 0.25, 0.5, 0.0, 0.5]],
+                ["A", "A"],
+            ),
+            [
+                UncertainShapelet(UncertainVector(b, u), 0, 0, 0.0, UncertainValue(0.0))
+                for b, u in [([0.5, 0.5], [0.0, 0.5]), ([0.5, 0.2, 0.9], [0.25, 0.0, 0.5]), ([0.5], [0.25])]
+            ],
+            ust.shapelet._ROW_CHUNK_ELEMS,
+        )
+    )
     @settings(max_examples=80, deadline=None)
     def test_matches_oracle_property(self, case):
-        # the transform folds each entry's uncertainty at its first minimizing window; the entries with an
-        # exact best tie across windows, and only they, are recomputed over every window.  On certain data
-        # every uncertainty is +0.0, and nothing is recomputed
+        # the transform folds each entry's uncertainty at its first minimizing window; a row chunk that holds an
+        # entry with an exact best tie across windows, and only such a chunk, is folded at every window.  On
+        # certain data every uncertainty is +0.0, and no chunk is folded
         d, shapelets, budget = case
-        ties = False
+        tied_rows = set()
         for sh in shapelets:
             cand, l = sh.values.best.tolist(), sh.length
-            for row in d.best.tolist():
+            for row, x in zip(d.best.tolist(), d.best):
                 sums = [oracles.dissim(cand, [0.0] * l, row[t : t + l], [0.0] * l)[0] for t in range(len(row) - l + 1)]
-                ties |= sums.count(min(sums)) > 1
+                if sums.count(min(sums)) > 1:
+                    tied_rows.add(x.tobytes())
         certain = not (d.uncertainty.any() or any(sh.values.uncertainty.any() for sh in shapelets))
-        fill, tied = ust.shapelet._fill_tile, ust.shapelet._tied_minima
+        fill = ust.shapelet._fill_tile
         for workers in (1, 2):
-            calls = []
+            calls, (spy, folds) = [], fold_spy()
             with (
                 patch.object(ust.shapelet, "_CPUS", workers),
                 patch.object(ust.shapelet, "_ROW_CHUNK_ELEMS", budget),
                 patch.object(ust.shapelet, "_fill_tile", lambda *args: calls.append("tile") or fill(*args)),
-                patch.object(ust.shapelet, "_tied_minima", lambda *args: calls.append("tied") or tied(*args)),
+                patch.object(ust.shapelet, "_chunk_sums", spy),
             ):
                 assert_transform_matches_oracle(d, shapelets)
-            assert set(calls) == ({"tied"} if ties and not certain else set())
+            assert calls == []
+            if certain:
+                assert folds == []
+            else:  # every folded chunk holds a tied row, and every tied row lies in a folded chunk
+                assert all(tied_rows.intersection(rows) for rows in folds)
+                assert tied_rows <= {row for rows in folds for row in rows}
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -1200,12 +1238,12 @@ class TestTransform:
     def test_uncertainty_overflow_raises_only_at_the_minimizing_window(self, unc, raises, workers, monkeypatch):
         # window 0 of [1, 1, 10, 10] is the unique minimum of [0, 0]: its uncertainty sum 2 * (0.6e308 + 0.6e308)
         # overflows; the sums of windows 1 and 2 overflow in the other case, which no feature reads
-        # (the minimum is unique, so the fold alone gives each entry's uncertainty and nothing is recomputed)
+        # (the minimum is unique, so the fold at it gives each entry's uncertainty and no chunk folds every window)
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
         monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)  # at two workers, one row each
-        fill, tied, calls = ust.shapelet._fill_tile, ust.shapelet._tied_minima, []
+        fill, calls, (spy, folds) = ust.shapelet._fill_tile, [], fold_spy()
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: calls.append("tile") or fill(*args))
-        monkeypatch.setattr(ust.shapelet, "_tied_minima", lambda *args: calls.append("tied") or tied(*args))
+        monkeypatch.setattr(ust.shapelet, "_chunk_sums", spy)
         d = UncertainDataset.from_arrays([[1.0, 1.0, 10.0, 10.0]] * 2, [unc] * 2, ["A", "B"])
         shapelet = UncertainShapelet(UncertainVector([0.0, 0.0], [0.0, 0.0]), 0, 0, 0.0, UncertainValue(0.0, 0.0))
         if raises:
@@ -1214,7 +1252,27 @@ class TestTransform:
         else:
             assert_transform_matches_oracle(d, [shapelet])
             assert shapelet_transform(d, [shapelet]).uncertainty.tolist() == [[0.0], [0.0]]
-        assert calls == []
+        assert calls == [] and folds == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("budget", [1, None], ids=["one-row-chunks", "default-chunks"])
+    def test_overflow_off_the_minimum_of_a_chunk_folded_at_every_window(self, budget, workers, monkeypatch):
+        # [10] ties at windows 2 and 3 of [1, 1, 10, 10], so each chunk folds every window of every entry.  That
+        # computes the uncertainty sums of [0, 0] at windows 1 and 2 too, which overflow; its unique minimum is
+        # window 0, so no feature reads them and nothing raises
+        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        if budget is not None:
+            monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", budget)
+        spy, folds = fold_spy()
+        monkeypatch.setattr(ust.shapelet, "_chunk_sums", spy)
+        d = UncertainDataset.from_arrays([[1.0, 1.0, 10.0, 10.0]] * 2, [[0.0, 0.0, 0.6e308, 0.6e308]] * 2, ["A", "B"])
+        shapelets = [
+            UncertainShapelet(UncertainVector(b, [0.0] * len(b)), 0, 0, 0.0, UncertainValue(0.0, 0.0))
+            for b in ([0.0, 0.0], [10.0])
+        ]
+        assert_transform_matches_oracle(d, shapelets)
+        assert shapelet_transform(d, shapelets).uncertainty.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert sorted(row for rows in folds for row in rows) == [x.tobytes() for x in d.best] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_memory_is_bounded_by_the_tile_budget(self, workers, monkeypatch):
