@@ -91,10 +91,6 @@ class ConfigurationError(ValueError):
     """An extraction configuration admits no candidates for the given data."""
 
 
-class _ExactTie(Exception):
-    """A best-only scoring met an exact best tie, which only the uncertainty minima order."""
-
-
 @dataclass(frozen=True)
 class UncertainShapelet:
     """An extracted uncertain subsequence with provenance and quality."""
@@ -143,8 +139,9 @@ class ExtractionConfig:
 # ---------------------------------------------------------------------------
 
 _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells per block
-# term and accumulator cells of one tile per plane, the fastest measured of 100 K to 600 K; with a best and an
-# uncertainty plane each (the best-only path allocates both), a call's tile scratch is up to 16 * this bytes
+# term and accumulator cells of one tile per plane, the fastest measured of 100 K to 600 K.  A call's tile scratch
+# holds a best and an uncertainty plane of each, up to 16 * this bytes, on the best-only path too: its best planes
+# alone fall under glibc's dynamic mmap threshold onto the heap, which raised split-classify's peak RSS 89.7 -> 93.8 MB
 _TILE_ELEMS = 300_000
 _ROW_CHUNK_ELEMS = 65_536  # transform: k * m cells per row of a chunk, times its rows (at least one row)
 _SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a slice of a block's rows (at least one row)
@@ -164,8 +161,8 @@ def _worker_count() -> int:
     return max(1, cpus // _concurrent_tasks.get())
 
 
-def _in_slices(count: int, work: Callable[[slice], None], chunks: int | None = None) -> None:
-    """Call ``work(part)`` on fixed contiguous slices of ``range(count)``, one per worker.
+def _in_slices(count: int, work: Callable[[slice], object], chunks: int | None = None) -> list:
+    """``work(part)`` of fixed contiguous slices of ``range(count)``, one per worker, in slice order.
 
     Workers are :func:`_worker_count` capped at ``count`` and, when the caller
     gives the ``chunks`` its work spans, at that many, so that no worker gets
@@ -176,15 +173,11 @@ def _in_slices(count: int, work: Callable[[slice], None], chunks: int | None = N
     """
     workers = min(_worker_count(), count, count if chunks is None else chunks)
     if workers <= 1:
-        work(slice(0, count))
-        return
+        return [work(slice(0, count))]
     bounds = [count * i // workers for i in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(contextvars.copy_context().run, work, slice(a, b)) for a, b in zip(bounds, bounds[1:])
-        ]
-        for future in futures:
-            future.result()
+        futures = [pool.submit(contextvars.copy_context().run, work, slice(a, b)) for a, b in zip(bounds, bounds[1:])]
+        return [future.result() for future in futures]
 
 
 def _grid_min_dissims(
@@ -328,7 +321,7 @@ def _batch_best_splits(
     dist_unc: np.ndarray | None,
     label_idx: np.ndarray,
     class_totals: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Best split per candidate row: (gain, margin, thr_at).
 
     Thresholds are the distinct observed distances under the uncertain
@@ -355,7 +348,7 @@ def _batch_best_splits(
     tied = np.flatnonzero(~valid[:, :-1].all(axis=1))
     if len(tied):
         if dist_unc is None:
-            raise _ExactTie
+            return None
         unc = dist_unc[tied]
         resort = np.lexsort((unc, dist_best[tied]))
         sorted_labels[tied] = label_idx[resort]
@@ -429,7 +422,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     length, then smaller (source, offset).  A candidate overlapping an
     already-selected candidate from the same source series is pruned.
     The kernel runs its best-only path.  A sweep that meets an exact best tie,
-    which only uncertainty minima order, stops the scoring, and every candidate
+    which only uncertainty minima order, stops its worker's scoring, and every candidate
     is scored once more on the full path; at worst, a tie in the last sweep, that
     costs one best-only and one full-path scoring.  When an uncertainty sum
     could overflow (the bound below), the scoring runs the full path from the
@@ -477,12 +470,12 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     # overflow, so the best-only path raises NumericOverflowError exactly when the full path would.
     bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())
     scored_u = unc if not unc.any() or bound >= 2.0**1000 else np.zeros_like(unc)
-    picks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # per source block: table cells, sources, columns
     step = max(1, _SWEEP_ELEMS // n)  # rows of one split sweep: at most _SWEEP_ELEMS cells, or one row
 
-    def score(part: slice) -> None:
+    def score(part: slice, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+        picks = []  # the part's own picks, per source block: table cells, sources, columns
         for o, s, _, min_b, min_u in _grid_min_dissims(
-            best[part], scored_u[part], config.candidate_stride, ends, min_len, best, scored_u
+            best[part], u[part], config.candidate_stride, ends, min_len, best, u
         ):
             if o.start == 0:  # a source block's first offset block
                 table = np.empty((3, s.stop - s.start, len(col_k)))
@@ -492,21 +485,21 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
             cells = (cols[:, None] + len(col_k) * np.arange(s.stop - s.start)).ravel()  # in a plane of the table
             for r in range(0, len(min_b), step):
                 rows = slice(r, r + step)
-                dist_u = min_u[rows] if scored_u is unc else None  # best-only minima order no best tie
-                table.reshape(3, -1)[:, cells[rows]] = _batch_best_splits(min_b[rows], dist_u, label_idx, class_totals)
+                split = _batch_best_splits(min_b[rows], min_u[rows] if u is unc else None, label_idx, class_totals)
+                if split is None:  # best-only minima order no best tie
+                    return None
+                table.reshape(3, -1)[:, cells[rows]] = split
+                del split  # not held through the next sweep, which raised extract-motif's peak RSS by 0.2 MB
             if o.stop == len(ends):  # the source block is scored: keep only its sources' own picks
                 src, col = _own_picks(table[0], table[1], col_off, col_off + col_len, k)
                 picks.append((table[:, src, col], src + part.start + s.start, col))
+        return picks
 
-    try:
-        _in_slices(n, score)
-    except _ExactTie:  # every candidate is scored again
-        picks.clear()
-        scored_u = unc
-        _in_slices(n, score)
+    first = _in_slices(n, lambda part: score(part, scored_u))  # None where a best-only sweep met a best tie
+    scored = first if None not in first else _in_slices(n, lambda part: score(part, unc))  # scored again
 
     # the global greedy's picks are the first k, in key order, of every source's own picks
-    cells, source, column = (np.concatenate(x, axis=-1) for x in zip(*picks))
+    cells, source, column = (np.concatenate(x, axis=-1) for x in zip(*(p for picks in scored for p in picks)))
     sel = np.lexsort((col_off[column], source, col_len[column], -cells[1], -cells[0]))[:k]
     length, source, offset = col_len[column[sel]], source[sel], col_off[column[sel]]
     shapelets = [  # each threshold, set below, is its shapelet's cell of the train transform at the threshold's series
@@ -517,7 +510,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     at = cells[2, sel].astype(int), np.arange(len(shapelets))
     thr_b, thr_u = (x[at].tolist() for x in (features.best, features.uncertainty))
     out = _Shapelets(replace(sh, split_threshold=UncertainValue(b, u)) for sh, b, u in zip(shapelets, thr_b, thr_u))
-    out.certain_alike = scored_u is not unc or not unc.any()
+    out.certain_alike = not unc.any() or scored_u is not unc and scored is first
     out.train_features = features
     return out
 
@@ -598,23 +591,24 @@ def shapelet_transform(
                 out_b[r0:r1, order] = mb.T
                 if certain:
                     continue
-                # each entry's uncertainty terms at its first minimizing window, gathered at their raveled positions
-                # in x (clipped past the series end, which no entry reads).  Uncertainties are stored as absolute
-                # values, so no term is -0.0 and the partial sum at index l - 1 is the fold from +0.0
                 x_u = np.ascontiguousarray(unc[r0:r1].T)
                 tied = sums == mb[:, None]
                 tied &= own
-                pos = (tied.argmax(axis=1) + np.arange(length[0])[:, None, None]) * r + np.arange(r)
-                xb, xu = np.take(x_b, pos, mode="clip"), np.take(x_u, pos, mode="clip")
-                s_b, s_u = cand.transpose(0, 2, 1)[..., None]
-                np.subtract(s_b, xb, out=xb)
-                np.abs(xb, out=xb)
-                xu += s_u
-                xu *= xb  # (u_s + u_x) * |s - x|, the full path's terms
-                mu = 2.0 * np.add.accumulate(xu, axis=0, out=xb)[length - 1, np.arange(k)]
-                if np.count_nonzero(tied) > mu.size:  # some entry's best minimum is attained at several windows
+                if np.count_nonzero(tied) > mb.size:  # some entry's best minimum is attained at several windows
                     _chunk_sums(cand, reach, windows, x_b, x_u, sums, spare)  # every window of every entry
                     mu = 2.0 * np.min(sums, axis=1, where=tied, initial=np.inf)
+                else:
+                    # each entry's uncertainty terms at its first minimizing window, gathered at their raveled
+                    # positions in x (clipped past the series end, which no entry reads).  Uncertainties are stored
+                    # as absolute values, so no term is -0.0 and the partial sum at index l - 1 is the fold from +0.0
+                    pos = (tied.argmax(axis=1) + np.arange(length[0])[:, None, None]) * r + np.arange(r)
+                    xb, xu = np.take(x_b, pos, mode="clip"), np.take(x_u, pos, mode="clip")
+                    s_b, s_u = cand.transpose(0, 2, 1)[..., None]
+                    np.subtract(s_b, xb, out=xb)
+                    np.abs(xb, out=xb)
+                    xu += s_u
+                    xu *= xb  # (u_s + u_x) * |s - x|, the full path's terms
+                    mu = 2.0 * np.add.accumulate(xu, axis=0, out=xb)[length - 1, np.arange(k)]
                 out_u[r0:r1, order] = mu.T
 
     _in_slices(n, fill, n * k * m // _ROW_CHUNK_ELEMS)

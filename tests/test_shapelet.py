@@ -28,7 +28,7 @@ from ust import (
     save_shapelets,
     shapelet_transform,
 )
-from ust.shapelet import _ExactTie, _batch_best_splits, _grid_min_dissims, _own_picks, shapelets_to_json
+from ust.shapelet import _batch_best_splits, _grid_min_dissims, _own_picks, shapelets_to_json
 
 
 def dataset(rows):
@@ -219,14 +219,13 @@ def sweep(dist_b, dist_u, label_idx, totals):
 
     The sweep is given NaN uncertainties in the rows without an exact best
     tie, so outputs that match the oracle show it reads only the tied rows.
-    Also checks that without uncertainties it raises ``_ExactTie`` exactly
+    Also checks that without uncertainties it returns ``None`` exactly
     when some row holds a best tie, and otherwise gives the same outputs.
     """
     tied = np.array([len(set(row)) < len(row) for row in dist_b.tolist()])
     out = _batch_best_splits(dist_b, np.where(tied[:, None], dist_u, np.nan), label_idx, totals)
     if tied.any():
-        with pytest.raises(_ExactTie):
-            _batch_best_splits(dist_b, None, label_idx, totals)
+        assert _batch_best_splits(dist_b, None, label_idx, totals) is None
     else:
         assert all(np.array_equal(a, b) for a, b in zip(_batch_best_splits(dist_b, None, label_idx, totals), out))
     g, mg, at = out
@@ -380,8 +379,7 @@ class TestBestSplit:
         dist_u = np.array([[0.0, 0.5, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.0], [0.5, 0.25, 0.5]])
         labels, totals = np.array([0, 1, 0]), np.array([2, 1])
         for rows in ([1], [0, 3], [0, 1, 2, 3]):  # rows 1 and 3 hold a best tie
-            with pytest.raises(_ExactTie):
-                _batch_best_splits(dist_b[rows], None, labels, totals)
+            assert _batch_best_splits(dist_b[rows], None, labels, totals) is None
         untied = _batch_best_splits(dist_b[[0, 2]], None, labels, totals)
         tied = np.array([False, True, False, True])
         g, mg, at = _batch_best_splits(dist_b, np.where(tied[:, None], dist_u, np.nan), labels, totals)
@@ -588,6 +586,26 @@ class TestBatchKernels:
         finally:
             ust.shapelet._concurrent_tasks.reset(token)
         assert sorted(seen) == [(0, 2, 2, True), (2, 4, 2, True)]
+
+    @pytest.mark.parametrize(
+        "cpus, count, chunks, parts",
+        [(1, 5, None, [(0, 5)]), (2, 5, None, [(0, 2), (2, 5)]), (4, 3, None, [(0, 1), (1, 2), (2, 3)]),
+         (4, 8, 2, [(0, 4), (4, 8)])],
+        ids=["one-cpu", "two-cpus", "more-workers-than-units", "chunks-cap-the-workers"],
+    )
+    def test_results_come_in_slice_order(self, cpus, count, chunks, parts, monkeypatch):
+        # every slice but the last waits until the last has run, so slice order is not completion order
+        monkeypatch.setattr(ust.shapelet, "_CPUS", cpus)
+        last_ran = threading.Event()
+
+        def work(part):
+            if part.stop == count:
+                last_ran.set()
+            else:
+                assert last_ran.wait(10)
+            return part.start, part.stop
+
+        assert ust.shapelet._in_slices(count, work, chunks) == parts
 
     def test_worker_count_without_an_affinity_mask(self, monkeypatch):
         # platforms without os.sched_getaffinity count os.cpu_count(), or one CPU if it is unknown
@@ -964,14 +982,15 @@ class TestExtraction:
 
     @pytest.mark.parametrize(
         "workers, budget, paths_run",
-        [(1, 1, {"certain", "full"}), (1, None, {"certain"}), (2, None, {"certain", "full"})],
+        [(1, 1, {"certain", "full"}), (1, None, {"certain"}), (2, None, {"certain"})],
         ids=["tie-first", "overflow-first", "tie-in-the-first-slice"],
     )
     def test_a_tie_and_an_overflow_raise_the_overflow(self, workers, budget, paths_run, monkeypatch):
         # every sweep of source 0 ties, and source 2's window [1, 5) overflows against the other series.
         # One-stem blocks sweep offset 0 before the kernel reaches offset 1, so the tie comes first and
         # the full path raises; one block meets the overflow first; at 2 workers the first slice ties
-        # while the second overflows.  Extraction raises NumericOverflowError in every case
+        # while the second overflows, which raises before any rescoring.  Extraction raises
+        # NumericOverflowError in every case
         monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
         if budget is not None:
             monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
@@ -1021,11 +1040,10 @@ class TestExtraction:
         splits, ties = ust.shapelet._batch_best_splits, []
 
         def spy(*args):
-            try:
-                return splits(*args)
-            except _ExactTie:
+            out = splits(*args)
+            if out is None:
                 ties.append(args)
-                raise
+            return out
 
         with patch.object(ust.shapelet, "_batch_best_splits", spy):
             uncertain_view = extract_shapelets(d, config)
@@ -1196,6 +1214,20 @@ class TestTransform:
                 for b, u in [([0.5, 0.5], [0.0, 0.5]), ([0.5, 0.2, 0.9], [0.25, 0.0, 0.5]), ([0.5], [0.25])]
             ],
             ust.shapelet._ROW_CHUNK_ELEMS,
+        )
+    )
+    @example(  # constant series and shapelets: every window of every entry ties, so every chunk folds every window
+        (
+            UncertainDataset.from_arrays(
+                [[2.0] * 6, [-1.0] * 6, [0.5] * 6],
+                [[0.5, 0.0, 0.25, 0.5, 0.0, 0.25], [0.25] * 6, [0.0, 0.5, 0.0, 0.25, 0.25, 0.5]],
+                ["A"] * 3,
+            ),
+            [
+                UncertainShapelet(UncertainVector(b, u), 0, 0, 0.0, UncertainValue(0.0))
+                for b, u in [([1.0] * 2, [0.25, 0.0]), ([0.0] * 4, [0.0, 0.5, 0.25, 0.0]), ([3.0], [0.5])]
+            ],
+            2 * 3 * 6 + 1,  # two rows per chunk, then one
         )
     )
     @settings(max_examples=80, deadline=None)
