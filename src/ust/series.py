@@ -13,10 +13,22 @@ A dataset is stored as one or two TSV files, or as one feature CSV:
 
 All three hold finite reals with 17 significant digits (a bit-exact round
 trip for binary64), uncertainties >= 0 and non-empty labels without tab,
-CR or LF.  A number is any string Python's ``float`` accepts.  A reader
-checks each row's shape, then parses all numbers of a table in one pass;
-only when that fails does it rescan the rows in order, so that a malformed
-number raises ``<file>:<line>: column <c>: ...`` for the first bad one.
+CR or LF.  A number is any string Python's ``float`` accepts.
+
+A reader splits a file into lines in Python: a leading byte-order mark is
+skipped, CR LF, CR and LF end a line, and a TSV skips empty lines.  NumPy's
+C text reader then parses a table's number fields when each is printable
+ASCII without ``_`` and, in a CSV, no line holds a ``"``, a NUL or more
+characters than ``csv.field_size_limit()`` (such a CSV is read again by the
+:mod:`csv` module).  Labels may hold anything.  On such fields NumPy's
+reader accepts exactly what ``float`` accepts, and both convert through
+CPython's correctly rounded ``PyOS_string_to_double``, a scalar routine
+that NumPy's SIMD dispatch does not reach, so the values keep ``float``'s
+bits.  Any other table, or one with a ragged row or a refused, non-finite
+or negative-uncertainty value, takes the per-row checked parse: ``float``
+on each field in line order, which raises
+``<file>:<line>: column <c>: ...`` for the first bad one.  So the accepted
+set, the bits and the messages do not depend on the path.
 A writer formats each row with one ``%`` operation.
 """
 
@@ -24,13 +36,12 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -191,6 +202,10 @@ def _reals(at: str, tokens: Sequence[str], first_col: int, nonneg: bool = False)
     return out
 
 
+# the characters a number field may hold for NumPy's reader: printable ASCII without "_"
+_NUMBER_BYTES = bytes(range(0x20, 0x7F)).replace(b"_", b"")
+
+
 def _json_int(x, name: str, lo: int, hi: float = math.inf) -> int:
     """``x`` if it is a JSON integer in ``[lo, hi)``; raises naming ``name`` otherwise."""
     if type(x) is not int:  # excludes bool, which json.loads also yields
@@ -225,33 +240,46 @@ def _open_text(path: str, newline: str | None = None):
         raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    with _open_text(path) as fh:
-        lines = [(line_no, line.rstrip("\r\n")) for line_no, line in enumerate(fh, start=1)]
-    return [(line_no, line.split("\t")) for line_no, line in lines if line]
+def _read_lines(path: str, newline: str | None = None) -> list[str]:
+    """A UTF-8 file's lines, each with its line break; CR LF, CR and LF all end a line."""
+    with _open_text(path, newline) as fh:
+        return list(fh)
 
 
-def _parse_table(rows: list[tuple[int, list[str]]], skip: int, width: int, nonneg_from: int,
-                 check_row: Callable[[int, list[str]], None], ok: bool = True) -> np.ndarray:
-    """Fields ``skip:`` of the ``(line_no, fields)`` rows as one ``(n, width)`` float64 matrix.
+def _tsv_lines(path: str) -> list[tuple[int, str]]:
+    """The non-empty lines of a TSV file with their line numbers, line breaks stripped."""
+    numbered = enumerate((line.rstrip("\n") for line in _read_lines(path)), start=1)
+    return [(line_no, line) for line_no, line in numbered if line]
 
-    All numbers go through Python's own ``float`` in one pass, so a number is
-    accepted exactly when :func:`_reals` accepts it; columns from ``nonneg_from``
-    on must be >= 0.  If a row is not ``skip + width`` fields wide, ``ok`` (the
-    caller's other checks) is false or a value is refused, ``check_row`` runs on
-    the rows in line order to raise the first error.
+
+def _parse_table(lines: Sequence[str] | None, sep: str, labeled: bool, width: int, nonneg_from: int,
+                 rows: Iterable[tuple[int, list[str]]],
+                 check_row: Callable[[int, list[str]], list[float]]) -> np.ndarray:
+    """The reals of a table as one ``(n, width)`` float64 matrix; columns from ``nonneg_from`` on are >= 0.
+
+    ``lines`` holds the table's rows as text, a label field if ``labeled`` and
+    then ``width`` number fields joined by ``sep``, or is None when the caller's
+    own checks already refuse the table.  NumPy's C reader parses the number
+    fields when each is printable ASCII without ``_``: there it accepts what
+    ``float`` accepts and gives the same bits, as both convert through
+    CPython's ``PyOS_string_to_double``.  On any other table, or when a row is
+    not ``width`` wide or a value is refused, ``check_row`` parses the
+    ``(line_no, fields)`` of ``rows`` in line order: it returns a row's reals
+    or raises the first error.
     """
     values = None
-    if ok and width >= 1 and all(len(fields) == skip + width for _, fields in rows):
-        tokens = itertools.chain.from_iterable(fields[skip:] for _, fields in rows)
-        try:
-            values = np.fromiter(map(float, tokens), np.float64, len(rows) * width).reshape(-1, width)
-        except ValueError:
-            pass
-    if values is None or not np.isfinite(values).all() or (values[:, nonneg_from:] < 0).any():
-        for line_no, fields in rows:
-            check_row(line_no, fields)
-        raise AssertionError("the bulk parse refused a table whose rows all pass their checks")
+    if lines is not None and width >= 1:
+        numbers = [line.partition(sep)[2] for line in lines] if labeled else lines
+        allowed = _NUMBER_BYTES + sep.encode()
+        # NumPy's reader skips an empty line
+        if all(text and text.isascii() and not text.encode("ascii").translate(None, allowed) for text in numbers):
+            try:
+                values = np.loadtxt(numbers, delimiter=sep, comments=None, quotechar=None, ndmin=2)
+            except ValueError:  # a number float refuses too, or a ragged row
+                pass
+    if (values is None or values.shape != (len(lines), width)
+            or not np.isfinite(values).all() or (values[:, nonneg_from:] < 0).any()):
+        values = np.array([check_row(line_no, fields) for line_no, fields in rows], dtype=np.float64)
     return values
 
 
@@ -264,39 +292,42 @@ def load_dataset(values_path: str | Path, uncertainty_path: str | Path | None = 
     the two files.
     """
     vpath = str(values_path)
-    vrows = _read_rows(vpath)
-    if not vrows:
+    vlines = _tsv_lines(vpath)
+    if not vlines:
         raise DatasetFormatError(f"{vpath}: no instances found")
-    m = len(vrows[0][1]) - 1
+    m = vlines[0][1].count("\t")
 
-    def check_values(line_no: int, fields: list[str]) -> None:
+    def check_values(line_no: int, fields: list[str]) -> list[float]:
         if len(fields) < 2:
             raise DatasetFormatError(f"{vpath}:{line_no}: expected a label followed by at least one value")
         if not fields[0]:
             raise DatasetFormatError(f"{vpath}:{line_no}: column 1: missing label")
         if len(fields) - 1 != m:
             raise DatasetFormatError(f"{vpath}:{line_no}: ragged row: {len(fields) - 1} values, expected {m}")
-        _reals(f"{vpath}:{line_no}", fields[1:], 2)
+        return _reals(f"{vpath}:{line_no}", fields[1:], 2)
 
-    labels = [fields[0] for _, fields in vrows]
-    best = _parse_table(vrows, 1, m, m, check_values, ok=all(labels))  # best estimates may be negative
+    labels = [line.partition("\t")[0] for _, line in vlines]
+    lines = [line for _, line in vlines] if all(labels) else None
+    best = _parse_table(lines, "\t", True, m, m,  # best estimates may be negative
+                        ((line_no, line.split("\t")) for line_no, line in vlines), check_values)
 
     if uncertainty_path is None:
         unc = np.zeros_like(best)
     else:
         upath = str(uncertainty_path)
-        urows = _read_rows(upath)
-        if len(urows) != len(vrows):
+        ulines = _tsv_lines(upath)
+        if len(ulines) != len(vlines):
             raise DatasetFormatError(
-                f"{upath}: {len(urows)} rows but {vpath} has {len(vrows)}: shape mismatch"
+                f"{upath}: {len(ulines)} rows but {vpath} has {len(vlines)}: shape mismatch"
             )
 
-        def check_uncertainties(line_no: int, fields: list[str]) -> None:
+        def check_uncertainties(line_no: int, fields: list[str]) -> list[float]:
             if len(fields) != m:
                 raise DatasetFormatError(f"{upath}:{line_no}: {len(fields)} values, expected {m}: shape mismatch")
-            _reals(f"{upath}:{line_no}", fields, 1, nonneg=True)
+            return _reals(f"{upath}:{line_no}", fields, 1, nonneg=True)
 
-        unc = _parse_table(urows, 0, m, 0, check_uncertainties)
+        unc = _parse_table([line for _, line in ulines], "\t", False, m, 0,
+                           ((line_no, line.split("\t")) for line_no, line in ulines), check_uncertainties)
 
     return UncertainDataset.from_arrays(best, unc, labels)
 
@@ -343,26 +374,37 @@ def write_feature_csv(f: UncertainDataset, path: str | Path) -> None:
 def read_feature_csv(path: str | Path) -> UncertainDataset:
     """Load a feature CSV; errors name the file and, for a bad row, its line."""
     path = str(path)
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+    lines = _read_lines(path)
+    limit = csv.field_size_limit()
+    if any('"' in line or "\0" in line or len(line) > limit for line in lines):
+        # quoting and csv's own errors (an oversized field; before Python 3.11, a NUL) take the csv module,
+        # which reads the line breaks inside a quoted field as they are
+        reader = csv.reader(_read_lines(path, newline=""))
         try:
             rows = list(reader)
         except csv.Error as exc:
             raise DatasetFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    k = (len(rows[0]) - 1) // 2 if rows else 0
-    if len(rows) < 2 or k < 1 or rows[0] != _feature_header(k):
+        header = rows[0] if rows else []
+        labels = [row[0] if row else "" for row in rows[1:]]  # an empty row fails its check first
+        lines, data = None, enumerate(rows[1:], start=2)
+    else:  # a row is then its line split at ",", and an empty line an empty row
+        lines = [line.rstrip("\n") for line in lines]
+        header, lines = (lines[0].split(",") if lines else []), lines[1:]
+        labels = [line.partition(",")[0] for line in lines]
+        data = ((line_no, line.split(",") if line else []) for line_no, line in enumerate(lines, start=2))
+    k = (len(header) - 1) // 2
+    if not labels or k < 1 or header != _feature_header(k):
         raise DatasetFormatError(f"{path}: expected header 'label,f1..f2k' and at least one row")
 
-    def check_row(line_no: int, row: list[str]) -> None:
+    def check_row(line_no: int, row: list[str]) -> list[float]:
         at = f"{path}:{line_no}"
         if len(row) != 2 * k + 1:
             raise DatasetFormatError(f"{at}: expected {2 * k + 1} fields, got {len(row)}")
-        _reals(at, row[1 : k + 1], 2)
-        _reals(at, row[k + 1 :], k + 2, nonneg=True)
+        return _reals(at, row[1 : k + 1], 2) + _reals(at, row[k + 1 :], k + 2, nonneg=True)
 
-    values = _parse_table(list(enumerate(rows[1:], start=2)), 1, 2 * k, k, check_row)
+    values = _parse_table(lines, ",", True, 2 * k, k, data, check_row)
     try:
-        return UncertainDataset.from_arrays(values[:, :k], values[:, k:], [row[0] for row in rows[1:]])
+        return UncertainDataset.from_arrays(values[:, :k], values[:, k:], labels)
     except ValueError as exc:  # a label the format cannot hold
         raise DatasetFormatError(f"{path}: {exc}") from None
 

@@ -330,7 +330,7 @@ def _batch_best_splits(
     ``thr_at``, the column (series) whose distance it is: the row's cell in
     that column.  Uncertainties only order exact best ties, so only the rows
     of ``dist_unc`` that hold one are read.  With ``dist_unc=None``
-    (best-only minima) such a row raises ``_ExactTie``.
+    (best-only minima) such a row makes the call return None.
     """
     c_total, n = dist_best.shape
 

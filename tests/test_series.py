@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from ust import (
     save_dataset,
     write_feature_csv,
 )
+from ust import series
 from ust.series import _instance_noise
 
 
@@ -111,6 +113,23 @@ class TestLoad:
         u = write(tmp_path / "u.tsv", "-0.5\n")
         with pytest.raises(DatasetFormatError, match=">= 0"):
             load_dataset(v, u)
+
+    def test_memory_stays_bounded(self, tmp_path):
+        # a 3000 x 60 pair is 3.6 MB of text per file and 1.4 MB per matrix; a reader that holds a
+        # Python float or a copy of the text per number peaks near 35 MB
+        rng = np.random.default_rng(0)
+        d = UncertainDataset.from_arrays(
+            rng.normal(size=(3000, 60)), rng.exponential(size=(3000, 60)), [str(i % 3) for i in range(3000)]
+        )
+        save_dataset(d, tmp_path / "v.tsv", tmp_path / "u.tsv")
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == d
+        assert peak < 20e6
 
 
 class TestSave:
@@ -274,13 +293,15 @@ ACCEPTED_TOKENS = st.one_of(
     finite.map(lambda x: format(x, ".17g")),
     finite.map(repr),
     st.integers(-(10**20), 10**20).map(str),
-    st.sampled_from(["-0", "1_0", "١", "１", " 1", "1 ", "\xa01", "+.5e-3", "5e-324"]),
+    st.sampled_from(["-0", "1_0", "١", "１", " 1", "1 ", "\xa01", "+.5e-3", "5e-324", "1\x0b", "1\x0c"]),
 )
-# tokens it refuses, or that parse to a value the tables refuse
+# tokens it refuses, or that parse to a value the tables refuse; NumPy's reader strips
+# "\x1c".."\x1f" as whitespace, and float does not
 REFUSED_TOKENS = st.sampled_from(
-    ["1\x00", "nan", "-inf", "inf", "1e999", "abc", "", "0x10", "1__0", "--1", "-0.5", "-1e-300"]
+    ["1\x00", "nan", "-inf", "inf", "1e999", "abc", "", "0x10", "1__0", "--1", "-0.5", "-1e-300",
+     "\x1c1", "\x1f1", "#1", "1 2"]
 )
-TABLE_LABELS = st.sampled_from(["a", "b", "c d", "", "x,y", '"q"', "#c", "éß"])
+TABLE_LABELS = st.sampled_from(["a", "b", "c d", "", "x,y", '"q"', "#c", "éß", "a_b", "x\x1cy"])
 
 
 @st.composite
@@ -351,6 +372,15 @@ class TestTableReader:
     @example(("a\t1\t2\nb\tx\t3\n\t1\t2\nc\t4\n", None))  # a bad number before a missing label and a ragged row
     @example(("a\t1_0\t١\r\nb\t１\t\xa01\r\n", "0\t-0\r\n1e-300\t1\x00\r\n"))
     @example(("\ufeffa\t1\n", "\ufeff-0.5\n"))
+    # each fails a C reader without its guard: a control character it strips, a row wider
+    # than the first in either file, a table wider than the values, a table of empty
+    # number fields, labels NumPy never converts
+    @example(("a\t1\nb\t\x1c2\n", None))
+    @example(("a\t1\nb\t2\t3\n", None))
+    @example(("a\t1\t2\nb\t3\t4\n", "0\t0\n0\t0\t0\n"))
+    @example(("a\t1\nb\t2\n", "0\t0\n0\t0\n"))
+    @example(("a\t\nb\t\n", None))
+    @example(("a_b\t1\nx\x1cy\t2\r#c\t3\n", "0\r\n1\n\n2\n"))
     @settings(max_examples=300, deadline=None)
     def test_tsv_matches_per_token_reader(self, tables):
         values, uncertainties = tables
@@ -365,12 +395,40 @@ class TestTableReader:
     @given(feature_tables())
     @example("label,f1,f2\nA,1,-0.5\n,abc,0\n")  # a negative uncertainty before a bad number and no label
     @example('label,f1,f2\r\n"x,y",1_0,１\r\n#c,-0,\xa01\r\n')
+    # each fails a C reader without its guard: a control character it strips, an empty
+    # line it skips, a quoted number, a row wider than the header
+    @example("label,f1,f2\nA,\x1f1,0\n")
+    @example("label,f1,f2\nA,1,0\n\nB,1,0\n")
+    @example('label,f1,f2\nA,"1",0\n')
+    @example("label,f1,f2\nA,1,0,0\n")
     @settings(max_examples=300, deadline=None)
     def test_feature_csv_matches_per_token_reader(self, text):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.csv"
             path.write_bytes(text.encode("utf-8"))
             assert_same_as_oracle(lambda: read_feature_csv(path), lambda: oracles.read_feature_csv(path))
+
+
+class TestCReader:
+    def test_clean_tables_skip_the_per_row_parse(self, tmp_path, monkeypatch):
+        # labels are never number fields: non-ASCII ones, spaces, "#", "_" and control characters keep the C path
+        d = UncertainDataset.from_arrays(
+            [[0.1, -2.5], [1e300, -0.0], [3.0, 5e-324]],
+            [[0.25, 0.0], [1e-8, 7.0], [0.5, 1.7e308]],
+            ["éß", "中 #c", "a_b\x1cx"],
+        )
+        save_dataset(d, tmp_path / "v.tsv", tmp_path / "u.tsv")
+        write_feature_csv(d, tmp_path / "f.csv")
+        parsed = []
+        checked = series._reals
+        monkeypatch.setattr(series, "_reals", lambda *args, **kw: parsed.append(args[0]) or checked(*args, **kw))
+        assert load_dataset(tmp_path / "v.tsv", tmp_path / "u.tsv") == d
+        assert read_feature_csv(tmp_path / "f.csv") == d
+        assert parsed == []
+        # a number only float reads takes the per-row parse, row by row
+        write(tmp_path / "v.tsv", "a\t1_0\t2\nb\t3\t4\n")
+        assert load_dataset(tmp_path / "v.tsv").best.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+        assert parsed == [f"{tmp_path / 'v.tsv'}:1", f"{tmp_path / 'v.tsv'}:2"]
 
 
 EDGE_REALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 3.0, -12.0, 0.1]
