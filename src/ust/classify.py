@@ -93,6 +93,9 @@ def _entropy_term(count: int, total: int) -> float:
 # of the exact ``h_full - gain``: below 4e-12 for K <= 100 and n <= 2**40.  Every
 # position whose approximate gain is within this far larger margin of its row's
 # approximate maximum is rescored exactly, so all exact row maxima are rescored.
+# Exactly tied gains, which the approximate pass ranks apart by rounding alone,
+# thus all reach the exact pass, which keeps the first as the oracle does,
+# however many ulps ``np.log2`` is off under the CPU's SIMD dispatch.
 _RESCORE_EPS = 1e-9
 
 

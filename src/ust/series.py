@@ -38,7 +38,6 @@ import csv
 import io
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -227,23 +226,17 @@ def _json_real(x, name: str, lo: float = -math.inf) -> float:
     return value
 
 
-@contextmanager
-def _open_text(path: str, newline: str | None = None):
-    """Open a UTF-8 file for reading, skipping a leading byte-order mark.
+def _read_lines(path: str, newline: str | None = None) -> list[str]:
+    """A UTF-8 file's lines, each with its line break; CR LF, CR and LF all end a line.
 
-    Undecodable bytes raise an error naming the file.
+    A leading byte-order mark is skipped.  Undecodable bytes raise an error
+    naming the file.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
-            yield fh
+            return list(fh)
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: not UTF-8 text: {exc}") from None
-
-
-def _read_lines(path: str, newline: str | None = None) -> list[str]:
-    """A UTF-8 file's lines, each with its line break; CR LF, CR and LF all end a line."""
-    with _open_text(path, newline) as fh:
-        return list(fh)
 
 
 def _tsv_lines(path: str) -> list[tuple[int, str]]:

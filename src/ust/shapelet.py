@@ -145,19 +145,16 @@ _KERNEL_CHUNK_ELEMS = 4_000_000  # staging: stems * n * (m - min_len + 1) cells 
 _TILE_ELEMS = 300_000
 _ROW_CHUNK_ELEMS = 65_536  # transform: k * m cells per row of a chunk, times its rows (at least one row)
 _SWEEP_ELEMS = 32_768  # distance cells of one split sweep over a slice of a block's rows (at least one row)
-_CPUS: int | None = None  # CPUs the kernel's workers use; None reads this process's affinity mask per call
-# pipeline runs sharing those CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
+# pipeline runs sharing this process's CPUs: ``ust benchmark --jobs`` sets it in each of its task threads
 _concurrent_tasks: contextvars.ContextVar[int] = contextvars.ContextVar("_concurrent_tasks", default=1)
 
 
 def _worker_count() -> int:
-    """Kernel threads for one call: the process's CPUs divided among its concurrent tasks."""
-    cpus = _CPUS
-    if cpus is None:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity mask on this platform
-            cpus = os.cpu_count() or 1
+    """Kernel threads for one call: the CPUs of the process's affinity mask divided among its concurrent tasks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
     return max(1, cpus // _concurrent_tasks.get())
 
 
@@ -183,8 +180,8 @@ def _in_slices(count: int, work: Callable[[slice], object], chunks: int | None =
 def _grid_min_dissims(
     src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
     series_b: np.ndarray, series_u: np.ndarray,
-) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(offsets, sources, reach, min_b, min_u)`` once per staging block of stems.
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Yield ``(offsets, sources, min_b, min_u)`` once per staging block of stems.
 
     Stems are the grid of start offsets ``stride * k`` (``k < len(ends)``) by
     rows of ``src``.  The stems at offset ``k`` are scored at every length from
@@ -192,11 +189,11 @@ def _grid_min_dissims(
     a length are a leading slice.  A block is the stems of the ``offsets`` by
     ``sources`` slices; each block of sources yields its offset blocks in
     order, the last with ``offsets.stop == len(ends)``, before the next.
-    ``reach[i]`` counts a block's offsets that reach length ``min_len + i``.
     ``min_b`` and ``min_u`` are the block's ``(rows, n)`` minimum
     dissimilarities to each series under the uncertain order: length
-    ``min_len + i`` holds the next ``reach[i] * len(sources)`` rows, in
-    (offset, source) order.
+    ``min_len + i`` holds the next ``len(sources)`` rows for each of the
+    block's offsets ``k`` with ``ends[k] >= min_len + i``, in (offset, source)
+    order.
     When every uncertainty is zero the kernel takes its certain path: it sums
     the best-estimate terms only, and ``min_u`` is a read-only view of ``+0.0``
     that takes no memory.  Zero uncertainties therefore give the best-only path
@@ -263,7 +260,7 @@ def _grid_min_dissims(
                         )
             if not (np.isfinite(min_b).all() and (certain or np.isfinite(min_u).all())):
                 raise NumericOverflowError("dissimilarity overflowed to non-finite values")
-            yield slice(k0, k0 + len(block_ends)), slice(s0, s1), reach, min_b, min_u
+            yield slice(k0, k0 + len(block_ends)), slice(s0, s1), min_b, min_u
 
 
 def _fill_tile(
@@ -474,7 +471,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
 
     def score(part: slice, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
         picks = []  # the part's own picks, per source block: table cells, sources, columns
-        for o, s, _, min_b, min_u in _grid_min_dissims(
+        for o, s, min_b, min_u in _grid_min_dissims(
             best[part], u[part], config.candidate_stride, ends, min_len, best, u
         ):
             if o.start == 0:  # a source block's first offset block

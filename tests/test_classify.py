@@ -276,6 +276,29 @@ class TestTreeOracle:
         assert model.root.threshold == lo
         assert tree_predict(model, e) == list("AB")
 
+    @pytest.mark.parametrize("log2", ["numpy", "shifted"])
+    def test_exactly_tied_gains_keep_the_first_cut(self, log2, monkeypatch):
+        # cuts 1 and 19 have exactly equal gains, 0.12686787062253213, which the approximate pass ranks apart
+        # by rounding: only the rescoring margin keeps cut 1 for the exact pass, which takes it as the oracle
+        # does (with no margin the fit splits at cut 19, threshold 15.5).  A log2 a few ulps off on alternate
+        # entries stands in for another SIMD kernel of np.log2
+        labels = [str(c) for c in [2, 2, 0, 0, 0, 1, 2, 1, 1, 0, 2, 0, 2, 2, 1, 2, 0, 2, 0, 2, 0, 0]]
+        steps = {0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 16, 18, 19, 20}  # positions before a new value
+        rows = np.cumsum([0.0] + [i in steps for i in range(21)])[:, None]
+        expected = oracles.grow_tree(rows.tolist(), labels, 1, 1)
+        if log2 == "shifted":
+            real = np.log2
+
+            def shifted(x):
+                out = real(x)
+                out[::2] += 3 * np.spacing(out[::2])
+                return out
+
+            monkeypatch.setattr(np, "log2", shifted)
+        model = tree_fit(EncodedMatrix(rows, labels, "best"), TreeParams(max_depth=1))
+        assert model.root.threshold == expected["threshold"] == 1.5
+        assert json.loads(model_to_json(model))["tree"] == expected
+
     def test_fit_memory_has_no_quadratic_table(self):
         rng = np.random.default_rng(6)
         e = EncodedMatrix(rng.normal(size=(6000, 2)), [str(i % 2) for i in range(6000)], "best")

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_output_digests import FIXTURES, write_tied_grid
+from test_output_digests import FIXTURES, cpus, write_tied_grid
 from ust import (
     ExtractionConfig,
     NoiseSpec,
@@ -254,7 +254,7 @@ class TestStepComposition:
         # which raises first when the best-estimate sums overflow; when only uncertainty sums can overflow
         # it scores on the full path, which raises.  The transform runs its own kernel, no extraction tile,
         # on two workers, and raises once they have left an overflowed entry
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2), raising=False)
         monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 1)  # extraction's kernel takes one-cell tiles
         monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)  # the 2-row transform takes one row per worker
         fill, paths = ust.shapelet._fill_tile, set()
@@ -499,7 +499,7 @@ class TestBenchmark:
     @pytest.mark.parametrize("jobs, workers", [("2", {1}), ("1", {2})])
     def test_kernel_workers_share_the_jobs_budget(self, jobs, workers, tmp_path, monkeypatch):
         # on 2 CPUs, two concurrent tasks get one kernel worker each and a lone task gets both
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2), raising=False)
         kernel = ust.shapelet._grid_min_dissims
         seen = set()
 
@@ -517,7 +517,7 @@ class TestBenchmark:
 
     def test_fewer_tasks_than_jobs_share_the_cpus_of_the_idle_jobs(self, tmp_path, monkeypatch):
         # one dataset is one task: at --jobs 4 on 4 CPUs its kernel gets all 4 workers, not 1
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4), raising=False)
         kernel, seen = ust.shapelet._grid_min_dissims, set()
 
         def spy(*args):
@@ -906,7 +906,7 @@ class TestFeaturizeViews:
 
     @pytest.fixture(autouse=True)
     def extractions(self, workers, monkeypatch):
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         extract, seen = ust.cli.extract_shapelets, []
 
         def spy(d, cfg):

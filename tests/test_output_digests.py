@@ -22,11 +22,11 @@ here, and says why.
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-import ust.shapelet
 from ust.cli import MODES, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -35,6 +35,17 @@ DIGESTS = json.loads((FIXTURES / "output_sha256.json").read_text())
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def cpus(n):
+    """A stand-in for ``os.sched_getaffinity``: the mask of ``n`` CPUs that ``taskset -c 0-<n-1>`` gives.
+
+    The kernels read the mask on every call, so patching it in sets their
+    worker count the way ``taskset`` does.  Tests patch it in with
+    ``raising=False`` or ``create=True``, so that they also run where the
+    platform has no such call.
+    """
+    return lambda _pid: set(range(n))
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -51,7 +62,7 @@ def test_benchmark_report_bytes(jobs, tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_extract_bytes_on_noisy_data(workers, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
     values, uncertainties, out = tmp_path / "v.tsv", tmp_path / "u.tsv", tmp_path / "sh.json"
     assert main([
         "add-noise", "--input", str(FIXTURES / "benchmark" / "TriShape" / "TriShape_TRAIN.tsv"), "--seed", "0",
@@ -75,7 +86,7 @@ def write_tied_grid(values, uncertainties, first_row=0):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_extract_bytes_on_tied_data(workers, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
     values, uncertainties, out = tmp_path / "v.tsv", tmp_path / "u.tsv", tmp_path / "sh.json"
     write_tied_grid(values, uncertainties)
     assert main(["extract", "--data", str(values), "--uncertainties", str(uncertainties), "--out", str(out)]) == 0
@@ -85,7 +96,7 @@ def test_extract_bytes_on_tied_data(workers, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_classify_bytes_on_tied_data(workers, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
     split = {}
     for name, first_row in (("train", 0), ("test", 16)):
         split[name] = tmp_path / f"{name}_v.tsv", tmp_path / f"{name}_u.tsv"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 import ust.shapelet
+from test_output_digests import cpus
 from ust import (
     ConfigurationError,
     DimensionMismatchError,
@@ -118,15 +119,16 @@ def sliding_min(cand_b, cand_u, ser_b, ser_u):
     return np.concatenate([b for *_, b, _ in blocks]), np.concatenate([u for *_, u in blocks])
 
 
-def by_length(blocks, min_len):
-    """The kernel's blocks split by ``reach``: ``(l, offsets, sources, min_b, min_u)`` per length.
+def by_length(blocks, ends, min_len):
+    """The kernel's blocks split by length: ``(l, offsets, sources, min_b, min_u)`` per length.
 
-    ``offsets`` is the leading slice of a block's offsets that reach ``l``,
-    and the minima are their ``(offsets, sources, n)`` views.
+    ``offsets`` is the leading slice of a block's offsets whose ``ends``
+    reach ``l``, and the minima are their ``(offsets, sources, n)`` views.
     """
-    for offsets, sources, reach, min_b, min_u in blocks:
+    for offsets, sources, min_b, min_u in blocks:
         width, n = sources.stop - sources.start, min_b.shape[1]
-        assert reach[0] == offsets.stop - offsets.start and (np.diff(reach) <= 0).all()
+        block_ends = ends[offsets]
+        reach = np.count_nonzero(block_ends[:, None] >= np.arange(min_len, block_ends[0] + 1), axis=0)
         assert min_b.shape == min_u.shape == (reach.sum() * width, n)
         cuts = np.cumsum(reach[:-1]) * width
         for i, (mb, mu) in enumerate(zip(np.split(min_b, cuts), np.split(min_u, cuts))):
@@ -446,7 +448,7 @@ class TestBatchKernels:
             def collect(part):
                 # one worker's kernel call over its slice of the sources, keyed by global source
                 for l, offsets, sources, min_b, min_u in by_length(
-                    _grid_min_dissims(src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u), min_len
+                    _grid_min_dissims(src_b[part], src_u[part], stride, ends, min_len, ser_b, ser_u), ends, min_len
                 ):
                     offs, srcs = range(len(ends))[offsets], range(len(src_b))[part][sources]
                     assert min_b.shape == min_u.shape == (len(offs), len(srcs), len(ser_b))
@@ -459,7 +461,7 @@ class TestBatchKernels:
             with (
                 patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget),
                 patch.object(ust.shapelet, "_TILE_ELEMS", tile),
-                patch.object(ust.shapelet, "_CPUS", workers),
+                patch.object(os, "sched_getaffinity", cpus(workers), create=True),
             ):
                 ust.shapelet._in_slices(len(src_b), collect)
             assert set(seen) == {
@@ -476,7 +478,7 @@ class TestBatchKernels:
         # at (n, m) = (2, 9) and min_len 3 a budget of 1 stages one stem per block and 37 two, so a call
         # has several offset blocks per source; the default budget stages every stem in one block
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1), raising=False)
         fill, scratch = ust.shapelet._fill_tile, []
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: scratch.append(args[-3:-1]) or fill(*args))
         rng = np.random.default_rng(2)
@@ -506,7 +508,8 @@ class TestBatchKernels:
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: paths.append(args[-1]) or fill(*args))
         monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", 50)  # several tiles
         ends = np.array([6, 5, 3])
-        for l, offsets, sources, min_b, min_u in by_length(_grid_min_dissims(src_b, src_u, 2, ends, 2, ser_b, ser_u), 2):
+        blocks = _grid_min_dissims(src_b, src_u, 2, ends, 2, ser_b, ser_u)
+        for l, offsets, sources, min_b, min_u in by_length(blocks, ends, 2):
             if nonzero is None:
                 assert min_u.tobytes() == np.zeros_like(min_u).tobytes()
             for i, k in enumerate(range(len(ends))[offsets]):
@@ -528,7 +531,7 @@ class TestBatchKernels:
                     monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
                     monkeypatch.setattr(ust.shapelet, "_TILE_ELEMS", tile)
                     monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", min(tile, chunk))
-                    monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+                    monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
                     shapelets = extract_shapelets(d, cfg)
                     features = shapelet_transform(d, shapelets)
                     outputs[budget, tile, workers] = (
@@ -546,7 +549,7 @@ class TestBatchKernels:
         monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)
         outputs = []
         for workers in (1, 5):
-            monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+            monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
@@ -559,7 +562,7 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_threads_end_with_the_call(self, workers, monkeypatch):
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 300)  # small enough for the transform to use the workers
         d = random_dataset(np.random.default_rng(4), n=7, m=11)
         before = threading.active_count()
@@ -574,7 +577,7 @@ class TestBatchKernels:
 
     def test_workers_run_in_the_callers_context(self, monkeypatch):
         # a task sharing 4 CPUs with one other task runs two workers, and each sees that share
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 4)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4), raising=False)
         caller, seen = threading.get_ident(), []
 
         def work(part):
@@ -588,14 +591,14 @@ class TestBatchKernels:
         assert sorted(seen) == [(0, 2, 2, True), (2, 4, 2, True)]
 
     @pytest.mark.parametrize(
-        "cpus, count, chunks, parts",
+        "n_cpus, count, chunks, parts",
         [(1, 5, None, [(0, 5)]), (2, 5, None, [(0, 2), (2, 5)]), (4, 3, None, [(0, 1), (1, 2), (2, 3)]),
          (4, 8, 2, [(0, 4), (4, 8)])],
         ids=["one-cpu", "two-cpus", "more-workers-than-units", "chunks-cap-the-workers"],
     )
-    def test_results_come_in_slice_order(self, cpus, count, chunks, parts, monkeypatch):
+    def test_results_come_in_slice_order(self, n_cpus, count, chunks, parts, monkeypatch):
         # every slice but the last waits until the last has run, so slice order is not completion order
-        monkeypatch.setattr(ust.shapelet, "_CPUS", cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(n_cpus), raising=False)
         last_ran = threading.Event()
 
         def work(part):
@@ -774,7 +777,7 @@ class TestExtraction:
         # rows anywhere, inside a length too, so a tie can stop the best-only scoring at any sweep
         for workers in (1, 2):
             with (
-                patch.object(ust.shapelet, "_CPUS", workers),
+                patch.object(os, "sched_getaffinity", cpus(workers), create=True),
                 patch.object(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget),
                 patch.object(ust.shapelet, "_TILE_ELEMS", tile),
                 patch.object(ust.shapelet, "_SWEEP_ELEMS", cap),
@@ -786,7 +789,7 @@ class TestExtraction:
         # scoring one block of candidates at a time keeps no (candidates, n) matrix of a whole
         # length; the workers share the block budget and each holds its own tile scratch
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 200_000)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         rng = np.random.default_rng(0)
         d = UncertainDataset.from_arrays(
             rng.normal(0, 1, (200, 20)), rng.uniform(0, 0.5, (200, 20)), ["A"] * 100 + ["B"] * 100
@@ -807,7 +810,7 @@ class TestExtraction:
         # tile scratch and a constant, however many lengths a block has
         budget, n, m = 1_000_000, 30, 60
         monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         rng = np.random.default_rng(0)
         d = UncertainDataset.from_arrays(rng.normal(0, 1, (n, m)), rng.uniform(0, 0.5, (n, m)), ["A", "B"] * (n // 2))
         tracemalloc.start()
@@ -826,7 +829,7 @@ class TestExtraction:
         # the staging budget, the workers' tile scratch (two planes of terms and accumulators) and a
         # constant.  (1000, 6) at its one length 6 fills each block with one length, whose sweeps stay within
         # _SWEEP_ELEMS all the same; at the default budget, since a 1 M one leaves 2 workers ~1 MiB of margin
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         for budget, n, m, cfg in (
             (1_000_000, 6, 240, ExtractionConfig(k=1)),
             (ust.shapelet._KERNEL_CHUNK_ELEMS, 1000, 6, ExtractionConfig(min_len=6, max_len=6, k=1)),
@@ -848,7 +851,7 @@ class TestExtraction:
         # max(1, _SWEEP_ELEMS // n) rows whatever lengths it spans, and a block's sweeps take its rows
         # once, in order, each but the last a full slice.  At (n, m) = (30, 50) and 2 workers that is
         # fewer sweeps than the 46 that runs of whole lengths took
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         n, m = 30, 50
         rows = max(1, ust.shapelet._SWEEP_ELEMS // n)
         rng = np.random.default_rng(4)
@@ -864,8 +867,8 @@ class TestExtraction:
                 yield block
 
         def spy_split(dist_best, *rest):
-            (i,) = [i for i, block in enumerate(blocks) if np.shares_memory(dist_best, block[3])]
-            min_b = blocks[i][3]
+            (i,) = [i for i, block in enumerate(blocks) if np.shares_memory(dist_best, block[2])]
+            min_b = blocks[i][2]
             at = dist_best.__array_interface__["data"][0] - min_b.__array_interface__["data"][0]
             first, rem = divmod(at, min_b.strides[0])
             assert rem == 0 and dist_best.strides == min_b.strides  # a view of whole rows
@@ -877,7 +880,7 @@ class TestExtraction:
         extract_shapelets(d, ExtractionConfig())
         assert sorted(swept) == list(range(len(blocks)))
         for i, block in enumerate(blocks):
-            assert swept[i] == [range(r, min(r + rows, len(block[3]))) for r in range(0, len(block[3]), rows)]
+            assert swept[i] == [range(r, min(r + rows, len(block[2]))) for r in range(0, len(block[2]), rows)]
         if workers == 2:
             assert sum(map(len, swept.values())) < 46
 
@@ -885,7 +888,7 @@ class TestExtraction:
     def test_tied_qualities_merge_as_the_oracle(self, workers, monkeypatch):
         # integer-valued data ties many qualities exactly, so the merge of the sources' own picks orders
         # ties on margin, length, source and offset, and overlaps leave sources with fewer picks than k
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         d = random_dataset(np.random.default_rng(11), n=8, m=12, integer_grid=True)
         got = assert_matches_oracle(d, ExtractionConfig(min_len=2, k=12))
         assert len({sh.quality for sh in got}) < len(got)  # picks tied in quality
@@ -961,7 +964,7 @@ class TestExtraction:
         # on a {0, 1, 2} grid a sweep meets an exact best tie: the best-only scoring stops, and the full
         # path scores every source exactly once, its uncertainty minima ordering the ties
         d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         passes = self.scoring_passes(d, monkeypatch)
         assert_matches_oracle(d, ExtractionConfig(min_len=2, k=10))
         every_source = sorted(row.tobytes() for row in d.best)
@@ -974,7 +977,7 @@ class TestExtraction:
         # path), whose +0.0 uncertainty minima order every tie, so nothing is scored twice
         d = random_dataset(np.random.default_rng(6), n=8, m=12, integer_grid=True)
         d = UncertainDataset.from_arrays(d.best, np.zeros_like(d.uncertainty), d.labels)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         passes = self.scoring_passes(d, monkeypatch)
         assert_matches_oracle(d, ExtractionConfig(min_len=2, k=10))
         assert [full for full, _ in passes] == [True] * workers
@@ -991,7 +994,7 @@ class TestExtraction:
         # the full path raises; one block meets the overflow first; at 2 workers the first slice ties
         # while the second overflows, which raises before any rescoring.  Extraction raises
         # NumericOverflowError in every case
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         if budget is not None:
             monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", budget)
         fill, paths = ust.shapelet._fill_tile, set()
@@ -1248,7 +1251,7 @@ class TestTransform:
         for workers in (1, 2):
             calls, (spy, folds) = [], fold_spy()
             with (
-                patch.object(ust.shapelet, "_CPUS", workers),
+                patch.object(os, "sched_getaffinity", cpus(workers), create=True),
                 patch.object(ust.shapelet, "_ROW_CHUNK_ELEMS", budget),
                 patch.object(ust.shapelet, "_fill_tile", lambda *args: calls.append("tile") or fill(*args)),
                 patch.object(ust.shapelet, "_chunk_sums", spy),
@@ -1271,7 +1274,7 @@ class TestTransform:
         # window 0 of [1, 1, 10, 10] is the unique minimum of [0, 0]: its uncertainty sum 2 * (0.6e308 + 0.6e308)
         # overflows; the sums of windows 1 and 2 overflow in the other case, which no feature reads
         # (the minimum is unique, so the fold at it gives each entry's uncertainty and no chunk folds every window)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", 1)  # at two workers, one row each
         fill, calls, (spy, folds) = ust.shapelet._fill_tile, [], fold_spy()
         monkeypatch.setattr(ust.shapelet, "_fill_tile", lambda *args: calls.append("tile") or fill(*args))
@@ -1292,7 +1295,7 @@ class TestTransform:
         # [10] ties at windows 2 and 3 of [1, 1, 10, 10], so each chunk folds every window of every entry.  That
         # computes the uncertainty sums of [0, 0] at windows 1 and 2 too, which overflow; its unique minimum is
         # window 0, so no feature reads them and nothing raises
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         if budget is not None:
             monkeypatch.setattr(ust.shapelet, "_ROW_CHUNK_ELEMS", budget)
         spy, folds = fold_spy()
@@ -1307,10 +1310,10 @@ class TestTransform:
         assert sorted(row for rows in folds for row in rows) == [x.tobytes() for x in d.best] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_memory_is_bounded_by_the_tile_budget(self, workers, monkeypatch):
-        # tiles span a few hundred rows, so no term table covers every instance
-        monkeypatch.setattr(ust.shapelet, "_KERNEL_CHUNK_ELEMS", 200_000)
-        monkeypatch.setattr(ust.shapelet, "_CPUS", workers)
+    def test_memory_is_bounded_by_the_row_chunk_budget(self, workers, monkeypatch):
+        # a worker's row chunks hold _ROW_CHUNK_ELEMS // (k * m) = 136 of the 4000 rows, so no window sums
+        # cover every instance
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(workers), raising=False)
         rng = np.random.default_rng(0)
         d = UncertainDataset.from_arrays(rng.normal(0, 1, (4000, 60)), rng.uniform(0, 0.5, (4000, 60)), ["A"] * 4000)
         shapelets = [
@@ -1329,7 +1332,7 @@ class TestTransform:
     def test_no_worker_gets_less_than_a_tile(self, tile, rows, monkeypatch):
         # ten rows against two short shapelets are far less than one default row chunk, so one worker
         # takes all rows; with one-cell chunks each of the two workers takes half of them
-        monkeypatch.setattr(ust.shapelet, "_CPUS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(2), raising=False)
         train = planted_motif_dataset()
         shapelets = extract_shapelets(train, ExtractionConfig(min_len=3, max_len=4, k=2))
         expected = shapelet_transform(train, shapelets)
