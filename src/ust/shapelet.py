@@ -33,11 +33,11 @@ union of every source's own picks.
 On certain data (the ``st`` view, or no uncertainty file) the kernel sums only
 ``(a - b)**2``, which has the bits of ``|a - b|**2``, and leaves every
 uncertainty minimum at the ``+0.0`` the full path gives there.  Extraction scores
-on that best-only path, since an uncertainty minimum changes an output only
-where it orders an exact best tie or is a selected shapelet's threshold.  The
-full path scores when the data are certain, when an uncertainty sum could
-overflow, or after a best-only tie: a sweep that meets an exact best tie stops
-the scoring, which is then done once more on the full path.  The transform
+first on that best-only path (certain data on the full path, which gives the
+same), since an uncertainty minimum changes an output only where it orders an
+exact best tie or is a selected shapelet's threshold.  The first scoring stands
+unless it meets an exact best tie or an uncertainty sum could overflow; then
+extraction scores once more on the full path.  The transform
 has its own kernel: one pass over contiguous row chunks sums the best
 estimates of every shapelet length, then folds each cell's uncertainty terms
 at its first minimizing window, which gives the full path's bits where that
@@ -225,7 +225,7 @@ def _grid_min_dissims(
     stems = max(1, _KERNEL_CHUNK_ELEMS // (_worker_count() * n * w0))
     stage_offsets = min(len(ends), stems)
     stage_sources = max(1, stems // stage_offsets)
-    # each offset block's ends, source positions, term and accumulator tile shapes and reach, for every source block
+    # each offset block's ends, source positions, tile shapes and depth, its count of offsets with a term at each index
     blocks = []
     for k0 in range(0, len(ends), stage_offsets):
         block_ends = ends[k0 : k0 + stage_offsets]
@@ -234,16 +234,17 @@ def _grid_min_dissims(
         pair_cells = m * (p1 - p0) + w0 * len(block_ends)  # a tile's term and accumulator cells per (source, row)
         tile_rows = min(n, max(1, _TILE_ELEMS // pair_cells))
         tile = min(stage_sources, len(src_b), max(1, _TILE_ELEMS // (pair_cells * tile_rows))), tile_rows
-        reach = np.count_nonzero(block_ends[:, None] >= np.arange(min_len, block_ends[0] + 1), axis=0)
-        blocks.append((k0, block_ends, p0, p1, [(2, m, p1 - p0, *tile), (2, w0, len(block_ends), *tile)], reach))
+        depth = np.count_nonzero(block_ends[:, None] > np.arange(block_ends[0]), axis=0).tolist()
+        blocks.append((k0, block_ends, p0, p1, [(2, m, p1 - p0, *tile), (2, w0, len(block_ends), *tile)], depth))
     # every tile of the call shares these two buffers: a fresh allocation per tile costs a page fault per page
     scratch = [np.empty(max(math.prod(block[4][i]) for block in blocks)) for i in (0, 1)]
     for s0 in range(0, len(src_b), stage_sources):
         s1 = min(s0 + stage_sources, len(src_b))
-        for k0, block_ends, p0, p1, shapes, reach in blocks:
+        for k0, block_ends, p0, p1, shapes, depth in blocks:
             terms, acc = (buf[: math.prod(shape)].reshape(shape) for buf, shape in zip(scratch, shapes))
             tile_sources, tile_rows = shapes[0][3:]
-            shape = (int(reach.sum()) * (s1 - s0), n)
+            reach = depth[min_len - 1 :]  # offsets reaching each length
+            shape = (sum(reach) * (s1 - s0), n)
             min_b = np.empty(shape)
             min_u = np.broadcast_to(0.0, shape) if certain else np.empty(shape)
             cuts = [0, *(np.cumsum(reach) * (s1 - s0)).tolist()]
@@ -255,7 +256,7 @@ def _grid_min_dissims(
                     for r0 in range(0, n, tile_rows):
                         r = slice(r0, r0 + tile_rows)
                         _fill_tile(
-                            src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, block_ends, min_len,
+                            src_b[a:b, p0:p1].T, src_u[a:b, p0:p1].T, stride, depth, min_len,
                             series_b[r].T, series_u[r].T, *views, (slice(a - s0, b - s0), r), terms, acc, path,
                         )
             if not (np.isfinite(min_b).all() and (certain or np.isfinite(min_u).all())):
@@ -264,17 +265,16 @@ def _grid_min_dissims(
 
 
 def _fill_tile(
-    src_b: np.ndarray, src_u: np.ndarray, stride: int, ends: np.ndarray, min_len: int,
+    src_b: np.ndarray, src_u: np.ndarray, stride: int, depth: list[int], min_len: int,
     ser_b: np.ndarray, ser_u: np.ndarray, min_b: list[np.ndarray], min_u: list[np.ndarray],
     tile: tuple[slice, slice], terms: np.ndarray, acc: np.ndarray, path: str,
 ) -> None:
     """Write one tile's minima into the ``tile`` (sources, rows) of ``min_b``, ``min_u``.
 
-    ``min_b[l - min_len]`` and ``min_u[l - min_len]`` are the ``(offsets
-    reaching l, sources, n)`` views of a staging block's minima at length ``l``
-    (the block layout of :func:`_grid_min_dissims`).  ``src`` is
-    ``(positions, sources)`` from the tile's first offset on and ``ser`` is
-    ``(m, rows)``.  Term ``[q, p, s, j]`` pairs series position
+    ``min_b[l - min_len]`` and ``min_u[l - min_len]`` are the ``(offsets reaching l, sources, n)`` views of a
+    staging block's minima at length ``l`` (the block layout of :func:`_grid_min_dissims`); ``depth[i]`` counts
+    its offsets with a term at index ``i``.  ``src`` is ``(positions, sources)`` from the tile's first offset
+    on and ``ser`` is ``(m, rows)``.  Term ``[q, p, s, j]`` pairs series position
     ``q`` with source position ``p`` and accumulator ``[t, k, s, j]`` is window
     ``t`` of offset ``k``, so step ``i`` adds one strided view of the terms.
     The minimum under the uncertain order reduces over the leading window
@@ -295,8 +295,7 @@ def _fill_tile(
         acc_u.fill(0.0)
     term_b *= term_b
     acc_b.fill(0.0)
-    offsets = np.count_nonzero(ends[:, None] > np.arange(ends[0]), axis=0).tolist()  # with a term at index i
-    for i, o in enumerate(offsets):
+    for i, o in enumerate(depth):
         w = min(w0, m - i)  # windows valid for length max(i + 1, min_len)
         at = slice(i, i + w), slice(i, i + (o - 1) * stride + 1, stride)
         ab, au = acc_b[:w, :o], acc_u[:w, :o]
@@ -418,13 +417,11 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     order: quality descending, ties broken by larger split margin, shorter
     length, then smaller (source, offset).  A candidate overlapping an
     already-selected candidate from the same source series is pruned.
-    The kernel runs its best-only path.  A sweep that meets an exact best tie,
-    which only uncertainty minima order, stops its worker's scoring, and every candidate
-    is scored once more on the full path; at worst, a tie in the last sweep, that
-    costs one best-only and one full-path scoring.  When an uncertainty sum
-    could overflow (the bound below), the scoring runs the full path from the
-    start, so ``NumericOverflowError`` is raised exactly where the full path
-    raises it.  Each worker takes a contiguous slice of the sources and runs one kernel
+    The first scoring runs the kernel's best-only path (its full path on certain data).  It stands unless it
+    meets an exact best tie, which only uncertainty minima order, or an uncertainty sum could overflow (the
+    bound below): a tied sweep stops its worker, and past the bound the first scoring is skipped.  Then every
+    candidate is scored once on the full path, so ``NumericOverflowError`` is raised exactly where the full
+    path raises it.  Each worker takes a contiguous slice of the sources and runs one kernel
     call, the split sweeps and the per-source selection on it.  Tiles are
     bounded by ``_TILE_ELEMS`` and sweeps by ``_SWEEP_ELEMS`` (or one row)
     per worker, and staging blocks by ``_KERNEL_CHUNK_ELEMS`` over all
@@ -433,9 +430,9 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     Each threshold is the shapelet's cell of the train transform at the threshold's series: extraction
     transforms the whole train split once, in one :func:`shapelet_transform` call.
     The result is a ``list`` that carries that transform as ``train_features``, so that a pipeline does not
-    transform the train split again.  Its ``certain_alike`` is set when the data are certain or the best-only
-    scoring met no tie: then the certain view (zero uncertainties) selects these shapelets and threshold best
-    estimates, and its transform gives these best minima.
+    transform the train split again.  Its ``certain_alike`` is set when the first scoring stood: then the
+    certain view (zero uncertainties) selects these shapelets and threshold best estimates, and its transform
+    gives these best minima.
     """
     best, unc = train.best, train.uncertainty
     n, m = best.shape
@@ -461,15 +458,10 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     col_len = min_len + li
     col_off = offsets[col_k]
 
-    # The full path scores when the data are certain, when an uncertainty sum could overflow, or after
-    # a best-only tie.  Every u + v is at most 2 * max(unc), and every sum 2 * sum(|d| * (u + v)) at
-    # most 8 * max_len * max|best| * max(unc): while both stay below 2**1000 no uncertainty minimum can
-    # overflow, so the best-only path raises NumericOverflowError exactly when the full path would.
-    bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())
-    scored_u = unc if not unc.any() or bound >= 2.0**1000 else np.zeros_like(unc)
     step = max(1, _SWEEP_ELEMS // n)  # rows of one split sweep: at most _SWEEP_ELEMS cells, or one row
 
-    def score(part: slice, u: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+    def score(part: slice, full: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None:
+        u = unc if full else np.zeros_like(unc)  # zero uncertainties take the best-only path
         picks = []  # the part's own picks, per source block: table cells, sources, columns
         for o, s, min_b, min_u in _grid_min_dissims(
             best[part], u[part], config.candidate_stride, ends, min_len, best, u
@@ -482,7 +474,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
             cells = (cols[:, None] + len(col_k) * np.arange(s.stop - s.start)).ravel()  # in a plane of the table
             for r in range(0, len(min_b), step):
                 rows = slice(r, r + step)
-                split = _batch_best_splits(min_b[rows], min_u[rows] if u is unc else None, label_idx, class_totals)
+                split = _batch_best_splits(min_b[rows], min_u[rows] if full else None, label_idx, class_totals)
                 if split is None:  # best-only minima order no best tie
                     return None
                 table.reshape(3, -1)[:, cells[rows]] = split
@@ -492,8 +484,16 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
                 picks.append((table[:, src, col], src + part.start + s.start, col))
         return picks
 
-    first = _in_slices(n, lambda part: score(part, scored_u))  # None where a best-only sweep met a best tie
-    scored = first if None not in first else _in_slices(n, lambda part: score(part, unc))  # scored again
+    # Every u + v is at most 2 * max(unc), and every sum 2 * sum(|d| * (u + v)) at most 8 * max_len * max|best|
+    # * max(unc): below 2**1000 no uncertainty minimum overflows, so the best-only path raises NumericOverflowError
+    # exactly where the full path would.  On certain data the first scoring runs the full path, where no tie stops it.
+    certain = not unc.any()
+    bound = max(2.0, 8.0 * max_len * float(np.abs(best).max())) * float(unc.max())  # nan on certain huge data
+    stands = certain or bound < 2.0**1000
+    if stands:
+        first = _in_slices(n, lambda part: score(part, certain))
+        stands = None not in first  # None where a best-only sweep met a best tie
+    scored = first if stands else _in_slices(n, lambda part: score(part, True))
 
     # the global greedy's picks are the first k, in key order, of every source's own picks
     cells, source, column = (np.concatenate(x, axis=-1) for x in zip(*(p for picks in scored for p in picks)))
@@ -507,7 +507,7 @@ def extract_shapelets(train: UncertainDataset, config: ExtractionConfig = Extrac
     at = cells[2, sel].astype(int), np.arange(len(shapelets))
     thr_b, thr_u = (x[at].tolist() for x in (features.best, features.uncertainty))
     out = _Shapelets(replace(sh, split_threshold=UncertainValue(b, u)) for sh, b, u in zip(shapelets, thr_b, thr_u))
-    out.certain_alike = not unc.any() or scored_u is not unc and scored is first
+    out.certain_alike = stands
     out.train_features = features
     return out
 

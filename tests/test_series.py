@@ -327,7 +327,7 @@ def table_rows(draw, width, labeled, nonneg):
 def tsv_tables(draw):
     """Text of a values TSV and, half the time, an uncertainty TSV."""
     width = draw(st.integers(1, 4))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     bom = draw(st.sampled_from(["", "\ufeff"]))
 
     def text(rows):
@@ -342,7 +342,7 @@ def tsv_tables(draw):
 def feature_tables(draw):
     """Text of a feature CSV written by ``csv.writer``."""
     k = draw(st.integers(1, 3))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator=newline)
     writer.writerow(["label"] + [f"f{j + 1}" for j in range(2 * k)])
